@@ -22,7 +22,7 @@ from .mdg import (Homotopy, MDGAlgebra, MDGError, is_multiplicative,
                   perturb_multiplication, quotient_homology_dims)
 from .parser import (Document, DocumentError, format_document, parse_element,
                      parse_gcpoly)
-from .ring import Polynomial, Ring, mono_divides
+from .ring import Polynomial, RationalFunction, Ring, mono_divides
 from .symdg import SymError, build_sym
 
 EXIT_OK = 0
@@ -76,21 +76,30 @@ def _dims_str(dims: dict) -> str:
     return ", ".join(f"H_{i}={d}" for i, d in sorted(dims.items()))
 
 
-def _parse_scalar(doc: Document, text: str) -> Polynomial:
+def _parse_scalar(ring: Ring, text: str) -> Polynomial:
     """A polynomial in the ring variables, via the element grammar."""
-    scratch = FreeComplex(doc.ring, "_scratch")
-    v = parse_element(text, scratch)
+    v = parse_element(text, FreeComplex(ring, "_scratch"))
     coeff = v.coeffs.get(UNIT)
     if coeff is None or set(v.coeffs) != {UNIT}:
         raise CLIError(f"{text!r} is not a scalar polynomial")
-    return coeff.as_polynomial() if hasattr(coeff, "as_polynomial") else coeff
+    return _polynomial(coeff, repr(text))
+
+
+def _polynomial(coeff, what: str) -> Polynomial:
+    """A Polynomial or RationalFunction coefficient as a Polynomial; CLIError
+    when it has a denominator."""
+    if isinstance(coeff, RationalFunction):
+        if not coeff.is_polynomial():
+            raise CLIError(f"{what} is not a polynomial")
+        coeff = coeff.num
+    return coeff
 
 
 def _parse_modulus(doc: Document, text: str):
     """Comma-separated monomials generating a monomial ideal."""
     monos = []
     for part in text.split(","):
-        p = _parse_scalar(doc, part.strip())
+        p = _parse_scalar(doc.ring, part.strip())
         if not p.is_monomial():
             raise CLIError(f"modulus generator {part.strip()!r} is not a "
                            "monomial")
@@ -101,8 +110,7 @@ def _parse_modulus(doc: Document, text: str):
 
 def _mod_ideal(p, ring, monos):
     """Drop the monomials of p lying in the monomial ideal."""
-    if hasattr(p, "as_polynomial"):
-        p = p.as_polynomial()
+    p = _polynomial(p, f"coefficient {p}")
     kept = {m: c for m, c in p.terms.items()
             if not any(mono_divides(g, m) for g in monos)}
     return Polynomial(ring, kept)
@@ -261,15 +269,8 @@ def cmd_taylor(args) -> int:
     ring = Ring([v.strip() for v in args.ring.split(",")])
     doc = Document()
     doc.ring = ring
-    monos = []
-    for part in args.ideal.split(","):
-        scratch = FreeComplex(ring, "_scratch")
-        v = parse_element(part.strip(), scratch)
-        coeff = v.coeffs.get(UNIT)
-        if coeff is None or set(v.coeffs) != {UNIT}:
-            raise CLIError(f"{part.strip()!r} is not a monomial")
-        monos.append(coeff.as_polynomial()
-                     if hasattr(coeff, "as_polynomial") else coeff)
+    monos = [_parse_scalar(ring, part.strip())
+             for part in args.ideal.split(",")]
     alg = taylor_algebra(ring, monos, name="T")
     doc.complexes["T"] = alg.complex
     doc.mults["mu"] = alg.mult
@@ -283,7 +284,7 @@ def cmd_cone(args) -> int:
         raise CLIError("cone needs --expr with the adjoined differential")
     doc = _load(args)
     alg = _algebra(doc, args)
-    r = _parse_scalar(doc, args.expr)
+    r = _parse_scalar(doc.ring, args.expr)
     cone = mapping_cone_extension(alg, r, prefix=args.prefix)
     out = Document()
     out.ring = doc.ring

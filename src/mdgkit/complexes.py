@@ -103,12 +103,15 @@ class Element:
         return Element(self.complex, out)
 
     def multidegree(self):
-        """Common multidegree of all terms; raises if mixed."""
+        """Common multidegree of all terms; raises if mixed.  A Laurent
+        coefficient num/x^a counts as the terms of num shifted by -a."""
         mds = set()
         for k, v in self.coeffs.items():
             base = self.complex.basis[k].mdeg
-            poly = v.as_polynomial() if isinstance(v, RationalFunction) else v
-            for m in poly.terms:
+            if isinstance(v, RationalFunction):
+                base = mono_div(base, v.den.lead_mono())
+                v = v.num
+            for m in v.terms:
                 mds.add(mono_mul(m, base))
         if len(mds) != 1:
             raise ComplexError(f"element not multihomogeneous: {sorted(mds)}")

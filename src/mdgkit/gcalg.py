@@ -1,5 +1,10 @@
-"""Free graded-commutative algebra on homogeneous generators over a field of
-rational functions.
+"""Free graded-commutative algebra on homogeneous generators, with Laurent
+polynomial coefficients.
+
+Coefficients are `RationalFunction`s, which hold only Laurent polynomials
+(a monomial denominator).  Multigraded inputs keep every coefficient a
+rational times a Laurent monomial, so `monic()` and the engine's divisions
+never meet a non-monomial; one that does raises ValueError.
 
 Generators e_1 < e_2 < ... carry homological degrees (nondecreasing along the
 index order).  Monomials commute up to the Koszul sign e_j e_i =
@@ -235,9 +240,6 @@ class GCPoly:
         if not self.terms:
             return -1
         return max(self.ctx.mono_total(m) for m in self.terms)
-
-    def homological_degrees(self) -> set:
-        return {self.ctx.mono_degree(m) for m in self.terms}
 
     def sorted_terms(self):
         key = self.ctx.mono_sort_key()

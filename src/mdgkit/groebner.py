@@ -18,6 +18,11 @@ is associative exactly when no basis element has a lead monomial of total
 degree 1 (a single generator).  Those degree-1 elements are the obstruction
 witnesses; monomials of total degree 2 that survive reduction mark products
 the table does not define yet.
+
+Coefficients are Laurent polynomials (see `ring.RationalFunction`).  That
+holds because every pair relation is multihomogeneous, so `mult_ideal`
+rejects a table with a product that is not multihomogeneous of the expected
+multidegree before any S-polynomial is formed.
 """
 
 from __future__ import annotations
@@ -89,7 +94,11 @@ def pair_relation(ctx: GCContext, alg: MDGAlgebra, a: str, b: str) -> GCPoly:
 def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None):
     """(context, generators): f_ij = e_i e_j - e_i*e_j for every pair i <= j
     the table defines (odd squares are implied zero, so f_ii = e_i^2 there).
-    Pairs with no stored product are skipped (partial-table exploration)."""
+    Pairs with no stored product are skipped (partial-table exploration).
+
+    Raises MDGError when a nonzero product is not multihomogeneous of
+    multidegree mdeg(a) + mdeg(b): the engine's Laurent coefficients rely on
+    it."""
     cx = alg.complex
     if ctx is None:
         ctx = context_for(cx)
@@ -100,6 +109,10 @@ def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None):
                 value = alg.mult.product(a, b)
             except MissingProductError:
                 continue
+            problem = alg.mult.mdeg_problem(a, b, value)
+            if problem:
+                raise MDGError(f"table is not multihomogeneous: product "
+                               f"{problem}")
             sign, mono = ctx.word_mono([ctx.index(a), ctx.index(b)])
             lead = GCPoly(ctx, {mono: RationalFunction(cx.ring.const(sign))})
             gens.append(lead - element_to_gc(ctx, value))

@@ -58,11 +58,6 @@ def in_span(rows, vec) -> bool:
     return rank(list(rows) + [list(vec)]) == base
 
 
-def span_dim_sum(rows_a, rows_b) -> int:
-    """dim(span A + span B)."""
-    return rank(list(rows_a) + list(rows_b))
-
-
 def solve(rows, rhs):
     """One solution u of M u = rhs (free coordinates 0), or None if
     inconsistent.  `rows` are the rows of M."""

@@ -85,6 +85,21 @@ class Multiplication:
     def stored_pairs(self):
         return list(self.table)
 
+    def mdeg_problem(self, left: str, right: str, value: Element):
+        """Why the product left*right = value is not multihomogeneous of
+        multidegree mdeg(left) + mdeg(right); None when it is (zero is)."""
+        if value.is_zero():
+            return None
+        cx = self.complex
+        expected = mono_mul(cx.basis[left].mdeg, cx.basis[right].mdeg)
+        try:
+            md = value.multidegree()
+        except ComplexError as e:
+            return f"{left}*{right}: {e}"
+        if md != expected:
+            return f"{left}*{right} has multidegree {md}, expected {expected}"
+        return None
+
     def multiply(self, x: Element, y: Element) -> Element:
         acc = self.complex.zero
         for n1, c1 in x.coeffs.items():
@@ -147,13 +162,9 @@ class MDGAlgebra:
                     report.degree_problems.append(
                         f"{l}*{r} lands in degrees {sorted(degs)}, expected {bl.degree + br.degree}")
                     continue
-                try:
-                    md = value.multidegree()
-                    if md != mono_mul(bl.mdeg, br.mdeg):
-                        report.mdeg_problems.append(
-                            f"{l}*{r} has multidegree {md}, expected {mono_mul(bl.mdeg, br.mdeg)}")
-                except ComplexError as e:
-                    report.mdeg_problems.append(f"{l}*{r}: {e}")
+                problem = self.mult.mdeg_problem(l, r, value)
+                if problem:
+                    report.mdeg_problems.append(problem)
             # Leibniz: d(l*r) = d(l)*r + (-1)^{|l|} l*d(r); needs subproducts
             try:
                 lhs = cx.d(value)

@@ -221,6 +221,15 @@ def _pure_scalar(v: Element):
     return None
 
 
+def _inverse_scalar(s: RationalFunction) -> RationalFunction:
+    """1/s; coefficients are Laurent polynomials, so s must be a Laurent
+    monomial."""
+    if not s.num.is_monomial():
+        raise DocumentError(f"cannot divide by {s}: a divisor must be a "
+                            "monomial")
+    return s.inverse()
+
+
 def eval_element(node, cx: FreeComplex) -> Element:
     ring = cx.ring
     kind = node[0]
@@ -257,7 +266,7 @@ def eval_element(node, cx: FreeComplex) -> Element:
             raise DocumentError("division is only defined by a nonzero scalar")
         if not isinstance(sb, RationalFunction):
             sb = RationalFunction(sb, ring.one)
-        return a.scale(sb.inverse())
+        return a.scale(_inverse_scalar(sb))
     if kind == "pow":
         base = eval_element(node[1], cx)
         s = _pure_scalar(base)
@@ -302,7 +311,8 @@ def eval_gcpoly(node, ctx: GCContext) -> GCPoly:
         b = eval_gcpoly(node[2], ctx)
         if set(b.terms) != {ctx.zero_mono}:
             raise DocumentError("division is only defined by a nonzero scalar")
-        return eval_gcpoly(node[1], ctx).scale(b.terms[ctx.zero_mono].inverse())
+        return eval_gcpoly(node[1], ctx).scale(
+            _inverse_scalar(b.terms[ctx.zero_mono]))
     if kind == "pow":
         base = eval_gcpoly(node[1], ctx)
         acc = ctx.one

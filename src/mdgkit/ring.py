@@ -1,7 +1,13 @@
-"""Exact multivariate polynomial and rational-function arithmetic over Q.
+"""Exact multivariate polynomial and Laurent-polynomial arithmetic over Q.
 
 Monomials are exponent tuples over a fixed variable list; polynomials are
 sparse dicts monomial -> Fraction.  Everything is exact: no floats anywhere.
+
+Coefficients of multigraded objects are homogeneous in the fine Z^n grading,
+and a homogeneous element of the fraction field is a rational times a Laurent
+monomial.  So the only quotients kept here are Laurent polynomials: a
+polynomial over a monic monomial denominator.  Dividing by anything else
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -37,11 +43,6 @@ def mono_gcd(a: tuple, b: tuple) -> tuple:
 
 def mono_deg(a: tuple) -> int:
     return sum(a)
-
-
-def mono_key(a: tuple) -> tuple:
-    """Sort key: lexicographic, first variable dominant, larger is bigger."""
-    return a
 
 
 class Ring:
@@ -121,7 +122,7 @@ class Polynomial:
         """Leading monomial w.r.t. lex (first variable dominant)."""
         if not self.terms:
             raise ValueError("zero polynomial has no lead monomial")
-        return max(self.terms, key=mono_key)
+        return max(self.terms)
 
     def lead_coeff(self) -> Fraction:
         return self.terms[self.lead_mono()]
@@ -219,44 +220,20 @@ class Polynomial:
             return self.ring.zero
         return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
 
-    def mono_shift(self, mono: tuple) -> "Polynomial":
-        """Multiply by the monomial with exponent tuple `mono`."""
-        return Polynomial(self.ring, {mono_mul(m, mono): c for m, c in self.terms.items()})
-
-    def divides(self, other: "Polynomial") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except ValueError:
-            return False
-
     def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Exact division; raises ValueError if `other` does not divide self."""
+        """Exact division by a monomial; raises ValueError if `other` is not
+        a monomial or does not divide self."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if other.is_constant():
-            return self.scale(Fraction(1) / other.constant_value())
-        if other.is_monomial():
-            (dm, dc), = other.terms.items()
-            terms = {}
-            for m, c in self.terms.items():
-                if not mono_divides(dm, m):
-                    raise ValueError("not divisible")
-                terms[mono_div(m, dm)] = c / dc
-            return Polynomial(self.ring, terms)
-        rem = self
-        quo_terms: dict = {}
-        dlm = other.lead_mono()
-        dlc = other.lead_coeff()
-        while not rem.is_zero():
-            rlm = rem.lead_mono()
-            if not mono_divides(dlm, rlm):
+        if not other.is_monomial():
+            raise ValueError(f"exact division by the non-monomial {other}")
+        (dm, dc), = other.terms.items()
+        terms = {}
+        for m, c in self.terms.items():
+            if not mono_divides(dm, m):
                 raise ValueError("not divisible")
-            qm = mono_div(rlm, dlm)
-            qc = rem.terms[rlm] / dlc
-            quo_terms[qm] = qc
-            rem = rem - other.mono_shift(qm).scale(qc)
-        return Polynomial(self.ring, quo_terms)
+            terms[mono_div(m, dm)] = c / dc
+        return Polynomial(self.ring, terms)
 
     # -- comparisons / hashing --
 
@@ -276,7 +253,7 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms in descending lex order: canonical print order."""
-        return sorted(self.terms.items(), key=lambda t: mono_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
     def __str__(self):
         return format_polynomial(self)
@@ -343,76 +320,7 @@ def format_polynomial(p: Polynomial) -> str:
     return " ".join(out)
 
 
-# ---------- multivariate gcd (primitive PRS) ----------
-
-def _to_univar(p: Polynomial, v: int) -> dict:
-    """Split p as a univariate polynomial in variable #v with Polynomial coeffs."""
-    coeffs: dict = {}
-    for m, c in p.terms.items():
-        d = m[v]
-        rest = m[:v] + (0,) + m[v + 1:]
-        coeffs.setdefault(d, {})[rest] = c
-    return {d: Polynomial(p.ring, t) for d, t in coeffs.items()}
-
-def _from_univar(ring: Ring, v: int, coeffs: dict) -> Polynomial:
-    terms: dict = {}
-    for d, poly in coeffs.items():
-        for m, c in poly.terms.items():
-            terms[m[:v] + (d,) + m[v + 1:]] = c
-    return Polynomial(ring, terms)
-
-
-def _uni_mul_scalar(coeffs: dict, s: Polynomial) -> dict:
-    return {d: p * s for d, p in coeffs.items()}
-
-
-def _uni_prem(f: dict, g: dict, ring: Ring) -> dict:
-    """Pseudo-remainder of univariate polys with Polynomial coefficients."""
-    df = max(f) if f else -1
-    dg = max(g)
-    lg = g[dg]
-    r = dict(f)
-    while r and max(r) >= dg:
-        dr = max(r)
-        lr = r[dr]
-        r = _uni_mul_scalar(r, lg)
-        shift = dr - dg
-        for d, p in g.items():
-            nd = d + shift
-            s = r.get(nd, ring.zero) - p * lr
-            if s.is_zero():
-                r.pop(nd, None)
-            else:
-                r[nd] = s
-        r = {d: p for d, p in r.items() if not p.is_zero()}
-    return r
-
-
-def _uni_content(coeffs: dict, ring: Ring) -> Polynomial:
-    g = ring.zero
-    for p in coeffs.values():
-        g = poly_gcd(g, p)
-        if g.is_one():
-            break
-    return g
-
-
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Primitive gcd with positive lead coefficient (monic-free, integer-primitive)."""
-    if f.is_zero():
-        return g.primitive()
-    if g.is_zero():
-        return f.primitive()
-    ring = f.ring
-    # pull out the common monomial factor first
-    mf = mono_gcd_of_support(f)
-    mg = mono_gcd_of_support(g)
-    common = mono_gcd(mf, mg)
-    f = Polynomial(ring, {mono_div(m, mf): c for m, c in f.terms.items()})
-    g = Polynomial(ring, {mono_div(m, mg): c for m, c in g.terms.items()})
-    result = _gcd_core(f.primitive(), g.primitive())
-    return result.mono_shift(common).primitive()
-
+# ---------- monomial gcd ----------
 
 def mono_gcd_of_support(p: Polynomial) -> tuple:
     it = iter(p.terms)
@@ -422,44 +330,31 @@ def mono_gcd_of_support(p: Polynomial) -> tuple:
     return acc
 
 
-def _gcd_core(f: Polynomial, g: Polynomial) -> Polynomial:
-    if f.is_constant() or g.is_constant():
-        return f.ring.one
-    ring = f.ring
-    used_f = [i for i in range(ring.nvars) if any(m[i] for m in f.terms)]
-    used_g = [i for i in range(ring.nvars) if any(m[i] for m in g.terms)]
-    common_vars = sorted(set(used_f) & set(used_g))
-    if not common_vars:
-        return ring.one
-    v = common_vars[0]
-    uf = _to_univar(f, v)
-    ug = _to_univar(g, v)
-    cf = _uni_content(uf, ring)
-    cg = _uni_content(ug, ring)
-    cont = poly_gcd(cf, cg)
-    pf = {d: p.exact_div(cf) for d, p in uf.items()}
-    pg = {d: p.exact_div(cg) for d, p in ug.items()}
-    # primitive PRS on the primitive parts
-    a, b = (pf, pg) if max(pf) >= max(pg) else (pg, pf)
-    while b:
-        r = _uni_prem(a, b, ring)
-        if r:
-            c = _uni_content(r, ring)
-            r = {d: p.exact_div(c) for d, p in r.items()}
-        a, b = b, r
-    # a is the last nonzero pseudo-remainder; if it has degree 0 in v, the
-    # gcd of the primitive parts is 1 and only the content survives
-    if max(a) == 0:
-        return cont.primitive()
-    h = _from_univar(ring, v, a)
-    hc = _uni_content(a, ring)
-    h = _from_univar(ring, v, {d: p.exact_div(hc) for d, p in a.items()})
-    return (h * cont).primitive()
+def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Gcd of two polynomials at least one of which is a monomial: the monic
+    monomial gcd of their supports.  With one argument zero, the primitive
+    part of the other.
+
+    Coefficients are Laurent polynomials (see `RationalFunction`), so no
+    caller needs the gcd of two polynomials that both have several terms;
+    that case raises ValueError."""
+    if f.is_zero():
+        return g.primitive()
+    if g.is_zero():
+        return f.primitive()
+    if not (f.is_monomial() or g.is_monomial()):
+        raise ValueError(f"gcd of two non-monomials ({f}, {g}) is not supported")
+    common = mono_gcd(mono_gcd_of_support(f), mono_gcd_of_support(g))
+    return Polynomial(f.ring, {common: Fraction(1)})
 
 
 class RationalFunction:
-    """Quotient of polynomials, normalized: gcd removed, denominator primitive
-    with positive lead coefficient."""
+    """Laurent polynomial: a polynomial numerator over a monomial denominator,
+    normalized so that the two have no common monomial factor and the
+    denominator is monic.
+
+    A denominator that is not a monomial, including one produced by
+    `inverse()` or division, raises ValueError."""
 
     __slots__ = ("num", "den")
 
@@ -568,18 +463,18 @@ class RationalFunction:
 
 
 def _rf_normalize(num: Polynomial, den: Polynomial):
+    """Cancel the common monomial factor and make the denominator monic."""
     if num.is_zero():
         return num, num.ring.one
     if den.is_one():
         return num, den
+    if not den.is_monomial():
+        raise ValueError(f"not a Laurent polynomial: denominator {den} "
+                         "is not a monomial")
     if den.is_constant():
         return num.scale(1 / den.constant_value()), num.ring.one
-    g = poly_gcd(num, den)
-    if not g.is_one():
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-    c = den.rational_content()
-    if c != 1:
-        num = num.scale(1 / c)
-        den = den.scale(1 / c)
-    return num, den
+    (dm, dc), = den.terms.items()
+    (gm, _), = poly_gcd(num, den).terms.items()
+    num = Polynomial(num.ring, {mono_div(m, gm): c / dc
+                                for m, c in num.terms.items()})
+    return num, num.ring.monomial(mono_div(dm, gm))

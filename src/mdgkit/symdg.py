@@ -36,6 +36,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import factorial
 
+from . import linalg
 from .complexes import UNIT, Element, FreeComplex
 from .gcalg import GCContext, GCPoly
 from .groebner import (GBasis, buchberger, context_for, element_to_gc,
@@ -250,33 +251,12 @@ def multiplication_relations(sym: SymDGAlgebra, alg: MDGAlgebra):
 # linear part of the relation ideal vs. the associator span
 # ---------------------------------------------------------------------------
 
-def _rank_over_field(rows):
-    """Row rank of a list of dict-rows with RationalFunction entries."""
-    work = [dict(r) for r in rows if r]
-    rank = 0
-    while work:
-        row = work.pop()
-        pivot = next(iter(row))
-        rank += 1
-        inv = row[pivot].inverse()
-        row = {k: v * inv for k, v in row.items()}
-        reduced = []
-        for other in work:
-            if pivot in other:
-                c = other[pivot]
-                combined = dict(other)
-                for k, v in row.items():
-                    cur = combined.get(k)
-                    cur = -(c * v) if cur is None else cur - c * v
-                    if cur.is_zero():
-                        combined.pop(k, None)
-                    else:
-                        combined[k] = cur
-                other = combined
-            if other:
-                reduced.append(other)
-        work = reduced
-    return rank
+def _dict_rank(rows, ring) -> int:
+    """Rank of dict rows with RationalFunction entries, laid out densely
+    over the union of their keys."""
+    cols = sorted({k for r in rows for k in r})
+    zero = RationalFunction(ring.zero)
+    return linalg.rank([[r.get(k, zero) for k in cols] for r in rows])
 
 
 class PresentationReport:
@@ -324,10 +304,10 @@ def presentation_check(alg: MDGAlgebra, degrees=None) -> PresentationReport:
         for n in names:
             nf, _ = basis.reduce(ctx.gen(n))
             rows.append({m: c for m, c in nf.terms.items()})
-        ideal_dim = len(names) - _rank_over_field(rows)
+        ideal_dim = len(names) - _dict_rank(rows, cx.ring)
         span = [{nm: _as_rf(c) for nm, c in v.coeffs.items()}
                 for _, v, d, _ in sub.gens if d == i]
-        span_dim = _rank_over_field(span)
+        span_dim = _dict_rank(span, cx.ring)
         if ideal_dim or span_dim:
             components[i] = (ideal_dim, span_dim)
     return PresentationReport(components, basis)

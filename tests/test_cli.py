@@ -63,6 +63,30 @@ def test_reduce_requires_an_expression(capsys):
     assert run(capsys, ["reduce", TAYLOR])[0] == 2
 
 
+def test_laurent_modulus_is_an_input_error(capsys):
+    code, _, err = run(capsys, ["assoc", FK, "--modulus", "x/y",
+                                "--triple", "e1,e5,e2"])
+    assert code == 2
+    assert "'x/y' is not a polynomial" in err
+
+
+@pytest.mark.parametrize("product", ["(x+y)*e12", "e12/x"])
+def test_gb_rejects_a_table_that_is_not_multihomogeneous(tmp_path, capsys,
+                                                         product):
+    # the Taylor table of (x^2, x*y) with e1*e2 = x*e12 replaced
+    text = fixture_path("taylor_x2_xy").read_text()
+    assert "e1*e2 = x*e12;" in text
+    bad = tmp_path / "bad.mdg"
+    bad.write_text(text.replace("e1*e2 = x*e12;", f"e1*e2 = {product};"))
+    for argv in (["gb", str(bad)], ["reduce", str(bad), "--expr", "e1*e2"]):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "product e1*e2" in err and "not multihomogeneous" in err
+    code, out, _ = run(capsys, ["check", str(bad)])
+    assert code == 1
+    assert out.startswith("mu: e1*e2")
+
+
 # -- golden outputs -----------------------------------------------------------
 
 

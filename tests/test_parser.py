@@ -103,6 +103,8 @@ def test_rational_coefficients_in_elements():
     assert str(w) == "-y*e1 + e2"
     with pytest.raises(DocumentError, match="scalar"):
         parse_element("e1/e2", cx)
+    with pytest.raises(DocumentError, match="monomial"):
+        parse_element("e1/(x+y)", cx)
     with pytest.raises(DocumentError, match="mult block"):
         parse_element("e1*e2", cx)
 
@@ -120,3 +122,5 @@ def test_gc_expression_evaluation():
     assert (q + parse_gcpoly("e1*e2", ctx)).is_zero()
     assert parse_gcpoly("2*e1^2", ctx).is_zero() is False  # non-strict square
     assert parse_gcpoly("(1/2)*x^2*e12", ctx).lead_coeff().num.total_degree() == 2
+    with pytest.raises(DocumentError, match="monomial"):
+        parse_gcpoly("e1/(x+y)", ctx)

@@ -1,4 +1,4 @@
-"""Polynomial / rational function arithmetic, cross-checked against sympy."""
+"""Polynomial / Laurent polynomial arithmetic, cross-checked against sympy."""
 
 from fractions import Fraction
 
@@ -48,6 +48,9 @@ def polys(draw, max_terms=5):
     return Polynomial(R, terms)
 
 
+monomials = st.builds(R.monomial, monos, coeffs.filter(bool))
+
+
 @settings(max_examples=100, deadline=None)
 @given(polys(), polys(), polys())
 def test_ring_axioms_match_sympy(f, g, h):
@@ -57,10 +60,8 @@ def test_ring_axioms_match_sympy(f, g, h):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys(max_terms=3), polys(max_terms=3))
+@given(polys(max_terms=3), monomials)
 def test_exact_div_roundtrip(f, g):
-    if g.is_zero():
-        return
     p = f * g
     if f.is_zero():
         return
@@ -68,7 +69,7 @@ def test_exact_div_roundtrip(f, g):
 
 
 @settings(max_examples=40, deadline=None)
-@given(polys(max_terms=3), polys(max_terms=3), polys(max_terms=2))
+@given(polys(max_terms=3), monomials, monomials)
 def test_gcd_against_sympy(f, g, h):
     f, g = f * h, g * h
     ours = poly_gcd(f, g)
@@ -83,8 +84,10 @@ def test_gcd_against_sympy(f, g, h):
 def test_gcd_examples():
     f = X * Y - Y * Y
     g = X * X - Y * Y
-    assert poly_gcd(f, g) == X - Y
+    with pytest.raises(ValueError):
+        poly_gcd(f, g)
     assert poly_gcd(X * Y * Z, X * X * Z) == X * Z
+    assert poly_gcd(f, Y * Z) == Y
     assert poly_gcd(R.zero, f) == (X - Y) * Y  # primitive part of f itself
     assert poly_gcd(R.const(4), R.const(6)) == 1
 
@@ -95,10 +98,8 @@ def test_exact_div_raises():
 
 
 @settings(max_examples=40, deadline=None)
-@given(polys(max_terms=3), polys(max_terms=2), polys(max_terms=2))
+@given(polys(max_terms=3), monomials, monomials)
 def test_rational_function_field_axioms(a, b, c):
-    if b.is_zero() or c.is_zero():
-        return
     q1 = RationalFunction(a, b)
     q2 = RationalFunction(b, c)
     assert (q1 * q2) * q2.inverse() == q1
@@ -112,9 +113,12 @@ def test_rational_function_field_axioms(a, b, c):
 
 
 def test_rational_function_normalization():
-    q = RationalFunction(X * X - Y * Y, X + Y)
-    assert q.is_polynomial()
-    assert q.as_polynomial() == X - Y
+    with pytest.raises(ValueError):
+        RationalFunction(X * X - Y * Y, X + Y)
+    with pytest.raises(ValueError):
+        RationalFunction(X + Y).inverse()
+    q = RationalFunction(X * Y * Y - Y, X * Y)
+    assert q.num == X * Y - 1 and q.den == X
     q = RationalFunction(X, X * Y)
     assert q.num == 1 and q.den == Y
     q = RationalFunction(X, -Y)
