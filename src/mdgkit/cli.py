@@ -266,7 +266,11 @@ def cmd_reduce(args) -> int:
 def cmd_taylor(args) -> int:
     if not args.ring or not args.ideal:
         raise CLIError("taylor needs --ring and --ideal")
-    ring = Ring([v.strip() for v in args.ring.split(",")])
+    names = [v.strip() for v in args.ring.split(",")]
+    dup = next((v for i, v in enumerate(names) if v in names[:i]), None)
+    if dup is not None:
+        raise CLIError(f"duplicate variable {dup!r} in --ring")
+    ring = Ring(names)
     doc = Document()
     doc.ring = ring
     monos = [_parse_scalar(ring, part.strip())

@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import linalg
-from .ring import (Polynomial, RationalFunction, Ring, mono_div,
-                   mono_divides, mono_lcm, mono_mul)
+from .ring import (Polynomial, RationalFunction, Ring, format_polynomial,
+                   mono_div, mono_divides, mono_lcm, mono_mul)
 
 UNIT = "1"
 
@@ -85,11 +85,6 @@ class Element:
         if len(degs) != 1:
             raise ComplexError(f"element is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
-
-    def homogeneous_part(self, degree: int) -> "Element":
-        return Element(self.complex, {
-            k: v for k, v in self.coeffs.items()
-            if self.complex.basis[k].degree == degree})
 
     def is_polynomial(self) -> bool:
         return all(not isinstance(v, RationalFunction) or v.is_polynomial()
@@ -335,27 +330,11 @@ class FreeComplex:
 
 
 def _format_term(coeff, name: str, first: bool) -> str:
-    if isinstance(coeff, RationalFunction):
-        body = f"({coeff})"
-        neg = False
+    if isinstance(coeff, RationalFunction) or not coeff.is_monomial():
+        body, neg = f"({coeff})", False
     else:
-        terms = coeff.sorted_terms()
-        if len(terms) == 1:
-            m, c = terms[0]
-            neg = c < 0
-            if neg:
-                c = -c
-            from .ring import format_coeff, format_mono
-            ms = format_mono(coeff.ring, m)
-            if not ms:
-                body = format_coeff(c)
-            elif c == 1:
-                body = ms
-            else:
-                body = f"{format_coeff(c)}*{ms}"
-        else:
-            body = f"({coeff})"
-            neg = False
+        neg = coeff.lead_coeff() < 0
+        body = format_polynomial(-coeff if neg else coeff)
     if name != UNIT:
         if body == "1":
             body = name

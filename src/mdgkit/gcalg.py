@@ -28,7 +28,7 @@ from .ring import (Polynomial, RationalFunction, Ring, mono_div, mono_divides,
 class GCContext:
     """Generator data for a free graded-commutative algebra K[e]."""
 
-    def __init__(self, ring: Ring, names, degrees, multidegrees=None):
+    def __init__(self, ring: Ring, names, degrees):
         self.ring = ring
         self.names = tuple(names)
         self.degrees = tuple(degrees)
@@ -38,7 +38,6 @@ class GCContext:
             raise ValueError("generators must be ordered by nondecreasing degree")
         self.n = len(self.names)
         self.parity = tuple(d & 1 for d in self.degrees)
-        self.multidegrees = tuple(multidegrees) if multidegrees is not None else None
         self._index = {nm: i for i, nm in enumerate(self.names)}
         self.zero_mono = (0,) * self.n
         self.zero = GCPoly(self, {})
@@ -60,15 +59,6 @@ class GCContext:
     def mono_total(self, mono: tuple) -> int:
         """Number of generator factors (ignoring homological degree)."""
         return sum(mono)
-
-    def mono_multidegree(self, mono: tuple) -> tuple:
-        if self.multidegrees is None:
-            raise ValueError("context has no multidegrees")
-        acc = self.ring.zero_mono
-        for e, md in zip(mono, self.multidegrees):
-            for _ in range(e):
-                acc = mono_mul(acc, md)
-        return acc
 
     def mono_sign(self, a: tuple, b: tuple) -> int:
         """Koszul sign of merging e^a * e^b into the sorted monomial e^(a+b)."""

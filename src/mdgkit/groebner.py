@@ -19,6 +19,11 @@ degree 1 (a single generator).  Those degree-1 elements are the obstruction
 witnesses; monomials of total degree 2 that survive reduction mark products
 the table does not define yet.
 
+`buchberger` returns a `GBasis` whose elements are plain monic `GCPoly`s,
+interreduced: no lead monomial divides another.  A completion that processes
+more than `max_pairs` S-pairs raises `PairLimitError`, an `MDGError`, so the
+CLI exits 2 on it.
+
 Coefficients are Laurent polynomials (see `ring.RationalFunction`).  That
 holds because every pair relation is multihomogeneous, so `mult_ideal`
 rejects a table with a product that is not multihomogeneous of the expected
@@ -35,9 +40,9 @@ from .mdg import MDGAlgebra, MDGError, MissingProductError
 from .ring import RationalFunction, mono_div, mono_divides, mono_lcm
 
 __all__ = [
-    "GBElement", "GBasis", "ReductionTrace", "associativity_certificate",
+    "GBasis", "PairLimitError", "ReductionTrace", "associativity_certificate",
     "buchberger", "context_for", "element_to_gc", "gc_to_element",
-    "mult_ideal", "normal_form", "spoly",
+    "mult_ideal", "normal_form", "pair_relation", "spoly",
 ]
 
 
@@ -46,9 +51,7 @@ def context_for(cx: FreeComplex) -> GCContext:
     homological degree with declaration order breaking ties."""
     names = [n for n in cx.order if n != UNIT]
     names.sort(key=lambda n: cx.basis[n].degree)      # stable
-    return GCContext(cx.ring, names,
-                     [cx.basis[n].degree for n in names],
-                     [cx.basis[n].mdeg for n in names])
+    return GCContext(cx.ring, names, [cx.basis[n].degree for n in names])
 
 
 def element_to_gc(ctx: GCContext, x: Element) -> GCPoly:
@@ -88,7 +91,7 @@ def pair_relation(ctx: GCContext, alg: MDGAlgebra, a: str, b: str) -> GCPoly:
     """The relation (word e_a e_b) - (table product a*b) in K[e]."""
     sign, mono = ctx.word_mono([ctx.index(a), ctx.index(b)])
     lead = GCPoly(ctx, {mono: RationalFunction(alg.ring.const(sign))})
-    return lead - element_to_gc(ctx, alg.mul(alg.elem(a), alg.elem(b)))
+    return lead - element_to_gc(ctx, alg.mult.product(a, b))
 
 
 def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None):
@@ -99,9 +102,8 @@ def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None):
     Raises MDGError when a nonzero product is not multihomogeneous of
     multidegree mdeg(a) + mdeg(b): the engine's Laurent coefficients rely on
     it."""
-    cx = alg.complex
     if ctx is None:
-        ctx = context_for(cx)
+        ctx = context_for(alg.complex)
     gens = []
     for i, a in enumerate(ctx.names):
         for b in ctx.names[i:]:
@@ -113,9 +115,7 @@ def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None):
             if problem:
                 raise MDGError(f"table is not multihomogeneous: product "
                                f"{problem}")
-            sign, mono = ctx.word_mono([ctx.index(a), ctx.index(b)])
-            lead = GCPoly(ctx, {mono: RationalFunction(cx.ring.const(sign))})
-            gens.append(lead - element_to_gc(ctx, value))
+            gens.append(pair_relation(ctx, alg, a, b))
     return ctx, gens
 
 
@@ -134,33 +134,25 @@ class ReductionTrace:
 
     Steps are (basis index, cofactor monomial, coefficient)."""
 
-    __slots__ = ("steps", "normal_form")
+    __slots__ = ("steps",)
 
     def __init__(self):
         self.steps = []
-        self.normal_form = None
 
     def replay(self, f: GCPoly, basis) -> GCPoly:
         """Recompute the normal form from the recorded steps."""
         acc = f
         for idx, mono, coeff in self.steps:
-            acc = acc - _basis_poly(basis, idx).term_mul_left(coeff, mono)
+            acc = acc - basis[idx].term_mul_left(coeff, mono)
         return acc
 
 
-def _basis_poly(basis, idx) -> GCPoly:
-    g = basis[idx]
-    return g.poly if isinstance(g, GBElement) else g
-
-
-def normal_form(f: GCPoly, basis, mode: str = "full"):
-    """(normal form, trace) of f under left reduction by the basis.
-
-    mode "full": no monomial of the result is divisible by a basis lead;
-    mode "lead": stop at the first irreducible lead monomial."""
+def normal_form(f: GCPoly, basis):
+    """(normal form, trace) of f under left reduction by the basis: no
+    monomial of the normal form is divisible by a basis lead."""
     ctx = f.ctx
-    leads = [(_basis_poly(basis, i).lead_mono(), i) for i in range(len(basis))
-             if not _basis_poly(basis, i).is_zero()]
+    leads = [(g.lead_mono(), i) for i, g in enumerate(basis)
+             if not g.is_zero()]
     trace = ReductionTrace()
     remainder = ctx.zero
     work = f
@@ -168,45 +160,31 @@ def normal_form(f: GCPoly, basis, mode: str = "full"):
         m = work.lead_mono()
         reducer = next((i for lm, i in leads if mono_divides(lm, m)), None)
         if reducer is None:
-            if mode == "lead":
-                remainder = remainder + work
-                break
             remainder = remainder + GCPoly(ctx, {m: work.terms[m]})
             work = work - GCPoly(ctx, {m: work.terms[m]})
             continue
-        g = _basis_poly(basis, reducer)
+        g = basis[reducer]
         cof = mono_div(m, g.lead_mono())
         t = g.term_mul_left(1, cof)
         c = work.terms[m] * t.terms[m].inverse()
         work = work - t.scale(c)
         trace.steps.append((reducer, cof, c))
-    trace.normal_form = remainder
     return remainder, trace
 
 
-class GBElement:
-    __slots__ = ("poly", "provenance")
-
-    def __init__(self, poly: GCPoly, provenance: str):
-        self.poly = poly
-        self.provenance = provenance    # "input" | "derived"
-
-    def __repr__(self):
-        return f"GBElement({self.poly}, {self.provenance})"
+class PairLimitError(MDGError):
+    """Completion processed more S-pairs than its `max_pairs` limit."""
 
 
 class GBasis:
-    """Confluent basis with provenance-tagged, monic elements."""
+    """Confluent, interreduced basis: a list of monic GCPolys."""
 
     def __init__(self, ctx: GCContext, elements):
         self.ctx = ctx
         self.elements = list(elements)
 
-    def polys(self):
-        return [e.poly for e in self.elements]
-
-    def reduce(self, f: GCPoly, mode: str = "full"):
-        return normal_form(f, self.polys(), mode=mode)
+    def reduce(self, f: GCPoly):
+        return normal_form(f, self.elements)
 
     def contains_poly(self, f: GCPoly) -> bool:
         return self.reduce(f)[0].is_zero()
@@ -214,7 +192,7 @@ class GBasis:
     def linear_elements(self):
         """Elements whose lead monomial is a single generator."""
         return [e for e in self.elements
-                if self.ctx.mono_total(e.poly.lead_mono()) == 1]
+                if self.ctx.mono_total(e.lead_mono()) == 1]
 
     def __len__(self):
         return len(self.elements)
@@ -225,15 +203,16 @@ def _pair_key(ctx: GCContext, a: tuple, b: tuple):
     return (ctx.mono_degree(gamma), gamma)
 
 
-def buchberger(ctx: GCContext, generators, provenance: str = "input",
+def buchberger(ctx: GCContext, generators,
                use_product_criterion: bool = True,
-               interreduce: bool = True, max_pairs: int = 200000) -> GBasis:
-    """Complete the generators to a confluent basis.
+               max_pairs: int = 200000) -> GBasis:
+    """Complete the generators to a confluent, interreduced basis.
 
     Pair selection: smallest lcm in the term order first.  A pair is skipped
     only when the leads are coprime, both elements are parity-homogeneous and
     they share no odd generator in any term; see the module docstring for why
-    the plain coprime-lead criterion is unsound here."""
+    the plain coprime-lead criterion is unsound here.  Raises PairLimitError
+    after `max_pairs` pairs."""
     elements = []
     profiles = []   # (odd generator support, parity or None) per element
 
@@ -244,28 +223,27 @@ def buchberger(ctx: GCContext, generators, provenance: str = "input",
         parities = {ctx_.mono_degree(m) & 1 for m in p.terms}
         return odd, (parities.pop() if len(parities) == 1 else None)
 
-    def append(poly, prov):
-        elements.append(GBElement(poly, prov))
+    def append(poly):
+        elements.append(poly)
         profiles.append(profile(poly))
 
     for g in generators:
         if not g.is_zero():
-            append(g.monic(), provenance)
+            append(g.monic())
     queue = []
     counter = 0
 
     def skip(i, j):
-        if not _coprime(elements[i].poly.lead_mono(),
-                        elements[j].poly.lead_mono()):
+        if not _coprime(elements[i].lead_mono(), elements[j].lead_mono()):
             return False
         (odd_i, par_i), (odd_j, par_j) = profiles[i], profiles[j]
         return par_i is not None and par_j is not None and not (odd_i & odd_j)
 
     def push_pairs(new_index):
         nonlocal counter
-        lm_new = elements[new_index].poly.lead_mono()
+        lm_new = elements[new_index].lead_mono()
         for i in range(new_index):
-            lm_i = elements[i].poly.lead_mono()
+            lm_i = elements[i].lead_mono()
             if use_product_criterion and skip(i, new_index):
                 continue
             counter += 1
@@ -279,43 +257,39 @@ def buchberger(ctx: GCContext, generators, provenance: str = "input",
     while queue:
         processed += 1
         if processed > max_pairs:
-            raise RuntimeError("pair limit exceeded; basis may not terminate")
+            raise PairLimitError(
+                f"pair limit of {max_pairs} exceeded with {len(elements)} "
+                "basis elements; the completion may not terminate")
         _, _, i, j = heappop(queue)
-        s = spoly(elements[i].poly, elements[j].poly)
+        s = spoly(elements[i], elements[j])
         if s.is_zero():
             continue
-        nf, _ = normal_form(s, [e.poly for e in elements])
+        nf, _ = normal_form(s, elements)
         if nf.is_zero():
             continue
-        append(nf.monic(), "derived")
+        append(nf.monic())
         push_pairs(len(elements) - 1)
 
-    if interreduce:
-        elements = _interreduce(ctx, elements)
-    return GBasis(ctx, elements)
+    return GBasis(ctx, _interreduce(elements))
 
 
 def _coprime(a: tuple, b: tuple) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def _interreduce(ctx: GCContext, elements):
+def _interreduce(elements):
     # drop elements whose lead is divisible by another lead, then tail-reduce
+    leads = [e.lead_mono() for e in elements]
     kept = []
-    for i, e in enumerate(elements):
-        lm = e.poly.lead_mono()
-        redundant = any(
-            j != i and mono_divides(elements[j].poly.lead_mono(), lm)
-            and (elements[j].poly.lead_mono() != lm or j < i)
-            for j in range(len(elements)))
-        if not redundant:
-            kept.append(e)
+    for i, lm in enumerate(leads):
+        if not any(j != i and mono_divides(lj, lm) and (lj != lm or j < i)
+                   for j, lj in enumerate(leads)):
+            kept.append(elements[i])
     out = []
     for i, e in enumerate(kept):
-        others = [k.poly for j, k in enumerate(kept) if j != i]
-        nf, _ = normal_form(e.poly, others)
+        nf, _ = normal_form(e, kept[:i] + kept[i + 1:])
         if not nf.is_zero():
-            out.append(GBElement(nf.monic(), e.provenance))
+            out.append(nf.monic())
     return out
 
 
@@ -329,8 +303,6 @@ class CertificateReport:
         self.basis = basis
 
     def summary(self) -> str:
-        if self.associative and not self.undefined_pairs:
-            return "associative"
         lines = []
         if not self.associative:
             lines.append(f"not associative: {len(self.witnesses)} witness(es)")
@@ -348,7 +320,7 @@ def associativity_certificate(alg: MDGAlgebra) -> CertificateReport:
     undefined (reported separately, not as non-associativity)."""
     ctx, gens = mult_ideal(alg)
     basis = buchberger(ctx, gens)
-    witnesses = [e.poly for e in basis.linear_elements()]
+    witnesses = basis.linear_elements()
     undefined = []
     for i, a in enumerate(ctx.names):
         for b in ctx.names[i:]:

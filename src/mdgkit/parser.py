@@ -400,7 +400,11 @@ def _parse_ring(ts: _TokenStream, doc: Document, tok: Token):
     names = [ts.expect_id().value]
     while ts.at_sym(","):
         ts.next()
-        names.append(ts.expect_id().value)
+        t = ts.expect_id()
+        if t.value in names:
+            raise DocumentError(f"duplicate variable {t.value!r}",
+                                t.line, t.col)
+        names.append(t.value)
     ts.expect_sym(";")
     doc.ring = Ring(names)
 

@@ -220,21 +220,6 @@ class Polynomial:
             return self.ring.zero
         return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
 
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Exact division by a monomial; raises ValueError if `other` is not
-        a monomial or does not divide self."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if not other.is_monomial():
-            raise ValueError(f"exact division by the non-monomial {other}")
-        (dm, dc), = other.terms.items()
-        terms = {}
-        for m, c in self.terms.items():
-            if not mono_divides(dm, m):
-                raise ValueError("not divisible")
-            terms[mono_div(m, dm)] = c / dc
-        return Polynomial(self.ring, terms)
-
     # -- comparisons / hashing --
 
     def __eq__(self, other):

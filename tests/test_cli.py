@@ -87,6 +87,20 @@ def test_gb_rejects_a_table_that_is_not_multihomogeneous(tmp_path, capsys,
     assert out.startswith("mu: e1*e2")
 
 
+def test_duplicate_ring_variable_is_an_input_error(tmp_path, capsys):
+    dup = tmp_path / "dup.mdg"
+    dup.write_text("ring x, x;\n")
+    code, _, err = run(capsys, ["check", str(dup)])
+    assert code == 2
+    assert "duplicate variable 'x'" in err
+
+
+def test_taylor_duplicate_ring_variable_is_an_input_error(capsys):
+    code, _, err = run(capsys, ["taylor", "--ring", "x,x", "--ideal", "x"])
+    assert code == 2
+    assert "duplicate variable 'x'" in err
+
+
 # -- golden outputs -----------------------------------------------------------
 
 

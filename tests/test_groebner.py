@@ -6,16 +6,20 @@ two relations involving e1*e5 and e2*e5 must surface the associator
 [e1, e5, e2]."""
 
 import random
+import re
 
 import pytest
 
+from mdgkit import load_fixture
 from mdgkit.constructions import taylor_algebra
 from mdgkit.gcalg import GCContext, GCPoly
-from mdgkit.groebner import (associativity_certificate, buchberger,
-                             context_for, element_to_gc, gc_to_element,
-                             mult_ideal, normal_form, pair_relation, spoly)
+from mdgkit.groebner import (PairLimitError, associativity_certificate,
+                             buchberger, context_for, element_to_gc,
+                             gc_to_element, mult_ideal, normal_form,
+                             pair_relation, spoly)
+from mdgkit.mdg import MDGError
 from mdgkit.parser import parse_gcpoly
-from mdgkit.ring import RationalFunction, Ring, mono_lcm
+from mdgkit.ring import RationalFunction, Ring, mono_divides, mono_lcm
 
 R4 = Ring(["x", "y", "z", "w"])
 
@@ -78,7 +82,7 @@ def test_session_associator_surfaces(session):
 def test_session_certificate_flags_nonassociativity(session):
     ctx, gens = session
     gb = buchberger(ctx, gens)
-    linear = [e.poly for e in gb.linear_elements()]
+    linear = gb.linear_elements()
     assert linear, "the partial table must produce a degree-1 obstruction"
     expected = parse_gcpoly(ASSOCIATOR_152, ctx).monic()
     assert any((p - expected).is_zero() for p in linear)
@@ -125,11 +129,11 @@ def test_product_criterion_skips_are_sound(session):
     without = buchberger(ctx, gens, use_product_criterion=False)
     # same ideal: mutual reduction to zero
     for e in with_crit.elements:
-        assert without.contains_poly(e.poly)
+        assert without.contains_poly(e)
     for e in without.elements:
-        assert with_crit.contains_poly(e.poly)
+        assert with_crit.contains_poly(e)
     # pairs the refined criterion may skip reduce to zero directly
-    polys = with_crit.polys()
+    polys = with_crit.elements
     for i, f in enumerate(polys):
         for g in polys[i + 1:]:
             a, b = f.lead_mono(), g.lead_mono()
@@ -152,8 +156,8 @@ def test_coprime_leads_alone_do_not_license_a_skip(session):
     # itself and is a multiple of e134^2
     lead_135 = parse_gcpoly("e1*e35", ctx).lead_mono()
     lead_123 = parse_gcpoly("e123", ctx).lead_mono()
-    f = next(p for p in gb.polys() if p.lead_mono() == lead_135)
-    g = next(p for p in gb.polys() if p.lead_mono() == lead_123)
+    f = next(p for p in gb.elements if p.lead_mono() == lead_135)
+    g = next(p for p in gb.elements if p.lead_mono() == lead_123)
     assert _odd_support(f) & _odd_support(g)
     nf, _ = normal_form(spoly(f, g), [f, g])
     assert not nf.is_zero()
@@ -199,3 +203,44 @@ def test_element_round_trip():
     x = alg.complex.element({"e1": R2.var("y"), "e12": -R2.one})
     back = gc_to_element(alg.complex, element_to_gc(ctx, x))
     assert (back.polynomialize() - x).is_zero()
+
+
+@pytest.mark.parametrize("ideal", ["session", "ex6"])
+def test_completed_basis_is_monic_interreduced_and_replayable(session, ideal):
+    # on ex6 the pair loop leaves an element whose lead another lead
+    # divides, so interreduction has work to do
+    if ideal == "session":
+        ctx, gens = session
+    else:
+        ctx, gens = mult_ideal(load_fixture("ex6").algebra())
+    basis = buchberger(ctx, gens)
+    assert len(basis) == len(basis.elements) > 0
+    leads = []
+    for e in basis.elements:
+        assert isinstance(e, GCPoly)
+        assert e.lead_coeff().is_one()
+        leads.append(e.lead_mono())
+    for i, a in enumerate(leads):
+        for j, b in enumerate(leads):
+            assert i == j or not mono_divides(a, b), (i, j)
+    for f in gens:
+        nf, trace = basis.reduce(f)
+        assert nf.is_zero()
+        assert (trace.replay(f, basis.elements) - nf).is_zero()
+
+
+def test_pair_limit_raises_a_typed_error():
+    ctx, gens = mult_ideal(load_fixture("fk").algebra())
+    with pytest.raises(PairLimitError) as info:
+        buchberger(ctx, gens, max_pairs=1)
+    assert isinstance(info.value, MDGError)
+    assert re.fullmatch(r"pair limit of 1 exceeded with \d+ basis elements; "
+                        r".*", str(info.value))
+
+
+def test_star_import_names_exist():
+    import mdgkit.groebner as groebner
+    namespace = {}
+    exec("from mdgkit.groebner import *", namespace)
+    assert set(groebner.__all__) <= set(namespace)
+    assert "PairLimitError" in groebner.__all__

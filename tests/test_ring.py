@@ -59,15 +59,6 @@ def test_ring_axioms_match_sympy(f, g, h):
     assert to_sympy(f - g) == to_sympy(f) - to_sympy(g)
 
 
-@settings(max_examples=60, deadline=None)
-@given(polys(max_terms=3), monomials)
-def test_exact_div_roundtrip(f, g):
-    p = f * g
-    if f.is_zero():
-        return
-    assert p.exact_div(g) == f
-
-
 @settings(max_examples=40, deadline=None)
 @given(polys(max_terms=3), monomials, monomials)
 def test_gcd_against_sympy(f, g, h):
@@ -90,11 +81,6 @@ def test_gcd_examples():
     assert poly_gcd(f, Y * Z) == Y
     assert poly_gcd(R.zero, f) == (X - Y) * Y  # primitive part of f itself
     assert poly_gcd(R.const(4), R.const(6)) == 1
-
-
-def test_exact_div_raises():
-    with pytest.raises(ValueError):
-        (X * X + Y).exact_div(Z)
 
 
 @settings(max_examples=40, deadline=None)
