@@ -14,14 +14,13 @@ import random
 import sys
 from fractions import Fraction
 
-from .complexes import UNIT, ComplexError, FreeComplex
+from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .constructions import mapping_cone_extension, taylor_algebra
-from .groebner import (associativity_certificate, buchberger, context_for,
-                       mult_ideal)
-from .mdg import (Homotopy, MDGAlgebra, MDGError, is_multiplicative,
-                  perturb_multiplication, quotient_homology_dims)
+from .groebner import associativity_certificate, buchberger, mult_ideal
+from .mdg import (Homotopy, MDGAlgebra, MDGError, perturb_multiplication,
+                  quotient_homology_dims)
 from .parser import (Document, DocumentError, format_document, parse_element,
-                     parse_gcpoly)
+                     parse_gcpoly, tokenize)
 from .ring import Polynomial, RationalFunction, Ring, mono_divides
 from .symdg import SymError, build_sym
 
@@ -95,6 +94,15 @@ def _polynomial(coeff, what: str) -> Polynomial:
     return coeff
 
 
+def _is_name(text: str) -> bool:
+    """Whether the document tokenizer reads text as exactly one name."""
+    try:
+        tokens = [(t.kind, t.value) for t in tokenize(text)]
+    except DocumentError:
+        return False
+    return tokens == [("id", text), ("eof", None)]
+
+
 def _parse_modulus(doc: Document, text: str):
     """Comma-separated monomials generating a monomial ideal."""
     monos = []
@@ -118,12 +126,8 @@ def _mod_ideal(p, ring, monos):
 
 def _reduce_element_mod(v, monos):
     cx = v.complex
-    out = cx.zero
-    for name, coeff in v.coeffs.items():
-        r = _mod_ideal(coeff, cx.ring, monos)
-        if not r.is_zero():
-            out = out + cx.elem(name).scale(r)
-    return out
+    return Element(cx, {name: _mod_ideal(coeff, cx.ring, monos)
+                        for name, coeff in v.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +271,11 @@ def cmd_taylor(args) -> int:
     if not args.ring or not args.ideal:
         raise CLIError("taylor needs --ring and --ideal")
     names = [v.strip() for v in args.ring.split(",")]
-    dup = next((v for i, v in enumerate(names) if v in names[:i]), None)
-    if dup is not None:
-        raise CLIError(f"duplicate variable {dup!r} in --ring")
+    for i, v in enumerate(names):
+        if not _is_name(v):
+            raise CLIError(f"{v!r} in --ring is not a variable name")
+        if v in names[:i]:
+            raise CLIError(f"duplicate variable {v!r} in --ring")
     ring = Ring(names)
     doc = Document()
     doc.ring = ring

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import linalg
-from .ring import (Polynomial, RationalFunction, Ring, format_polynomial,
+from .ring import (RationalFunction, Ring, add_term, format_polynomial,
                    mono_div, mono_divides, mono_lcm, mono_mul)
 
 UNIT = "1"
@@ -54,12 +54,7 @@ class Element:
             return NotImplemented
         coeffs = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = coeffs.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                coeffs.pop(k, None)
-            else:
-                coeffs[k] = s
+            add_term(coeffs, k, v)
         return Element(self.complex, coeffs)
 
     def __neg__(self):
@@ -181,13 +176,13 @@ class FreeComplex:
     # -- differential --
 
     def d(self, x: Element) -> Element:
-        acc = self.zero
+        coeffs: dict = {}
         for name, coeff in x.coeffs.items():
             dn = self.diff.get(name)
-            if dn is None or dn.is_zero():
-                continue
-            acc = acc + dn.scale(coeff)
-        return acc
+            if dn is not None:
+                for k, v in dn.coeffs.items():
+                    add_term(coeffs, k, coeff * v)
+        return Element(self, coeffs)
 
     # -- structural checks --
 
@@ -274,8 +269,7 @@ class FreeComplex:
         coeffs: dict = {}
         for (name, cof), c in zip(piece, vec):
             if c:
-                prev = coeffs.get(name, self.ring.zero)
-                coeffs[name] = prev + self.ring.monomial(cof, c)
+                add_term(coeffs, name, self.ring.monomial(cof, c))
         return Element(self, coeffs)
 
     def diff_matrix(self, degree: int, mdeg: tuple):

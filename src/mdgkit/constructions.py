@@ -8,7 +8,7 @@ from itertools import combinations
 
 from .complexes import UNIT, Element, FreeComplex
 from .mdg import ChainMap, MDGAlgebra, MDGError, Multiplication
-from .ring import Polynomial, RationalFunction, Ring, mono_div, mono_lcm, mono_mul
+from .ring import Polynomial, Ring, add_term, mono_div, mono_lcm, mono_mul
 
 
 def _mono_exponent(p: Polynomial) -> tuple:
@@ -53,7 +53,7 @@ def taylor_algebra(ring: Ring, monomials, name: str = "T") -> MDGAlgebra:
             ratio = mono_div(mdeg[sigma], mdeg[rest] if rest else ring.zero_mono)
             target = subset_name(rest) if rest else UNIT
             c = ring.monomial(ratio, 1 if pos % 2 == 0 else -1)
-            coeffs[target] = coeffs.get(target, ring.zero) + c
+            add_term(coeffs, target, c)
         cx.set_diff(subset_name(sigma), cx.element(coeffs))
     mult = Multiplication(cx, f"{name}_mult")
     for i, sigma in enumerate(subsets):

@@ -21,8 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .ring import (Polynomial, RationalFunction, Ring, mono_div, mono_divides,
-                   mono_lcm, mono_mul)
+from .ring import Polynomial, RationalFunction, Ring, add_term, mono_mul
 
 
 class GCContext:
@@ -146,12 +145,7 @@ class GCPoly:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = s
+            add_term(terms, m, c)
         return GCPoly(self.ctx, terms)
 
     def __neg__(self):
@@ -176,13 +170,7 @@ class GCPoly:
             s, pm = self.ctx.mono_mul_signed(mono, m, strict=strict)
             if s == 0:
                 continue
-            v = coeff * c if s == 1 else -(coeff * c)
-            prev = terms.get(pm)
-            v = v if prev is None else prev + v
-            if v.is_zero():
-                terms.pop(pm, None)
-            else:
-                terms[pm] = v
+            add_term(terms, pm, coeff * c if s == 1 else -(coeff * c))
         return GCPoly(self.ctx, terms)
 
     def __mul__(self, other):
@@ -190,10 +178,11 @@ class GCPoly:
             if isinstance(other, (int, Fraction, Polynomial, RationalFunction)):
                 return self.scale(other)
             return NotImplemented
-        acc = self.ctx.zero
+        terms: dict = {}
         for m, c in self.terms.items():
-            acc = acc + other.term_mul_left(c, m)
-        return acc
+            for pm, v in other.term_mul_left(c, m).terms.items():
+                add_term(terms, pm, v)
+        return GCPoly(self.ctx, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Polynomial, RationalFunction)):

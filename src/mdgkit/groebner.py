@@ -37,7 +37,7 @@ from heapq import heappop, heappush
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .gcalg import GCContext, GCPoly
 from .mdg import MDGAlgebra, MDGError, MissingProductError
-from .ring import RationalFunction, mono_div, mono_divides, mono_lcm
+from .ring import RationalFunction, add_term, mono_div, mono_divides, mono_lcm
 
 __all__ = [
     "GBasis", "PairLimitError", "ReductionTrace", "associativity_certificate",
@@ -82,9 +82,8 @@ def gc_to_element(cx: FreeComplex, p: GCPoly) -> Element:
             name = UNIT
         else:
             name = p.ctx.names[next(i for i, e in enumerate(mono) if e)]
-        prev = coeffs.get(name)
-        coeffs[name] = coeff if prev is None else prev + coeff
-    return Element(cx, {k: v for k, v in coeffs.items() if not v.is_zero()})
+        add_term(coeffs, name, coeff)
+    return Element(cx, coeffs)
 
 
 def pair_relation(ctx: GCContext, alg: MDGAlgebra, a: str, b: str) -> GCPoly:
@@ -141,33 +140,35 @@ class ReductionTrace:
 
     def replay(self, f: GCPoly, basis) -> GCPoly:
         """Recompute the normal form from the recorded steps."""
-        acc = f
+        terms = dict(f.terms)
         for idx, mono, coeff in self.steps:
-            acc = acc - basis[idx].term_mul_left(coeff, mono)
-        return acc
+            for m, c in basis[idx].term_mul_left(coeff, mono).terms.items():
+                add_term(terms, m, -c)
+        return GCPoly(f.ctx, terms)
 
 
 def normal_form(f: GCPoly, basis):
     """(normal form, trace) of f under left reduction by the basis: no
-    monomial of the normal form is divisible by a basis lead."""
+    monomial of the normal form is divisible by a basis lead.  Reduces one
+    copy of f's terms in place; f and the basis are never mutated."""
     ctx = f.ctx
     leads = [(g.lead_mono(), i) for i, g in enumerate(basis)
              if not g.is_zero()]
     trace = ReductionTrace()
-    remainder = ctx.zero
-    work = f
-    while not work.is_zero():
+    remainder = GCPoly(ctx, {})
+    work = GCPoly(ctx, dict(f.terms))
+    while work.terms:
         m = work.lead_mono()
         reducer = next((i for lm, i in leads if mono_divides(lm, m)), None)
         if reducer is None:
-            remainder = remainder + GCPoly(ctx, {m: work.terms[m]})
-            work = work - GCPoly(ctx, {m: work.terms[m]})
+            remainder.terms[m] = work.terms.pop(m)
             continue
         g = basis[reducer]
         cof = mono_div(m, g.lead_mono())
         t = g.term_mul_left(1, cof)
         c = work.terms[m] * t.terms[m].inverse()
-        work = work - t.scale(c)
+        for tm, tc in t.terms.items():
+            add_term(work.terms, tm, -(c * tc))
         trace.steps.append((reducer, cof, c))
     return remainder, trace
 

@@ -15,12 +15,12 @@ perturbation of multiplications.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
 
 from . import linalg
 from .complexes import UNIT, ComplexError, Element, FreeComplex
-from .ring import (Polynomial, RationalFunction, mono_div, mono_divides,
-                   mono_lcm, mono_mul)
+from .ring import Polynomial, add_term, mono_div, mono_divides, mono_mul
+
+SATURATION_ROUNDS = 10      # the round limit of `Submodule.saturate`
 
 
 class MDGError(Exception):
@@ -101,13 +101,12 @@ class Multiplication:
         return None
 
     def multiply(self, x: Element, y: Element) -> Element:
-        acc = self.complex.zero
+        coeffs: dict = {}
         for n1, c1 in x.coeffs.items():
             for n2, c2 in y.coeffs.items():
-                p = self.product(n1, n2)
-                if not p.is_zero():
-                    acc = acc + p.scale(c1 * c2)
-        return acc
+                for k, v in self.product(n1, n2).coeffs.items():
+                    add_term(coeffs, k, c1 * c2 * v)
+        return Element(self.complex, coeffs)
 
     def copy(self, name=None) -> "Multiplication":
         out = Multiplication(self.complex, name or self.name)
@@ -339,14 +338,15 @@ class Submodule:
 
     # -- closure --
 
-    def saturate(self, max_rounds: int = 10):
+    def saturate(self):
         """Close under multiplication by basis elements (the differential
-        closure is automatic and verified by `verify_closed`)."""
+        closure is automatic and verified by `verify_closed`).  Raises
+        MDGError after SATURATION_ROUNDS rounds that each add generators."""
         cx = self.complex
         maxdeg = cx.max_degree()
         names = self.alg.basis_names()
         frontier = list(self.gens)
-        for _ in range(max_rounds):
+        for _ in range(SATURATION_ROUNDS):
             new = []
             for a in names:
                 da = cx.basis[a].degree
@@ -362,7 +362,9 @@ class Submodule:
             if not new:
                 return
             frontier = new
-        raise MDGError("submodule closure did not stabilize")
+        raise MDGError(
+            f"submodule closure did not stabilize within the round limit of "
+            f"{SATURATION_ROUNDS}: {len(self.gens)} generators reached")
 
     def verify_closed(self) -> list:
         """Check d-closure and basis-multiplication closure; returns violations."""
@@ -532,12 +534,11 @@ class ChainMap:
         return self.images[name]
 
     def apply(self, x: Element) -> Element:
-        acc = self.target.zero
+        coeffs: dict = {}
         for name, coeff in x.coeffs.items():
-            img = self.image(name)
-            if not img.is_zero():
-                acc = acc + img.scale(coeff)
-        return acc
+            for k, v in self.image(name).coeffs.items():
+                add_term(coeffs, k, coeff * v)
+        return Element(self.target, coeffs)
 
     def check_chain_map(self) -> list:
         problems = []
@@ -607,13 +608,12 @@ class Homotopy:
         return self.table.get((left, right), self.complex.zero)
 
     def apply_pair(self, x: Element, y: Element) -> Element:
-        acc = self.complex.zero
+        coeffs: dict = {}
         for n1, c1 in x.coeffs.items():
             for n2, c2 in y.coeffs.items():
-                v = self.pair_value(n1, n2)
-                if not v.is_zero():
-                    acc = acc + v.scale(c1 * c2)
-        return acc
+                for k, v in self.pair_value(n1, n2).coeffs.items():
+                    add_term(coeffs, k, c1 * c2 * v)
+        return Element(self.complex, coeffs)
 
     def apply_d_tensor(self, xn: str, yn: str) -> Element:
         """h(d(x (x) y)) = h(dx, y) + (-1)^{|x|} h(x, dy) on basis elements."""

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .gcalg import GCContext, GCPoly
 from .mdg import ChainMap, Homotopy, MDGAlgebra, MDGError, Multiplication
-from .ring import Polynomial, RationalFunction, Ring
+from .ring import RationalFunction, Ring
 
 
 class DocumentError(Exception):

@@ -45,6 +45,18 @@ def mono_deg(a: tuple) -> int:
     return sum(a)
 
 
+def add_term(terms: dict, key, value) -> None:
+    """Add the ring element `value` into terms[key] in place; drop the key
+    when the sum is zero.  Every sparse ring-valued combination uses this."""
+    prev = terms.get(key)
+    if prev is not None:
+        value = prev + value
+    if value.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = value
+
+
 class Ring:
     """A polynomial ring Q[x1..xn], fixed variable names in order."""
 

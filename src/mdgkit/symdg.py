@@ -38,11 +38,11 @@ from math import factorial
 
 from . import linalg
 from .complexes import UNIT, Element, FreeComplex
-from .gcalg import GCContext, GCPoly
+from .gcalg import GCPoly
 from .groebner import (GBasis, buchberger, context_for, element_to_gc,
                        mult_ideal)
 from .mdg import ChainMap, MDGAlgebra
-from .ring import RationalFunction
+from .ring import RationalFunction, add_term
 
 __all__ = [
     "GradedMap", "SplitWitness", "SymDGAlgebra", "SymError", "Tensor",
@@ -100,7 +100,7 @@ class SymDGAlgebra:
 
     def mul(self, p: GCPoly, q: GCPoly) -> GCPoly:
         """Strict product; raises when the result leaves the truncation."""
-        acc = self.ctx.zero
+        terms: dict = {}
         for m, c in p.terms.items():
             for m2, c2 in q.terms.items():
                 s, pm = self.ctx.mono_mul_signed(m, m2, strict=True)
@@ -109,8 +109,8 @@ class SymDGAlgebra:
                 if self.ctx.mono_total(pm) > self.N:
                     raise SymError(
                         f"product leaves the total-degree-{self.N} truncation")
-                acc = acc + GCPoly(self.ctx, {pm: c * c2 * s})
-        return acc
+                add_term(terms, pm, c * c2 * s)
+        return GCPoly(self.ctx, terms)
 
     # -- enumeration --
 
@@ -154,7 +154,8 @@ class SymDGAlgebra:
     def _diff_split(self, p: GCPoly):
         """(total-degree-keeping part, total-degree-dropping part) of d(p)."""
         ctx = self.ctx
-        keep, drop = ctx.zero, ctx.zero
+        keep: dict = {}
+        drop: dict = {}
         for mono, coeff in p.terms.items():
             word = [i for i in range(ctx.n) for _ in range(mono[i])]
             prefix = 0
@@ -167,13 +168,10 @@ class SymDGAlgebra:
                     s, new_mono = ctx.word_mono(new_word, strict=True)
                     if s == 0:
                         continue
-                    term = GCPoly(ctx, {new_mono: coeff * dcoeff * (s * sign)})
-                    if target is None:
-                        drop = drop + term
-                    else:
-                        keep = keep + term
+                    add_term(drop if target is None else keep, new_mono,
+                             coeff * dcoeff * (s * sign))
                 prefix += ctx.degrees[gi]
-        return keep, drop
+        return GCPoly(ctx, keep), GCPoly(ctx, drop)
 
     def d(self, p: GCPoly) -> GCPoly:
         keep, drop = self._diff_split(p)
@@ -338,12 +336,13 @@ class SplitWitness:
         self.table = table                # monomial -> GCPoly
 
     def apply(self, p: GCPoly) -> GCPoly:
-        acc = self.sym.ctx.zero
+        terms: dict = {}
         for mono, coeff in p.terms.items():
             if self.sym.ctx.mono_total(mono) < 2:
                 continue
-            acc = acc + self.table[mono].scale(coeff)
-        return acc
+            for m, v in self.table[mono].terms.items():
+                add_term(terms, m, coeff * v)
+        return GCPoly(self.sym.ctx, terms)
 
 
 def split_witness(alg: MDGAlgebra, truncation: int = 2) -> SplitWitness:
@@ -396,13 +395,7 @@ class Tensor:
         return 0 if name == UNIT else self.complex.basis[name].degree
 
     def add_term(self, key: tuple, coeff):
-        coeff = _as_rf(coeff, self.complex.ring)
-        prev = self.terms.get(key)
-        coeff = coeff if prev is None else prev + coeff
-        if coeff.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = coeff
+        add_term(self.terms, key, _as_rf(coeff, self.complex.ring))
 
     def __add__(self, other):
         out = Tensor(self.complex, self.n, dict(self.terms))
@@ -493,14 +486,14 @@ def dehomogenize(sym: SymDGAlgebra, t: Tensor) -> GCPoly:
     """Multiply the slots out; inverse to homogenization on symmetric
     tensors."""
     ctx = sym.ctx
-    acc = ctx.zero
+    terms: dict = {}
     for key, coeff in t.terms.items():
         indices = [ctx.index(nm) for nm in key if nm != UNIT]
         s, mono = ctx.word_mono(indices, strict=True)
         if s == 0:
             continue
-        acc = acc + GCPoly(ctx, {mono: coeff * s})
-    return acc
+        add_term(terms, mono, coeff * s)
+    return GCPoly(ctx, terms)
 
 
 class GradedMap:
@@ -528,10 +521,11 @@ class GradedMap:
         return self.target.zero
 
     def apply(self, x: Element) -> Element:
-        acc = self.target.zero
+        coeffs: dict = {}
         for name, coeff in x.coeffs.items():
-            acc = acc + self.image(name).scale(coeff)
-        return acc
+            for k, v in self.image(name).coeffs.items():
+                add_term(coeffs, k, coeff * v)
+        return Element(self.target, coeffs)
 
     def is_homotopy_between(self, phi: ChainMap, psi: ChainMap) -> bool:
         """d h + h d = phi - psi on every basis element."""
@@ -590,24 +584,26 @@ class SymHomotopy:
         self.target = phi.target
 
     def _telescope(self, t: Tensor) -> Tensor:
-        acc = Tensor(self.target, self.n)
+        terms: dict = {}
         for k in range(self.n):
             maps = [self.phi] * (self.n - k - 1) + [self.h] + [self.psi] * k
-            acc = acc + tensor_power_map(maps, t, self.target)
-        return acc
+            for key, c in tensor_power_map(maps, t, self.target).terms.items():
+                add_term(terms, key, c)
+        return Tensor(self.target, self.n, terms)
 
     def apply(self, t: Tensor) -> Tensor:
         if t.n != self.n:
             raise SymError("tensor length mismatch")
-        acc = Tensor(self.target, self.n)
+        terms: dict = {}
         scale = Fraction(1, factorial(self.n))
         for sigma in permutations(range(self.n)):
             inverse = [0] * self.n
             for j, v in enumerate(sigma):
                 inverse[v] = j
             moved = self._telescope(t.permute(tuple(inverse)))
-            acc = acc + moved.permute(sigma).scale(scale)
-        return acc
+            for key, c in moved.permute(sigma).terms.items():
+                add_term(terms, key, c * scale)
+        return Tensor(self.target, self.n, terms)
 
     def endpoint(self, t: Tensor, which: str) -> Tensor:
         g = self.phi if which == "phi" else self.psi
@@ -633,7 +629,7 @@ def ump_extension(sym: SymDGAlgebra, phi: ChainMap, target: MDGAlgebra):
     ctx = sym.ctx
 
     def extend(p: GCPoly) -> Element:
-        acc = target.complex.zero
+        coeffs: dict = {}
         for mono, coeff in p.terms.items():
             word = [ctx.names[i] for i in range(ctx.n)
                     for _ in range(mono[i])]
@@ -643,7 +639,8 @@ def ump_extension(sym: SymDGAlgebra, phi: ChainMap, target: MDGAlgebra):
                 value = phi.image(word[0])
                 for nm in word[1:]:
                     value = target.mul(value, phi.image(nm))
-            acc = acc + value.scale(coeff)
-        return acc
+            for k, v in value.coeffs.items():
+                add_term(coeffs, k, coeff * v)
+        return Element(target.complex, coeffs)
 
     return extend

@@ -101,6 +101,14 @@ def test_taylor_duplicate_ring_variable_is_an_input_error(capsys):
     assert "duplicate variable 'x'" in err
 
 
+@pytest.mark.parametrize("ring, bad", [("x,,y", ""), ("2x,y", "2x")])
+def test_taylor_rejects_a_name_that_is_not_an_identifier(capsys, ring, bad):
+    code, out, err = run(capsys, ["taylor", "--ring", ring, "--ideal", "y"])
+    assert code == 2
+    assert out == ""
+    assert f"{bad!r} in --ring is not a variable name" in err
+
+
 # -- golden outputs -----------------------------------------------------------
 
 
