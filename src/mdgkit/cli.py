@@ -282,6 +282,10 @@ def cmd_taylor(args) -> int:
     monos = [_parse_scalar(ring, part.strip())
              for part in args.ideal.split(",")]
     alg = taylor_algebra(ring, monos, name="T")
+    clash = [v for v in names if v in alg.complex.basis]
+    if clash:
+        raise CLIError(f"variable {clash[0]!r} in --ring is also the name of "
+                       "a basis element")
     doc.complexes["T"] = alg.complex
     doc.mults["mu"] = alg.mult
     doc.mult_complex["mu"] = "T"

@@ -12,16 +12,21 @@ index order).  Monomials commute up to the Koszul sign e_j e_i =
 do not square to zero, so e.g. e1^2 is a legal monomial.  A `strict=True`
 normalization kills odd squares instead (used for symmetric-algebra models).
 
-The term order: higher homological degree wins; on equal degree, compare
-exponents left to right, larger exponent at the first difference wins.
+The term order is the sort key `order_key(mono) = (degree, exponents)`: higher
+homological degree wins; on equal degree, compare exponents left to right,
+larger exponent at the first difference wins.
+
+A `GCPoly` is never written after construction: every operation builds a
+fresh term dict and wraps it once.  That invariant makes `GCPoly.lead()` sound:
+it caches the lead monomial and its support mask on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 
-from .ring import Polynomial, RationalFunction, Ring, add_term, mono_mul
+from .ring import (Polynomial, RationalFunction, Ring, add_term, mono_mask,
+                   mono_mul)
 
 
 class GCContext:
@@ -39,6 +44,7 @@ class GCContext:
         self.parity = tuple(d & 1 for d in self.degrees)
         self._index = {nm: i for i, nm in enumerate(self.names)}
         self.zero_mono = (0,) * self.n
+        self._keys = {}
         self.zero = GCPoly(self, {})
         self.one = GCPoly(self, {self.zero_mono: RationalFunction(ring.one)})
 
@@ -92,20 +98,18 @@ class GCContext:
             sign *= s
         return sign, mono
 
+    def order_key(self, mono: tuple) -> tuple:
+        """(degree, exponents): the term order as a sort key, memoised because
+        the engine meets the same monomials over and over."""
+        key = self._keys.get(mono)
+        if key is None:
+            key = self._keys[mono] = (self.mono_degree(mono), mono)
+        return key
+
     def compare(self, a: tuple, b: tuple) -> int:
         """-1, 0, 1 for a < b, a == b, a > b in the term order."""
-        if a == b:
-            return 0
-        da, db = self.mono_degree(a), self.mono_degree(b)
-        if da != db:
-            return -1 if da < db else 1
-        for x, y in zip(a, b):
-            if x != y:
-                return -1 if x < y else 1
-        return 0
-
-    def mono_sort_key(self):
-        return cmp_to_key(self.compare)
+        ka, kb = self.order_key(a), self.order_key(b)
+        return (ka > kb) - (ka < kb)
 
     def format_mono(self, mono: tuple) -> str:
         parts = []
@@ -131,11 +135,12 @@ def _coerce_coeff(ring: Ring, c) -> RationalFunction:
 class GCPoly:
     """Element of K[e]: dict monomial -> RationalFunction over the base ring."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_lead")
 
     def __init__(self, ctx: GCContext, terms: dict):
         self.ctx = ctx
         self.terms = terms
+        self._lead = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -196,14 +201,17 @@ class GCPoly:
                  if not any(ctx.parity[i] and m[i] > 1 for i in range(ctx.n))}
         return GCPoly(ctx, terms)
 
+    def lead(self) -> tuple:
+        """(lead monomial, support mask), computed on first use and cached."""
+        if self._lead is None:
+            if not self.terms:
+                raise ValueError("zero element has no lead monomial")
+            m = max(self.terms, key=self.ctx.order_key)
+            self._lead = (m, mono_mask(m))
+        return self._lead
+
     def lead_mono(self) -> tuple:
-        if not self.terms:
-            raise ValueError("zero element has no lead monomial")
-        best = None
-        for m in self.terms:
-            if best is None or self.ctx.compare(m, best) > 0:
-                best = m
-        return best
+        return self.lead()[0]
 
     def lead_coeff(self) -> RationalFunction:
         return self.terms[self.lead_mono()]
@@ -221,7 +229,7 @@ class GCPoly:
         return max(self.ctx.mono_total(m) for m in self.terms)
 
     def sorted_terms(self):
-        key = self.ctx.mono_sort_key()
+        key = self.ctx.order_key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def __eq__(self, other):

@@ -37,7 +37,8 @@ from heapq import heappop, heappush
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .gcalg import GCContext, GCPoly
 from .mdg import MDGAlgebra, MDGError, MissingProductError
-from .ring import RationalFunction, add_term, mono_div, mono_divides, mono_lcm
+from .ring import (RationalFunction, add_term, mono_div, mono_divides,
+                   mono_lcm, mono_mask)
 
 __all__ = [
     "GBasis", "PairLimitError", "ReductionTrace", "associativity_certificate",
@@ -149,28 +150,31 @@ class ReductionTrace:
 
 def normal_form(f: GCPoly, basis):
     """(normal form, trace) of f under left reduction by the basis: no
-    monomial of the normal form is divisible by a basis lead.  Reduces one
-    copy of f's terms in place; f and the basis are never mutated."""
-    ctx = f.ctx
-    leads = [(g.lead_mono(), i) for i, g in enumerate(basis)
-             if not g.is_zero()]
+    monomial of the normal form is divisible by a basis lead.  Reduces plain
+    dicts and wraps the remainder once, so f and the basis are never mutated.
+    The first basis element whose lead divides wins; a lead whose support
+    mask has a bit outside the monomial's is skipped without a scan."""
+    key = f.ctx.order_key
+    leads = [(*g.lead(), i) for i, g in enumerate(basis) if g.terms]
     trace = ReductionTrace()
-    remainder = GCPoly(ctx, {})
-    work = GCPoly(ctx, dict(f.terms))
-    while work.terms:
-        m = work.lead_mono()
-        reducer = next((i for lm, i in leads if mono_divides(lm, m)), None)
+    remainder = {}
+    work = dict(f.terms)
+    while work:
+        m = max(work, key=key)
+        mm = mono_mask(m)
+        reducer = next((i for lm, lmask, i in leads
+                        if not lmask & ~mm and mono_divides(lm, m)), None)
         if reducer is None:
-            remainder.terms[m] = work.terms.pop(m)
+            remainder[m] = work.pop(m)
             continue
         g = basis[reducer]
         cof = mono_div(m, g.lead_mono())
         t = g.term_mul_left(1, cof)
-        c = work.terms[m] * t.terms[m].inverse()
+        c = work[m] * t.terms[m].inverse()
         for tm, tc in t.terms.items():
-            add_term(work.terms, tm, -(c * tc))
+            add_term(work, tm, -(c * tc))
         trace.steps.append((reducer, cof, c))
-    return remainder, trace
+    return GCPoly(f.ctx, remainder), trace
 
 
 class PairLimitError(MDGError):
@@ -200,8 +204,7 @@ class GBasis:
 
 
 def _pair_key(ctx: GCContext, a: tuple, b: tuple):
-    gamma = mono_lcm(a, b)
-    return (ctx.mono_degree(gamma), gamma)
+    return ctx.order_key(mono_lcm(a, b))
 
 
 def buchberger(ctx: GCContext, generators,
@@ -235,7 +238,7 @@ def buchberger(ctx: GCContext, generators,
     counter = 0
 
     def skip(i, j):
-        if not _coprime(elements[i].lead_mono(), elements[j].lead_mono()):
+        if elements[i].lead()[1] & elements[j].lead()[1]:
             return False
         (odd_i, par_i), (odd_j, par_j) = profiles[i], profiles[j]
         return par_i is not None and par_j is not None and not (odd_i & odd_j)
@@ -274,17 +277,14 @@ def buchberger(ctx: GCContext, generators,
     return GBasis(ctx, _interreduce(elements))
 
 
-def _coprime(a: tuple, b: tuple) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 def _interreduce(elements):
     # drop elements whose lead is divisible by another lead, then tail-reduce
-    leads = [e.lead_mono() for e in elements]
+    leads = [e.lead() for e in elements]
     kept = []
-    for i, lm in enumerate(leads):
-        if not any(j != i and mono_divides(lj, lm) and (lj != lm or j < i)
-                   for j, lj in enumerate(leads)):
+    for i, (lm, mask) in enumerate(leads):
+        if not any(j != i and not lmask & ~mask and mono_divides(lj, lm)
+                   and (lj != lm or j < i)
+                   for j, (lj, lmask) in enumerate(leads)):
             kept.append(elements[i])
     out = []
     for i, e in enumerate(kept):

@@ -427,6 +427,10 @@ def _parse_complex(ts: _TokenStream, doc: Document, semantic: list):
             ts.expect_sym(":")
             while True:
                 bname = ts.expect_id()
+                if bname.value in ring.variables:
+                    raise DocumentError(
+                        f"basis element {bname.value!r} has the name of a "
+                        "ring variable", bname.line, bname.col)
                 mdeg = None
                 if ts.peek().kind == "id" and ts.peek().value == "mdeg":
                     ts.next()

@@ -28,6 +28,14 @@ def mono_divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def mono_mask(a: tuple) -> int:
+    """Support bitmask: bit i is set when a[i] > 0.  If a divides b then
+    mono_mask(a) & ~mono_mask(b) == 0, so a mask test rejects most
+    non-divisors before `mono_divides` (Bachmann & Schoenemann's short
+    exponent vectors, ISSAC 1998)."""
+    return sum(1 << i for i, e in enumerate(a) if e)
+
+
 def mono_div(b: tuple, a: tuple) -> tuple:
     """b / a, assuming a | b."""
     return tuple(y - x for x, y in zip(a, b))

@@ -1,10 +1,12 @@
 """Linear combinations are accumulated in place into fresh dicts: the inputs,
 stored tables, differentials and map values are never mutated, and a sum
-that cancels comes back empty."""
+that cancels comes back empty.  So the lead a `GCPoly` caches on first use
+always matches its terms."""
 
 from mdgkit import load_fixture
 from mdgkit.complexes import Element
-from mdgkit.groebner import mult_ideal, normal_form
+from mdgkit.groebner import buchberger, mult_ideal, normal_form
+from mdgkit.ring import mono_mask
 
 FK = load_fixture("fk").algebra()
 SPLIT = load_fixture("fk_split")
@@ -31,6 +33,28 @@ def test_normal_form_leaves_its_inputs_alone():
     # a member of the ideal reduces to the empty polynomial
     zero, _ = normal_form(gens[0], gens)
     assert zero.terms == {}
+
+
+def fresh_lead(p):
+    m = max(p.terms, key=p.ctx.order_key)
+    return m, mono_mask(m)
+
+
+def test_cached_leads_match_the_terms_of_every_result():
+    ctx, gens = mult_ideal(FK)
+    cached = [g.lead() for g in gens]
+    basis = buchberger(ctx, gens).elements
+    f = ctx.gen("e1") * ctx.gen("e2") * ctx.gen("e5")
+    f_lead = f.lead()
+    nf, trace = normal_form(f, basis)
+    g = gens[0]
+    results = basis + [nf, trace.replay(f, basis), g.monic(), g.scale(3),
+                       g.term_mul_left(2, ctx.gen("e5").lead_mono())]
+    for p in results:
+        assert not p.is_zero()
+        assert p.lead() == fresh_lead(p)
+    assert [g.lead() for g in gens] == cached == [fresh_lead(g) for g in gens]
+    assert f.lead() == f_lead == fresh_lead(f)
 
 
 def test_complex_and_table_operations_leave_their_inputs_alone():

@@ -109,6 +109,29 @@ def test_taylor_rejects_a_name_that_is_not_an_identifier(capsys, ring, bad):
     assert f"{bad!r} in --ring is not a variable name" in err
 
 
+def test_taylor_rejects_a_variable_named_like_a_basis_element(capsys):
+    code, out, err = run(capsys, ["taylor", "--ring", "e1,y",
+                                  "--ideal", "y^2,e1*y"])
+    assert code == 2
+    assert out == ""
+    assert "'e1' in --ring is also the name of a basis element" in err
+
+
+def test_a_basis_element_named_like_a_ring_variable_is_an_input_error(
+        tmp_path, capsys):
+    # without the check, `e1` in `d e2 = e1*y` silently means the variable
+    # and `mdg check` reports failed axioms (exit 1) on an ambiguous input
+    doc = tmp_path / "clash.mdg"
+    doc.write_text("ring e1, y;\n\ncomplex T {\n"
+                   "  basis 1: e1 mdeg(0, 2), e2 mdeg(1, 1);\n"
+                   "  basis 2: e12 mdeg(1, 2);\n"
+                   "  d e1 = y^2;\n  d e2 = e1*y;\n"
+                   "  d e12 = -e1*e1 + y*e2;\n}\n")
+    code, _, err = run(capsys, ["check", str(doc)])
+    assert code == 2
+    assert "basis element 'e1' has the name of a ring variable" in err
+
+
 # -- golden outputs -----------------------------------------------------------
 
 

@@ -10,7 +10,8 @@ from itertools import permutations
 from hypothesis import given, settings, strategies as st
 
 from mdgkit.gcalg import GCContext, GCPoly
-from mdgkit.ring import Ring, RationalFunction
+from mdgkit.ring import (Ring, RationalFunction, mono_divides, mono_mask,
+                         mono_mul)
 
 R = Ring(["x", "y"])
 
@@ -87,8 +88,37 @@ def test_order_total_and_multiplicative(a, b, c):
     assert ca == -CTX.compare(b, a)
     if ca > 0:
         # multiplying by a common monomial preserves the comparison
-        from mdgkit.ring import mono_mul
         assert CTX.compare(mono_mul(a, c), mono_mul(b, c)) > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(monos, monos, monos)
+def test_support_mask_never_rejects_a_divisor(a, b, c):
+    assert all((mono_mask(a) >> i & 1) == (e > 0) for i, e in enumerate(a))
+    # a random a divides b only sometimes; b always divides b*c
+    for x, y in ((a, b), (b, mono_mul(b, c))):
+        if mono_divides(x, y):
+            assert mono_mask(x) & ~mono_mask(y) == 0
+
+
+def documented_above(a, b):
+    """a > b in the documented order: homological degree first, then the
+    exponents left to right."""
+    da = sum(e * d for e, d in zip(a, CTX.degrees))
+    db = sum(e * d for e, d in zip(b, CTX.degrees))
+    if da != db:
+        return da > db
+    return next((x > y for x, y in zip(a, b) if x != y), False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(monos, min_size=1, max_size=8, unique=True))
+def test_order_key_maximum_is_the_documented_maximum(terms):
+    best = terms[0]
+    for m in terms[1:]:
+        if documented_above(m, best):
+            best = m
+    assert max(terms, key=CTX.order_key) == best
 
 
 def test_order_rules_examples():

@@ -19,7 +19,8 @@ from mdgkit.groebner import (PairLimitError, associativity_certificate,
                              pair_relation, spoly)
 from mdgkit.mdg import MDGError
 from mdgkit.parser import parse_gcpoly
-from mdgkit.ring import RationalFunction, Ring, mono_divides, mono_lcm
+from mdgkit.ring import (RationalFunction, Ring, add_term, mono_divides,
+                         mono_lcm)
 
 R4 = Ring(["x", "y", "z", "w"])
 
@@ -123,6 +124,10 @@ def _odd_support(p):
             if e and p.ctx.parity[i]}
 
 
+def _coprime(a, b):
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
 def test_product_criterion_skips_are_sound(session):
     ctx, gens = session
     with_crit = buchberger(ctx, gens, use_product_criterion=True)
@@ -137,8 +142,7 @@ def test_product_criterion_skips_are_sound(session):
     for i, f in enumerate(polys):
         for g in polys[i + 1:]:
             a, b = f.lead_mono(), g.lead_mono()
-            if (all(x == 0 or y == 0 for x, y in zip(a, b))
-                    and not (_odd_support(f) & _odd_support(g))):
+            if _coprime(a, b) and not (_odd_support(f) & _odd_support(g)):
                 nf, _ = normal_form(spoly(f, g), polys)
                 assert nf.is_zero()
 
@@ -244,3 +248,59 @@ def test_star_import_names_exist():
     exec("from mdgkit.groebner import *", namespace)
     assert set(groebner.__all__) <= set(namespace)
     assert "PairLimitError" in groebner.__all__
+
+
+def _plain_normal_form(f, basis):
+    """Reference reduction: the degree as an explicit sum, the lead taken by
+    pairwise comparison in the term order, and a linear `mono_divides` scan
+    over the basis leads with no support masks.  Returns (terms, steps)."""
+    degrees = f.ctx.degrees
+
+    def greater(a, b):
+        da = sum(e * d for e, d in zip(a, degrees))
+        db = sum(e * d for e, d in zip(b, degrees))
+        if da != db:
+            return da > db
+        for x, y in zip(a, b):
+            if x != y:
+                return x > y
+        return False
+
+    def lead(terms):
+        best = None
+        for m in terms:
+            if best is None or greater(m, best):
+                best = m
+        return best
+
+    leads = [lead(g.terms) if g.terms else None for g in basis]
+    work, remainder, steps = dict(f.terms), {}, []
+    while work:
+        m = lead(work)
+        i = next((i for i, lm in enumerate(leads)
+                  if lm is not None and mono_divides(lm, m)), None)
+        if i is None:
+            remainder[m] = work.pop(m)
+            continue
+        cof = tuple(y - x for x, y in zip(leads[i], m))
+        t = basis[i].term_mul_left(1, cof)
+        c = work[m] * t.terms[m].inverse()
+        for tm, tc in t.terms.items():
+            add_term(work, tm, -(c * tc))
+        steps.append((i, cof, c))
+    return remainder, steps
+
+
+@pytest.mark.parametrize("name", ["fk", "fa", "ex6"])
+def test_normal_form_matches_the_plain_scan(name):
+    # every generator, and the S-polynomial of every pair of generators
+    # whose leads share a generator (the pairs no criterion may skip)
+    ctx, gens = mult_ideal(load_fixture(name).algebra())
+    basis = buchberger(ctx, gens).elements
+    spolys = [spoly(f, g) for i, f in enumerate(gens) for g in gens[i + 1:]
+              if not _coprime(f.lead_mono(), g.lead_mono())]
+    for f in gens + spolys:
+        nf, trace = normal_form(f, basis)
+        terms, steps = _plain_normal_form(f, basis)
+        assert nf.terms == terms
+        assert trace.steps == steps
