@@ -136,6 +136,8 @@ def _reduce_element_mod(v, monos):
 
 def cmd_check(args) -> int:
     doc = _load(args)
+    if not doc.complexes:
+        raise DocumentError("document has 0 complexes")
     problems = []
     for name, cx in doc.complexes.items():
         problems += [f"{name}: {p}" for p in cx.check()]

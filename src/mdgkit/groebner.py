@@ -19,6 +19,31 @@ degree 1 (a single generator).  Those degree-1 elements are the obstruction
 witnesses; monomials of total degree 2 that survive reduction mark products
 the table does not define yet.
 
+The diamond-lemma fast path (Bergman, Adv. Math. 29, 1978, read
+backwards).  Suppose the table defines every product, so the generators are
+the n(n+1)/2 relations f_ab, one per quadratic monomial e_a e_b (odd squares
+included), and every basis triple has associator 0.  Then the monic f_ab
+already are the reduced basis, and `associativity_certificate` returns them
+without running Buchberger:
+  * A, the complex with this table and scalars extended to the fraction
+    field K, is associative and graded-commutative, so e_a -> a extends to
+    an algebra map phi: K[e] -> A, onto A, and every f_ab lies in its
+    kernel; hence so does the ideal I = (f_ab).
+  * Every monomial of total degree >= 2 is divisible by some lead e_a e_b,
+    so any p reduces to a remainder r spanned by the normal words 1 and
+    e_c, with p - r in I.  If p lies in I, so does r, and phi(r) = 0; the
+    basis elements 1 and c are independent in A, so r = 0.  Every element
+    of I thus reduces to zero, i.e. every nonzero element of I has a lead
+    divisible by some e_a e_b: the f_ab are a Groebner basis.
+  * It is reduced: the leads are distinct quadratic monomials and the tails
+    are linear, so no lead divides another lead or a tail term.
+The triple check (`MDGAlgebra.associative_on_basis`) skips triples whose
+total degree exceeds the top of the complex.  Their associators vanish only
+because every product a*b lies in degree |a| + |b|, so (a*b)*c and a*(b*c)
+land above the top, where there is no basis.  A table with a*b in a lower
+degree could pass the check and still be non-associative, so `mult_ideal`
+rejects such a table before any triple is checked.
+
 `buchberger` returns a `GBasis` whose elements are plain monic `GCPoly`s,
 interreduced: no lead monomial divides another.  A completion that processes
 more than `max_pairs` S-pairs raises `PairLimitError`, an `MDGError`, so the
@@ -99,9 +124,10 @@ def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None):
     the table defines (odd squares are implied zero, so f_ii = e_i^2 there).
     Pairs with no stored product are skipped (partial-table exploration).
 
-    Raises MDGError when a nonzero product is not multihomogeneous of
-    multidegree mdeg(a) + mdeg(b): the engine's Laurent coefficients rely on
-    it."""
+    Raises MDGError when a nonzero product is not homogeneous of degree
+    |a| + |b| (the triple check of `associativity_certificate` relies on it)
+    or not multihomogeneous of multidegree mdeg(a) + mdeg(b) (the engine's
+    Laurent coefficients rely on it)."""
     if ctx is None:
         ctx = context_for(alg.complex)
     gens = []
@@ -111,6 +137,9 @@ def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None):
                 value = alg.mult.product(a, b)
             except MissingProductError:
                 continue
+            problem = alg.mult.degree_problem(a, b, value)
+            if problem:
+                raise MDGError(f"table is not homogeneous: product {problem}")
             problem = alg.mult.mdeg_problem(a, b, value)
             if problem:
                 raise MDGError(f"table is not multihomogeneous: product "
@@ -315,11 +344,22 @@ class CertificateReport:
 
 
 def associativity_certificate(alg: MDGAlgebra) -> CertificateReport:
-    """Run Buchberger on the pair relations of the table.  The table is
-    associative iff no completed basis element has a single-generator lead;
-    pair monomials that stay irreducible mark products the table leaves
-    undefined (reported separately, not as non-associativity)."""
+    """Complete the pair relations of the table.  The table is associative
+    iff no completed basis element has a single-generator lead; pair
+    monomials that stay irreducible mark products the table leaves undefined
+    (reported separately, not as non-associativity).
+
+    A table that defines every product and passes the basis triple check is
+    its own basis (the diamond lemma, see the module docstring): the monic
+    pair relations are returned without running Buchberger.  Every other
+    table is completed by `buchberger`."""
     ctx, gens = mult_ideal(alg)
+    n = ctx.n
+    if (len(gens) == n * (n + 1) // 2
+            and all(ctx.mono_total(g.lead_mono()) == 2 for g in gens)
+            and alg.associative_on_basis() is None):
+        return CertificateReport(True, [], [], GBasis(
+            ctx, [g.monic() for g in gens]))
     basis = buchberger(ctx, gens)
     witnesses = basis.linear_elements()
     undefined = []

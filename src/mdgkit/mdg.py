@@ -85,6 +85,19 @@ class Multiplication:
     def stored_pairs(self):
         return list(self.table)
 
+    def degree_problem(self, left: str, right: str, value: Element):
+        """Why the product left*right = value is not homogeneous of
+        homological degree |left| + |right|; None when it is (zero is)."""
+        if value.is_zero():
+            return None
+        cx = self.complex
+        expected = cx.basis[left].degree + cx.basis[right].degree
+        degs = value.degrees()
+        if degs != {expected}:
+            return (f"{left}*{right} lands in degrees {sorted(degs)}, "
+                    f"expected {expected}")
+        return None
+
     def mdeg_problem(self, left: str, right: str, value: Element):
         """Why the product left*right = value is not multihomogeneous of
         multidegree mdeg(left) + mdeg(right); None when it is (zero is)."""
@@ -154,22 +167,19 @@ class MDGAlgebra:
         report.complex_problems = self.complex.check()
         cx = self.complex
         for (l, r), value in self.mult.table.items():
-            bl, br = cx.basis[l], cx.basis[r]
-            if not value.is_zero():
-                degs = value.degrees()
-                if degs != {bl.degree + br.degree}:
-                    report.degree_problems.append(
-                        f"{l}*{r} lands in degrees {sorted(degs)}, expected {bl.degree + br.degree}")
-                    continue
-                problem = self.mult.mdeg_problem(l, r, value)
-                if problem:
-                    report.mdeg_problems.append(problem)
+            problem = self.mult.degree_problem(l, r, value)
+            if problem:
+                report.degree_problems.append(problem)
+                continue
+            problem = self.mult.mdeg_problem(l, r, value)
+            if problem:
+                report.mdeg_problems.append(problem)
             # Leibniz: d(l*r) = d(l)*r + (-1)^{|l|} l*d(r); needs subproducts
             try:
                 lhs = cx.d(value)
                 rhs = self.mul(cx.d(cx.elem(l)), cx.elem(r))
                 term = self.mul(cx.elem(l), cx.d(cx.elem(r)))
-                rhs = rhs + (term if bl.degree % 2 == 0 else -term)
+                rhs = rhs + (term if cx.basis[l].degree % 2 == 0 else -term)
                 if not (lhs - rhs).is_zero():
                     report.leibniz_problems.append(
                         f"Leibniz fails for {l}*{r}: d(product) - expected = {lhs - rhs}")
@@ -188,14 +198,14 @@ class MDGAlgebra:
         """First non-associative basis triple as (a, b, c, associator), or None.
 
         Triples whose total degree exceeds the top of the complex are skipped;
-        their associator vanishes for degree reasons."""
+        their associator vanishes for degree reasons when every product lies
+        in degree |a| + |b| (see `Multiplication.degree_problem`).  The basis
+        need not be declared in degree order."""
         cx = self.complex
         maxdeg = cx.max_degree()
         names = self.basis_names()
         for a in names:
             da = cx.basis[a].degree
-            if da >= maxdeg:
-                break
             for b in names:
                 dab = da + cx.basis[b].degree
                 if dab > maxdeg:

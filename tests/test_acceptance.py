@@ -173,6 +173,8 @@ def test_criterion_4_certificates(acceptance_log):
         basis = buchberger(ctx, gens)
         assert basis.linear_elements() == []
         assert len(basis.elements) == 630
+        fast = associativity_certificate(FO).basis.elements
+        assert [e.terms for e in fast] == [e.terms for e in basis.elements]
         rep = sg.presentation_check(FK)
         assert rep.ok()
         assert rep.components == {3: (1, 1), 4: (1, 1)}

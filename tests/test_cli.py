@@ -87,6 +87,51 @@ def test_gb_rejects_a_table_that_is_not_multihomogeneous(tmp_path, capsys,
     assert out.startswith("mu: e1*e2")
 
 
+WRONG_DEGREE = """\
+ring x, y;
+
+complex F {
+  basis 1: a mdeg(1, 0), b mdeg(0, 1), c mdeg(1, 1);
+  basis 2: q mdeg(1, 2);
+  d a = 0; d b = 0; d c = 0; d q = 0;
+}
+
+mult mu on F {
+  a*b = c; a*c = 0; a*q = 0;
+  b*c = q; b*q = 0;
+  c*q = 0; q*q = 0;
+}
+"""
+
+
+def test_gb_rejects_a_product_in_the_wrong_homological_degree(tmp_path,
+                                                              capsys):
+    # a*b = c lands in degree 1, not 2: every basis triple has total degree
+    # 3 > 2, so the triple check would skip them all and call this complete
+    # table associative, yet [a,b,b] = (a*b)*b - a*(b*b) = c*b = -q
+    bad = tmp_path / "bad.mdg"
+    bad.write_text(WRONG_DEGREE)
+    for argv in (["gb", str(bad)], ["reduce", str(bad), "--expr", "a*b"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "product a*b lands in degrees [1], expected 2" in err
+        assert "not homogeneous" in err
+    code, out, _ = run(capsys, ["check", str(bad)])
+    assert code == 1
+    assert out == "mu: a*b lands in degrees [1], expected 2"
+
+
+@pytest.mark.parametrize("text", ["", "ring x, y;\n"])
+def test_check_rejects_a_document_without_a_complex(tmp_path, capsys, text):
+    empty = tmp_path / "empty.mdg"
+    empty.write_text(text)
+    code, out, err = run(capsys, ["check", str(empty)])
+    assert code == 2
+    assert out == ""
+    assert "document has 0 complexes" in err
+
+
 def test_duplicate_ring_variable_is_an_input_error(tmp_path, capsys):
     dup = tmp_path / "dup.mdg"
     dup.write_text("ring x, x;\n")

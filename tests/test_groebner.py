@@ -9,15 +9,18 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mdgkit.groebner as groebner
 from mdgkit import load_fixture
+from mdgkit.complexes import UNIT, Element, FreeComplex
 from mdgkit.constructions import taylor_algebra
 from mdgkit.gcalg import GCContext, GCPoly
 from mdgkit.groebner import (PairLimitError, associativity_certificate,
                              buchberger, context_for, element_to_gc,
                              gc_to_element, mult_ideal, normal_form,
                              pair_relation, spoly)
-from mdgkit.mdg import MDGError
+from mdgkit.mdg import MDGAlgebra, MDGError, Multiplication
 from mdgkit.parser import parse_gcpoly
 from mdgkit.ring import (RationalFunction, Ring, add_term, mono_divides,
                          mono_lcm)
@@ -304,3 +307,102 @@ def test_normal_form_matches_the_plain_scan(name):
         terms, steps = _plain_normal_form(f, basis)
         assert nf.terms == terms
         assert trace.steps == steps
+
+
+# -- the diamond-lemma fast path ----------------------------------------------
+
+TAYLOR4 = [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0)]
+# (y^2w, yzw, x^2y, xzw) with its variables permuted
+TAYLOR4_SEEDED = [tuple(m[p] for p in (2, 0, 3, 1)) for m in
+                  [(0, 2, 0, 1), (0, 1, 1, 1), (2, 1, 0, 0), (1, 0, 1, 1)]]
+
+
+def _terms(polys):
+    # GCPoly equality needs one context object; term dicts compare across
+    return [p.terms for p in polys]
+
+
+def _associative_complete_table(name):
+    if name == "fk_split-nu":
+        return load_fixture("fk_split").algebra("nu")
+    if name == "taylor_x2_xy":
+        return load_fixture(name).algebra()
+    ideal = TAYLOR4 if name == "taylor4" else TAYLOR4_SEEDED
+    return taylor_algebra(R4, [R4.monomial(m) for m in ideal])
+
+
+@pytest.mark.parametrize("name", ["fk_split-nu", "taylor_x2_xy", "taylor4",
+                                  "taylor4_seeded"])
+def test_an_associative_complete_table_is_its_own_basis(name, monkeypatch):
+    alg = _associative_complete_table(name)
+    ctx, gens = mult_ideal(alg)
+    oracle = buchberger(ctx, gens)
+
+    def no_completion(*args, **kwargs):
+        raise AssertionError("the fast path ran Buchberger")
+    monkeypatch.setattr(groebner, "buchberger", no_completion)
+    report = associativity_certificate(alg)
+    assert report.associative
+    assert report.witnesses == [] and report.undefined_pairs == []
+    assert _terms(report.basis.elements) == _terms(oracle.elements)
+    # every pair monomial has a linear normal form under the fast basis
+    fast = report.basis
+    for i in range(fast.ctx.n):
+        for j in range(i, fast.ctx.n):
+            _, mono = fast.ctx.word_mono([i, j])
+            nf, _ = fast.reduce(GCPoly(fast.ctx, {
+                mono: RationalFunction(fast.ctx.ring.one)}))
+            assert all(fast.ctx.mono_total(m) <= 1 for m in nf.terms)
+
+
+@pytest.mark.parametrize("name", ["fk", "fa", "ex6"])
+def test_other_tables_take_the_buchberger_route(name):
+    # fk and fa are complete but not associative, ex6 is partial
+    alg = load_fixture(name).algebra()
+    report = associativity_certificate(alg)
+    ctx, gens = mult_ideal(alg)
+    oracle = buchberger(ctx, gens)
+    assert not report.associative
+    assert _terms(report.basis.elements) == _terms(oracle.elements)
+    assert _terms(report.witnesses) == _terms(oracle.linear_elements())
+
+
+def _declared_top_degree_first(alg):
+    """The same table on a copy of the complex whose basis is declared in
+    decreasing homological degree."""
+    cx = alg.complex
+    out = FreeComplex(cx.ring, cx.name)
+    for n in reversed(cx.order):
+        if n != UNIT:
+            out.add_basis(n, cx.basis[n].degree, cx.basis[n].mdeg)
+    mult = Multiplication(out, alg.mult.name)
+    for (a, b), value in alg.mult.table.items():
+        mult.set_product(a, b, Element(out, dict(value.coeffs)))
+    return MDGAlgebra(out, mult)
+
+
+def test_the_triple_check_does_not_depend_on_the_declaration_order():
+    alg = _declared_top_degree_first(load_fixture("fa").algebra())
+    assert alg.associative_on_basis() is not None
+    assert not associativity_certificate(alg).associative
+
+
+def _minimal_generators(monos):
+    """At most four of the monomials that no other one divides."""
+    return [m for m in monos
+            if not any(n != m and mono_divides(n, m) for n in monos)][:4]
+
+
+_monomial = st.tuples(*[st.integers(0, 2)] * 4).filter(any)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(_monomial, min_size=3, max_size=6, unique=True)
+       .map(_minimal_generators).filter(lambda ideal: len(ideal) >= 3))
+def test_taylor_certificates_agree_with_buchberger(ideal):
+    alg = taylor_algebra(R4, [R4.monomial(m) for m in ideal])
+    report = associativity_certificate(alg)
+    ctx, gens = mult_ideal(alg)
+    assert report.associative
+    assert _terms(report.basis.elements) == _terms(
+        buchberger(ctx, gens).elements)

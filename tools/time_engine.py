@@ -1,14 +1,20 @@
-"""Time the Buchberger engine in process, best of three runs per case.
+"""Time the Buchberger engine and the associativity certificate in process,
+best of three runs per case.
 
-The cases are `buchberger` on the pair relations of the fixtures fk, ex55
-and fo_full, and the associativity certificate of the Taylor algebra of
-(x^2, w^2, zw, xy, yz).  Each run's basis size is checked against its golden
-value before its time counts.  Takes no options.  Run from anywhere:
+The engine cases are `buchberger` on the pair relations of the fixtures fk,
+ex55 and fo_full and of the Taylor algebra of (x^2, w^2, zw, xy, yz).  The
+certificate cases run `associativity_certificate` on fo_full and on the
+Taylor algebras of (x^2, y^2, w^2, xy, yz, zw) and of the same ideal plus
+xz; these tables are associative and complete, so the certificate takes its
+diamond-lemma fast path.  Each run's basis size (and, for a certificate, its
+verdict) is checked against its golden value before its time counts.  Takes
+no options.  Run from anywhere:
 
     python3 tools/time_engine.py
 
 Prints one line per case: name, basis size and the best wall time in
-seconds (`time.perf_counter`).  Exits 0, or 1 when a basis size differs.
+seconds (`time.perf_counter`).  Exits 0, or 1 when a basis size or a
+verdict differs.
 The run takes a few minutes.
 """
 
@@ -29,9 +35,12 @@ RUNS = 3
 # Each run builds a fresh context, so no run starts with another's memoised
 # order keys, and returns (basis size, seconds).
 
-def completion(name):
-    alg = load_fixture(name).algebra()
+def taylor(ideal):
+    ring = Ring(["x", "y", "z", "w"])
+    return taylor_algebra(ring, [ring.monomial(m) for m in ideal])
 
+
+def completion(alg):
     def run():
         ctx, gens = mult_ideal(alg)
         start = time.perf_counter()
@@ -40,11 +49,7 @@ def completion(name):
     return run
 
 
-def taylor5():
-    ring = Ring(["x", "y", "z", "w"])
-    x, y, z, w = (ring.var(v) for v in "xyzw")
-    alg = taylor_algebra(ring, [x ** 2, w ** 2, z * w, x * y, y * z])
-
+def certificate(alg):
     def run():
         start = time.perf_counter()
         report = associativity_certificate(alg)
@@ -53,14 +58,27 @@ def taylor5():
     return run
 
 
+# exponent vectors over (x, y, z, w)
+TAYLOR5 = [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0),
+           (0, 1, 1, 0)]
+TAYLOR6 = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 2), (1, 1, 0, 0),
+           (0, 1, 1, 0), (0, 0, 1, 1)]
+TAYLOR7 = TAYLOR6 + [(1, 0, 1, 0)]
+
+
 def cases():
-    """(name, run, golden basis size).  The Taylor-5 table is associative and
-    complete, so its completed basis is exactly its 496 pair relations."""
+    """(name, run, golden basis size).  A Taylor table of k monomials is
+    associative and complete, so its basis is exactly its n(n+1)/2 pair
+    relations, n = 2^k - 1."""
+    fo_full = load_fixture("fo_full").algebra()
     return [
-        ("buchberger fk", completion("fk"), 155),
-        ("buchberger ex55", completion("ex55"), 231),
-        ("buchberger fo_full", completion("fo_full"), 630),
-        ("certificate taylor5", taylor5(), 496),
+        ("buchberger fk", completion(load_fixture("fk").algebra()), 155),
+        ("buchberger ex55", completion(load_fixture("ex55").algebra()), 231),
+        ("buchberger fo_full", completion(fo_full), 630),
+        ("buchberger taylor5", completion(taylor(TAYLOR5)), 496),
+        ("certificate fo_full", certificate(fo_full), 630),
+        ("certificate taylor6", certificate(taylor(TAYLOR6)), 2016),
+        ("certificate taylor7", certificate(taylor(TAYLOR7)), 8128),
     ]
 
 
