@@ -21,7 +21,7 @@ from .mdg import (Homotopy, MDGAlgebra, MDGError, perturb_multiplication,
                   quotient_homology_dims)
 from .parser import (Document, DocumentError, format_document, parse_element,
                      parse_gcpoly, tokenize)
-from .ring import Polynomial, RationalFunction, Ring, mono_divides
+from .ring import Polynomial, Ring, mono_divides
 from .symdg import SymError, build_sym
 
 EXIT_OK = 0
@@ -85,13 +85,10 @@ def _parse_scalar(ring: Ring, text: str) -> Polynomial:
 
 
 def _polynomial(coeff, what: str) -> Polynomial:
-    """A Polynomial or RationalFunction coefficient as a Polynomial; CLIError
-    when it has a denominator."""
-    if isinstance(coeff, RationalFunction):
-        if not coeff.is_polynomial():
-            raise CLIError(f"{what} is not a polynomial")
-        coeff = coeff.num
-    return coeff
+    """A coefficient as a Polynomial; CLIError when it has a denominator."""
+    if not coeff.is_polynomial():
+        raise CLIError(f"{what} is not a polynomial")
+    return coeff.as_polynomial()
 
 
 def _is_name(text: str) -> bool:

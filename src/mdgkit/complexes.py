@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import linalg
-from .ring import (RationalFunction, Ring, add_term, format_polynomial,
-                   mono_div, mono_divides, mono_lcm, mono_mul)
+from .ring import (Ring, add_term, format_polynomial, mono_div, mono_divides,
+                   mono_lcm, mono_mul)
 
 UNIT = "1"
 
@@ -38,7 +38,8 @@ class BasisElement:
 class Element:
     """R-linear combination of basis elements of a fixed complex.
 
-    Coefficient values are Polynomial or RationalFunction (they mix freely)."""
+    Coefficients are polynomials or Laurent polynomials (they mix freely);
+    `ring.py` owns their types, and this module only asks them questions."""
 
     __slots__ = ("complex", "coeffs")
 
@@ -82,15 +83,12 @@ class Element:
         return degs.pop()
 
     def is_polynomial(self) -> bool:
-        return all(not isinstance(v, RationalFunction) or v.is_polynomial()
-                   for v in self.coeffs.values())
+        return all(v.is_polynomial() for v in self.coeffs.values())
 
     def polynomialize(self) -> "Element":
-        """Convert RationalFunction coefficients with trivial denominators."""
-        out = {}
-        for k, v in self.coeffs.items():
-            out[k] = v.as_polynomial() if isinstance(v, RationalFunction) else v
-        return Element(self.complex, out)
+        """Every coefficient as a Polynomial; ValueError on a denominator."""
+        return Element(self.complex, {k: v.as_polynomial()
+                                      for k, v in self.coeffs.items()})
 
     def multidegree(self):
         """Common multidegree of all terms; raises if mixed.  A Laurent
@@ -98,10 +96,7 @@ class Element:
         mds = set()
         for k, v in self.coeffs.items():
             base = self.complex.basis[k].mdeg
-            if isinstance(v, RationalFunction):
-                base = mono_div(base, v.den.lead_mono())
-                v = v.num
-            for m in v.terms:
+            for m in v.exponents():
                 mds.add(mono_mul(m, base))
         if len(mds) != 1:
             raise ComplexError(f"element not multihomogeneous: {sorted(mds)}")
@@ -256,8 +251,9 @@ class FreeComplex:
             b = self.basis[name]
             if b.degree != degree:
                 continue
-            poly = coeff.as_polynomial() if isinstance(coeff, RationalFunction) else coeff
-            for m, c in poly.terms.items():
+            if not coeff.is_polynomial():
+                raise ComplexError(f"{coeff} on {name} is not a polynomial")
+            for m, c in coeff.as_polynomial().terms.items():
                 if mono_mul(m, b.mdeg) != mdeg:
                     continue
                 vec[index[(name, m)]] += c
@@ -315,20 +311,18 @@ class FreeComplex:
         for name in self.order:
             if name not in x.coeffs:
                 continue
-            coeff = x.coeffs[name]
-            if isinstance(coeff, RationalFunction) and coeff.is_polynomial():
-                coeff = coeff.as_polynomial()
-            chunks.append(_format_term(coeff, name, first))
+            chunks.append(_format_term(x.coeffs[name], name, first))
             first = False
         return " ".join(chunks)
 
 
 def _format_term(coeff, name: str, first: bool) -> str:
-    if isinstance(coeff, RationalFunction) or not coeff.is_monomial():
-        body, neg = f"({coeff})", False
-    else:
+    if coeff.is_polynomial() and coeff.is_monomial():
+        coeff = coeff.as_polynomial()
         neg = coeff.lead_coeff() < 0
         body = format_polynomial(-coeff if neg else coeff)
+    else:
+        body, neg = f"({coeff})", False
     if name != UNIT:
         if body == "1":
             body = name

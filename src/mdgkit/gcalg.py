@@ -1,10 +1,11 @@
 """Free graded-commutative algebra on homogeneous generators, with Laurent
 polynomial coefficients.
 
-Coefficients are `RationalFunction`s, which hold only Laurent polynomials
-(a monomial denominator).  Multigraded inputs keep every coefficient a
-rational times a Laurent monomial, so `monic()` and the engine's divisions
-never meet a non-monomial; one that does raises ValueError.
+`ring.py` owns the coefficient type; this module makes every coefficient
+with `ring.laurent`, a Laurent polynomial (a monomial denominator).
+Multigraded inputs keep every coefficient a rational times a Laurent
+monomial, so `monic()` and the engine's divisions never meet a non-monomial;
+one that does raises ValueError.
 
 Generators e_1 < e_2 < ... carry homological degrees (nondecreasing along the
 index order).  Monomials commute up to the Koszul sign e_j e_i =
@@ -23,10 +24,7 @@ it caches the lead monomial and its support mask on first use.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .ring import (Polynomial, RationalFunction, Ring, add_term, mono_mask,
-                   mono_mul)
+from .ring import SCALARS, Ring, add_term, laurent, mono_mask, mono_mul
 
 
 class GCContext:
@@ -46,7 +44,7 @@ class GCContext:
         self.zero_mono = (0,) * self.n
         self._keys = {}
         self.zero = GCPoly(self, {})
-        self.one = GCPoly(self, {self.zero_mono: RationalFunction(ring.one)})
+        self.one = GCPoly(self, {self.zero_mono: laurent(ring, 1)})
 
     def index(self, name: str) -> int:
         return self._index[name]
@@ -54,7 +52,7 @@ class GCContext:
     def gen(self, name: str) -> "GCPoly":
         i = self.index(name)
         mono = tuple(1 if j == i else 0 for j in range(self.n))
-        return GCPoly(self, {mono: RationalFunction(self.ring.one)})
+        return GCPoly(self, {mono: laurent(self.ring, 1)})
 
     # -- monomial helpers --
 
@@ -124,16 +122,9 @@ class GCContext:
         return f"GCContext({', '.join(self.names)})"
 
 
-def _coerce_coeff(ring: Ring, c) -> RationalFunction:
-    if isinstance(c, RationalFunction):
-        return c
-    if isinstance(c, Polynomial):
-        return RationalFunction(c)
-    return RationalFunction(ring.const(c))
-
-
 class GCPoly:
-    """Element of K[e]: dict monomial -> RationalFunction over the base ring."""
+    """Element of K[e]: dict monomial -> Laurent coefficient (`ring.laurent`)
+    over the base ring."""
 
     __slots__ = ("ctx", "terms", "_lead")
 
@@ -162,25 +153,23 @@ class GCPoly:
         return self + (-other)
 
     def scale(self, c) -> "GCPoly":
-        c = _coerce_coeff(self.ctx.ring, c)
+        c = laurent(self.ctx.ring, c)
         if c.is_zero():
             return self.ctx.zero
         return GCPoly(self.ctx, {m: c * v for m, v in self.terms.items()})
 
-    def term_mul_left(self, coeff, mono: tuple, strict=False) -> "GCPoly":
+    def term_mul_left(self, coeff, mono: tuple) -> "GCPoly":
         """Left-multiply by the single term coeff * e^mono."""
-        coeff = _coerce_coeff(self.ctx.ring, coeff)
+        coeff = laurent(self.ctx.ring, coeff)
         terms: dict = {}
         for m, c in self.terms.items():
-            s, pm = self.ctx.mono_mul_signed(mono, m, strict=strict)
-            if s == 0:
-                continue
+            s, pm = self.ctx.mono_mul_signed(mono, m)
             add_term(terms, pm, coeff * c if s == 1 else -(coeff * c))
         return GCPoly(self.ctx, terms)
 
     def __mul__(self, other):
         if not isinstance(other, GCPoly):
-            if isinstance(other, (int, Fraction, Polynomial, RationalFunction)):
+            if isinstance(other, SCALARS):
                 return self.scale(other)
             return NotImplemented
         terms: dict = {}
@@ -190,7 +179,7 @@ class GCPoly:
         return GCPoly(self.ctx, terms)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial, RationalFunction)):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         return NotImplemented
 
@@ -213,7 +202,7 @@ class GCPoly:
     def lead_mono(self) -> tuple:
         return self.lead()[0]
 
-    def lead_coeff(self) -> RationalFunction:
+    def lead_coeff(self):
         return self.terms[self.lead_mono()]
 
     def monic(self) -> "GCPoly":
@@ -264,7 +253,7 @@ def format_gcpoly(p: GCPoly) -> str:
             body = ms
             sign = minus_one
         else:
-            neg = _looks_negative(c)
+            neg = c.lead_coeff() < 0
             cc = -c if neg else c
             body = f"({cc})*{ms}"
             sign = neg
@@ -273,7 +262,3 @@ def format_gcpoly(p: GCPoly) -> str:
         else:
             out.append(("- " if sign else "+ ") + body)
     return " ".join(out)
-
-
-def _looks_negative(c: RationalFunction) -> bool:
-    return not c.num.is_zero() and c.num.lead_coeff() < 0

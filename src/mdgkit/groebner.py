@@ -49,7 +49,7 @@ interreduced: no lead monomial divides another.  A completion that processes
 more than `max_pairs` S-pairs raises `PairLimitError`, an `MDGError`, so the
 CLI exits 2 on it.
 
-Coefficients are Laurent polynomials (see `ring.RationalFunction`).  That
+Coefficients are Laurent polynomials (see `ring.laurent`).  That
 holds because every pair relation is multihomogeneous, so `mult_ideal`
 rejects a table with a product that is not multihomogeneous of the expected
 multidegree before any S-polynomial is formed.
@@ -62,8 +62,8 @@ from heapq import heappop, heappush
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .gcalg import GCContext, GCPoly
 from .mdg import MDGAlgebra, MDGError, MissingProductError
-from .ring import (RationalFunction, add_term, mono_div, mono_divides,
-                   mono_lcm, mono_mask)
+from .ring import (add_term, laurent, mono_div, mono_divides, mono_lcm,
+                   mono_mask)
 
 __all__ = [
     "GBasis", "PairLimitError", "ReductionTrace", "associativity_certificate",
@@ -90,9 +90,7 @@ def element_to_gc(ctx: GCContext, x: Element) -> GCPoly:
         else:
             i = ctx.index(name)
             mono = tuple(1 if j == i else 0 for j in range(ctx.n))
-        if not isinstance(coeff, RationalFunction):
-            coeff = RationalFunction(coeff)
-        terms[mono] = coeff
+        terms[mono] = laurent(ctx.ring, coeff)
     return GCPoly(ctx, terms)
 
 
@@ -115,7 +113,7 @@ def gc_to_element(cx: FreeComplex, p: GCPoly) -> Element:
 def pair_relation(ctx: GCContext, alg: MDGAlgebra, a: str, b: str) -> GCPoly:
     """The relation (word e_a e_b) - (table product a*b) in K[e]."""
     sign, mono = ctx.word_mono([ctx.index(a), ctx.index(b)])
-    lead = GCPoly(ctx, {mono: RationalFunction(alg.ring.const(sign))})
+    lead = GCPoly(ctx, {mono: laurent(ctx.ring, sign)})
     return lead - element_to_gc(ctx, alg.mult.product(a, b))
 
 
@@ -130,6 +128,7 @@ def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None):
     Laurent coefficients rely on it)."""
     if ctx is None:
         ctx = context_for(alg.complex)
+    alg.mult.require_homogeneous()
     gens = []
     for i, a in enumerate(ctx.names):
         for b in ctx.names[i:]:
@@ -137,9 +136,6 @@ def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None):
                 value = alg.mult.product(a, b)
             except MissingProductError:
                 continue
-            problem = alg.mult.degree_problem(a, b, value)
-            if problem:
-                raise MDGError(f"table is not homogeneous: product {problem}")
             problem = alg.mult.mdeg_problem(a, b, value)
             if problem:
                 raise MDGError(f"table is not multihomogeneous: product "
@@ -366,8 +362,7 @@ def associativity_certificate(alg: MDGAlgebra) -> CertificateReport:
     for i, a in enumerate(ctx.names):
         for b in ctx.names[i:]:
             sign, mono = ctx.word_mono([ctx.index(a), ctx.index(b)])
-            nf, _ = basis.reduce(GCPoly(
-                ctx, {mono: RationalFunction(ctx.ring.one)}))
+            nf, _ = basis.reduce(GCPoly(ctx, {mono: laurent(ctx.ring, 1)}))
             if any(ctx.mono_total(m) > 1 for m in nf.terms):
                 undefined.append((a, b))
     return CertificateReport(not witnesses, witnesses, undefined, basis)

@@ -98,6 +98,14 @@ class Multiplication:
                     f"expected {expected}")
         return None
 
+    def require_homogeneous(self):
+        """MDGError at the first product with a `degree_problem`: the degree
+        skips of the basis checks below are sound only without one."""
+        for (left, right), value in self.table.items():
+            problem = self.degree_problem(left, right, value)
+            if problem:
+                raise MDGError(f"table is not homogeneous: product {problem}")
+
     def mdeg_problem(self, left: str, right: str, value: Element):
         """Why the product left*right = value is not multihomogeneous of
         multidegree mdeg(left) + mdeg(right); None when it is (zero is)."""
@@ -201,6 +209,7 @@ class MDGAlgebra:
         their associator vanishes for degree reasons when every product lies
         in degree |a| + |b| (see `Multiplication.degree_problem`).  The basis
         need not be declared in degree order."""
+        self.mult.require_homogeneous()
         cx = self.complex
         maxdeg = cx.max_degree()
         names = self.basis_names()
@@ -221,6 +230,7 @@ class MDGAlgebra:
     def alternative_on_basis(self):
         """First failure of [a, x, a] = 0 (|a| even) or
         [a,x,a] = (-1)^{|x|} 2 [a,a,x] (|a| odd) over basis pairs, or None."""
+        self.mult.require_homogeneous()
         cx = self.complex
         maxdeg = cx.max_degree()
         for a in self.basis_names():
@@ -242,6 +252,7 @@ class MDGAlgebra:
     # -- submodule machinery --
 
     def associator_submodule(self) -> "Submodule":
+        self.mult.require_homogeneous()
         cx = self.complex
         maxdeg = cx.max_degree()
         names = self.basis_names()

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .gcalg import GCContext, GCPoly
 from .mdg import ChainMap, Homotopy, MDGAlgebra, MDGError, Multiplication
-from .ring import RationalFunction, Ring
+from .ring import Ring, laurent
 
 
 class DocumentError(Exception):
@@ -221,13 +221,13 @@ def _pure_scalar(v: Element):
     return None
 
 
-def _inverse_scalar(s: RationalFunction) -> RationalFunction:
+def _inverse_scalar(ring: Ring, s):
     """1/s; coefficients are Laurent polynomials, so s must be a Laurent
     monomial."""
-    if not s.num.is_monomial():
+    if not s.is_monomial():
         raise DocumentError(f"cannot divide by {s}: a divisor must be a "
                             "monomial")
-    return s.inverse()
+    return laurent(ring, s).inverse()
 
 
 def eval_element(node, cx: FreeComplex) -> Element:
@@ -264,18 +264,13 @@ def eval_element(node, cx: FreeComplex) -> Element:
         sb = _pure_scalar(b)
         if sb is None or sb.is_zero():
             raise DocumentError("division is only defined by a nonzero scalar")
-        if not isinstance(sb, RationalFunction):
-            sb = RationalFunction(sb, ring.one)
-        return a.scale(_inverse_scalar(sb))
+        return a.scale(_inverse_scalar(ring, sb))
     if kind == "pow":
         base = eval_element(node[1], cx)
         s = _pure_scalar(base)
         if s is None:
             raise DocumentError("only scalars can be raised to a power here",
                                 *node[3])
-        if isinstance(s, RationalFunction):
-            return cx.element({UNIT: RationalFunction(s.num ** node[2],
-                                                      s.den ** node[2])})
         return cx.element({UNIT: s ** node[2]})
     raise DocumentError(f"bad expression node {kind!r}")
 
@@ -291,11 +286,11 @@ def eval_gcpoly(node, ctx: GCContext) -> GCPoly:
     ring = ctx.ring
     kind = node[0]
     if kind == "num":
-        return ctx.one.scale(RationalFunction(ring.const(node[1])))
+        return ctx.one.scale(node[1])
     if kind == "name":
         name, pos = node[1], node[2]
         if name in ring.variables:
-            return ctx.one.scale(RationalFunction(ring.var(name)))
+            return ctx.one.scale(ring.var(name))
         if name in ctx.names:
             return ctx.gen(name)
         raise DocumentError(f"unknown name {name!r}", *pos)
@@ -312,7 +307,7 @@ def eval_gcpoly(node, ctx: GCContext) -> GCPoly:
         if set(b.terms) != {ctx.zero_mono}:
             raise DocumentError("division is only defined by a nonzero scalar")
         return eval_gcpoly(node[1], ctx).scale(
-            _inverse_scalar(b.terms[ctx.zero_mono]))
+            _inverse_scalar(ring, b.terms[ctx.zero_mono]))
     if kind == "pow":
         base = eval_gcpoly(node[1], ctx)
         acc = ctx.one

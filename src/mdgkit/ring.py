@@ -8,6 +8,11 @@ and a homogeneous element of the fraction field is a rational times a Laurent
 monomial.  So the only quotients kept here are Laurent polynomials: a
 polynomial over a monic monomial denominator.  Dividing by anything else
 raises ValueError.
+
+Only this module tells a `Polynomial` coefficient from a `RationalFunction`:
+other modules ask the questions both answer (`is_polynomial`,
+`as_polynomial`, `is_monomial`, `lead_coeff`, `exponents`) or coerce a
+scalar with `laurent`.
 """
 
 from __future__ import annotations
@@ -127,6 +132,15 @@ class Polynomial:
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
+
+    def is_polynomial(self) -> bool:
+        return True
+
+    def as_polynomial(self) -> "Polynomial":
+        return self
+
+    def exponents(self) -> list:
+        return list(self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -391,6 +405,18 @@ class RationalFunction:
             raise ValueError(f"not a polynomial: {self}")
         return self.num
 
+    def is_monomial(self) -> bool:
+        return self.num.is_monomial()
+
+    def lead_coeff(self) -> Fraction:
+        return self.num.lead_coeff()
+
+    def exponents(self) -> list:
+        """Exponent tuples of the terms, the denominator counted negatively:
+        (x*y - 1)/x gives (0, 1) and (-1, 0)."""
+        d = self.den.lead_mono()
+        return [mono_div(m, d) for m in self.num.terms]
+
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other
@@ -448,6 +474,9 @@ class RationalFunction:
     def inverse(self):
         return RationalFunction(self.den, self.num)
 
+    def __pow__(self, n: int):
+        return RationalFunction(self.num ** n, self.den ** n)
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Polynomial)):
             other = self._coerce(other)
@@ -465,6 +494,19 @@ class RationalFunction:
 
     def __repr__(self):
         return f"<ratfun {self}>"
+
+
+SCALARS = (int, Fraction, Polynomial, RationalFunction)
+
+
+def laurent(ring: Ring, c) -> RationalFunction:
+    """An int, Fraction, Polynomial or RationalFunction as a RationalFunction
+    over ring.  RationalFunction is tested first: the engine passes those."""
+    if isinstance(c, RationalFunction):
+        return c
+    if isinstance(c, Polynomial):
+        return RationalFunction(c)
+    return RationalFunction(ring.const(c))
 
 
 def _rf_normalize(num: Polynomial, den: Polynomial):

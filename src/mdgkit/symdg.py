@@ -42,7 +42,7 @@ from .gcalg import GCPoly
 from .groebner import (GBasis, buchberger, context_for, element_to_gc,
                        mult_ideal)
 from .mdg import ChainMap, MDGAlgebra
-from .ring import RationalFunction, add_term
+from .ring import add_term, laurent
 
 __all__ = [
     "GradedMap", "SplitWitness", "SymDGAlgebra", "SymError", "Tensor",
@@ -92,7 +92,7 @@ class SymDGAlgebra:
         return self.ctx.gen(name)
 
     def mono_poly(self, mono: tuple) -> GCPoly:
-        return GCPoly(self.ctx, {mono: RationalFunction(self.ctx.ring.one)})
+        return GCPoly(self.ctx, {mono: laurent(self.ctx.ring, 1)})
 
     def include(self, x: Element) -> GCPoly:
         """The inclusion of the complex as the total-degree-<=1 part."""
@@ -250,10 +250,10 @@ def multiplication_relations(sym: SymDGAlgebra, alg: MDGAlgebra):
 # ---------------------------------------------------------------------------
 
 def _dict_rank(rows, ring) -> int:
-    """Rank of dict rows with RationalFunction entries, laid out densely
-    over the union of their keys."""
+    """Rank of dict rows with Laurent entries (`ring.laurent`), laid out
+    densely over the union of their keys."""
     cols = sorted({k for r in rows for k in r})
-    zero = RationalFunction(ring.zero)
+    zero = laurent(ring, 0)
     return linalg.rank([[r.get(k, zero) for k in cols] for r in rows])
 
 
@@ -303,22 +303,12 @@ def presentation_check(alg: MDGAlgebra, degrees=None) -> PresentationReport:
             nf, _ = basis.reduce(ctx.gen(n))
             rows.append({m: c for m, c in nf.terms.items()})
         ideal_dim = len(names) - _dict_rank(rows, cx.ring)
-        span = [{nm: _as_rf(c) for nm, c in v.coeffs.items()}
+        span = [{nm: laurent(cx.ring, c) for nm, c in v.coeffs.items()}
                 for _, v, d, _ in sub.gens if d == i]
         span_dim = _dict_rank(span, cx.ring)
         if ideal_dim or span_dim:
             components[i] = (ideal_dim, span_dim)
     return PresentationReport(components, basis)
-
-
-def _as_rf(c, ring=None):
-    if isinstance(c, RationalFunction):
-        return c
-    if isinstance(c, (int, Fraction)):
-        if ring is None:
-            raise SymError("scalar coefficient needs a ring")
-        return RationalFunction(ring.const(c))
-    return RationalFunction(c)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +385,7 @@ class Tensor:
         return 0 if name == UNIT else self.complex.basis[name].degree
 
     def add_term(self, key: tuple, coeff):
-        add_term(self.terms, key, _as_rf(coeff, self.complex.ring))
+        add_term(self.terms, key, laurent(self.complex.ring, coeff))
 
     def __add__(self, other):
         out = Tensor(self.complex, self.n, dict(self.terms))
@@ -407,7 +397,7 @@ class Tensor:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = _as_rf(c, self.complex.ring)
+        c = laurent(self.complex.ring, c)
         if c.is_zero():
             return Tensor(self.complex, self.n)
         return Tensor(self.complex, self.n,

@@ -111,7 +111,9 @@ def test_gb_rejects_a_product_in_the_wrong_homological_degree(tmp_path,
     # table associative, yet [a,b,b] = (a*b)*b - a*(b*b) = c*b = -q
     bad = tmp_path / "bad.mdg"
     bad.write_text(WRONG_DEGREE)
-    for argv in (["gb", str(bad)], ["reduce", str(bad), "--expr", "a*b"]):
+    for argv in (["gb", str(bad)], ["reduce", str(bad), "--expr", "a*b"],
+                 ["assoc", str(bad)], ["alt", str(bad)],
+                 ["submodule", str(bad)], ["quotient", str(bad)]):
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
@@ -120,6 +122,23 @@ def test_gb_rejects_a_product_in_the_wrong_homological_degree(tmp_path,
     code, out, _ = run(capsys, ["check", str(bad)])
     assert code == 1
     assert out == "mu: a*b lands in degrees [1], expected 2"
+    code, out, _ = run(capsys, ["assoc", str(bad), "--triple", "a,b,b"])
+    assert code == 1
+    assert out == "-q"
+
+
+def test_a_differential_with_a_denominator_is_an_input_error(tmp_path,
+                                                             capsys):
+    text = fixture_path("fa").read_text()
+    assert "d e3 = z*w;" in text
+    bad = tmp_path / "laurent.mdg"
+    bad.write_text(text.replace("d e3 = z*w;", "d e3 = z/x*w;"))
+    for cmd in ("homology", "quotient"):
+        code, out, err = run(capsys, [cmd, str(bad)])
+        assert code == 2
+        assert out == ""
+        assert "(z*w)/(x) on 1 is not a polynomial" in err
+    assert run(capsys, ["check", str(bad)])[0] == 1
 
 
 @pytest.mark.parametrize("text", ["", "ring x, y;\n"])

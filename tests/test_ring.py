@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from mdgkit.ring import Ring, Polynomial, RationalFunction, poly_gcd
+from mdgkit.ring import Ring, Polynomial, RationalFunction, laurent, poly_gcd
 
 R = Ring(["x", "y", "z", "w"])
 X, Y, Z, W = (R.var(v) for v in "xyzw")
@@ -109,6 +109,42 @@ def test_rational_function_normalization():
     assert q.num == 1 and q.den == Y
     q = RationalFunction(X, -Y)
     assert q.den == Y and q.num == -X
+
+
+def test_laurent_agrees_on_every_scalar_type():
+    two = RationalFunction(R.const(2))
+    for c in (2, Fraction(2), R.const(2), two):
+        assert isinstance(laurent(R, c), RationalFunction)
+        assert laurent(R, c) == two
+    q = RationalFunction(X * Y - 1, X)
+    assert laurent(R, q) is q
+    assert laurent(R, X * Y - 1) == RationalFunction(X * Y - 1)
+
+
+def test_a_polynomial_is_its_own_polynomial():
+    for p in (R.zero, R.one, X * Y - 1):
+        assert p.is_polynomial()
+        assert p.as_polynomial() is p
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(max_terms=3), monomials, st.integers(0, 4))
+def test_laurent_power_is_the_repeated_product(a, b, n):
+    q = RationalFunction(a, b)
+    acc = RationalFunction(R.one)
+    for _ in range(n):
+        acc = acc * q
+    assert q ** n == acc
+
+
+def test_exponents_count_the_denominator_negatively():
+    S = Ring(["x", "y"])
+    x, y = S.var("x"), S.var("y")
+    q = RationalFunction(x * y - 1, x)
+    assert sorted(q.exponents()) == [(-1, 0), (0, 1)]
+    assert sorted((x * y - 1).exponents()) == [(0, 0), (1, 1)]
+    assert q.is_monomial() is False and q.lead_coeff() == 1
+    assert RationalFunction(-y, x).is_monomial()
 
 
 def test_printing_canonical():

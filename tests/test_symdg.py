@@ -19,7 +19,7 @@ from mdgkit.complexes import FreeComplex
 from mdgkit.constructions import taylor_algebra
 from mdgkit.gcalg import GCPoly
 from mdgkit.mdg import ChainMap
-from mdgkit.ring import Ring
+from mdgkit.ring import Ring, laurent
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +156,7 @@ def _random_poly(S, rng, max_total):
         if c:
             coeff = R.monomial(tuple(rng.randint(0, 1) for _ in R.variables),
                                Fraction(c))
-            acc = acc + GCPoly(S.ctx, {mono: sg._as_rf(coeff)})
+            acc = acc + GCPoly(S.ctx, {mono: laurent(R, coeff)})
     return acc
 
 
