@@ -240,9 +240,9 @@ class FreeComplex:
     def element_vector(self, x: Element, degree: int, mdeg: tuple, piece=None):
         """Coordinates of the (degree, mdeg) part of x in the piece basis.
 
-        Raises if x has terms in this degree whose multidegree-mdeg part
-        cannot be expressed (cannot happen for multihomogeneous x of this
-        multidegree)."""
+        Terms of other degrees or multidegrees are dropped without a word,
+        which is why `subquotient_homology` checks the complex first.  A
+        coefficient with a denominator raises ComplexError."""
         if piece is None:
             piece = self.piece_basis(degree, mdeg)
         index = {p: i for i, p in enumerate(piece)}
@@ -268,38 +268,26 @@ class FreeComplex:
                 add_term(coeffs, name, self.ring.monomial(cof, c))
         return Element(self, coeffs)
 
+    def d_rows(self, rows, degree: int, mdeg: tuple):
+        """Images under d of coordinate rows of the (degree, mdeg) piece, as
+        coordinate rows of the (degree-1, mdeg) piece."""
+        piece = self.piece_basis(degree, mdeg)
+        target = self.piece_basis(degree - 1, mdeg)
+        return [self.element_vector(self.d(self.vector_element(r, degree, mdeg, piece)),
+                                    degree - 1, mdeg, piece=target)
+                for r in rows]
+
     def diff_matrix(self, degree: int, mdeg: tuple):
         """Rows = images under d of the piece basis vectors, as coordinate
         vectors in the (degree-1, mdeg) piece."""
         piece = self.piece_basis(degree, mdeg)
-        target = self.piece_basis(degree - 1, mdeg)
-        rows = []
-        for name, cof in piece:
-            img = self.d(self.elem(name)).scale(self.ring.monomial(cof))
-            rows.append(self.element_vector(img, degree - 1, mdeg, piece=target))
-        return rows, piece, target
+        rows = self.d_rows(_unit_rows(len(piece)), degree, mdeg)
+        return rows, piece, self.piece_basis(degree - 1, mdeg)
 
-    def homology_dims(self, mdegs=None) -> dict:
-        """dict degree -> total Q-dimension of homology over the multidegrees
-        (defaults to the divisor-of-lcm support)."""
-        if mdegs is None:
-            mdegs = self.mdeg_support()
-        maxdeg = self.max_degree()
-        dims = {i: 0 for i in range(maxdeg + 1)}
-        for md in mdegs:
-            ranks = {}
-            sizes = {}
-            for i in range(maxdeg + 2):
-                piece = self.piece_basis(i, md)
-                sizes[i] = len(piece)
-                if i == 0 or not piece:
-                    ranks[i] = 0
-                    continue
-                rows, _, _ = self.diff_matrix(i, md)
-                ranks[i] = linalg.rank(rows)
-            for i in range(maxdeg + 1):
-                dims[i] += sizes[i] - ranks[i] - ranks.get(i + 1, 0)
-        return dims
+    def homology_dims(self) -> dict:
+        """dict degree -> total Q-dimension of homology over the
+        multidegrees of `mdeg_support`."""
+        return subquotient_homology(self, range(self.max_degree() + 1))
 
     # -- printing --
 
@@ -314,6 +302,46 @@ class FreeComplex:
             chunks.append(_format_term(x.coeffs[name], name, first))
             first = False
         return " ".join(chunks)
+
+
+def subquotient_homology(cx: FreeComplex, degrees, a_rows=None,
+                         b_rows=None) -> dict:
+    """dict i -> dim H_i(A/B) for each i in `degrees`, summed over the
+    multidegrees of `cx.mdeg_support()`, for subcomplexes B of A of cx.
+
+    a_rows(i, mdeg) and b_rows(i, mdeg) give rows spanning A and B in the
+    (i, mdeg) piece; A defaults to all of cx and B to 0.  Per multidegree
+    the count is dim A_i - dim B_i - r_i - r_{i+1}, where
+    r_i = rank(d(A_i) + B_{i-1}) - rank(B_{i-1}) is the rank of the induced
+    map A_i/B_i -> A_{i-1}/B_{i-1}.  Raises ComplexError when `cx.check()`
+    finds a problem: the ranks of a map that is not a differential of
+    multidegree 0 are not homology."""
+    problems = cx.check()
+    if problems:
+        raise ComplexError(f"not a complex: {problems[0]}")
+    dims = dict.fromkeys(degrees, 0)
+    if not dims:
+        return dims
+    lo, hi = min(dims), max(dims)
+    for md in cx.mdeg_support():
+        b = {i: b_rows(i, md) if b_rows else [] for i in range(lo - 1, hi + 1)}
+        b_dim = {i: _rank(rows) for i, rows in b.items()}
+        a = {i: a_rows(i, md) if a_rows else _unit_rows(len(cx.piece_basis(i, md)))
+             for i in range(lo, hi + 2)}
+        r = {i: _rank(cx.d_rows(rows, i, md) + b[i - 1]) - b_dim[i - 1]
+             if rows and i > 0 else 0 for i, rows in a.items()}
+        for i in range(lo, hi + 1):
+            a_dim = _rank(a[i]) if a_rows else len(a[i])
+            dims[i] += a_dim - b_dim[i] - r[i] - r[i + 1]
+    return dims
+
+
+def _rank(rows) -> int:
+    return linalg.rank(rows) if rows else 0
+
+
+def _unit_rows(n: int):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def _format_term(coeff, name: str, first: bool) -> str:

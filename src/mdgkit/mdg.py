@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .complexes import UNIT, ComplexError, Element, FreeComplex
+from .complexes import (UNIT, ComplexError, Element, FreeComplex,
+                        subquotient_homology)
 from .ring import Polynomial, add_term, mono_div, mono_divides, mono_mul
 
 SATURATION_ROUNDS = 10      # the round limit of `Submodule.saturate`
@@ -208,18 +209,24 @@ class MDGAlgebra:
         Triples whose total degree exceeds the top of the complex are skipped;
         their associator vanishes for degree reasons when every product lies
         in degree |a| + |b| (see `Multiplication.degree_problem`).  The basis
-        need not be declared in degree order."""
+        need not be declared in degree order.
+
+        Only triples with c at or after a in basis order are evaluated:
+        [c,b,a] reads the same stored products as [a,b,c] and, once they are
+        defined, equals -(-1)^{|a||b|+|b||c|+|c||a|} [a,b,c].  So the first
+        nonzero associator or missing product of the full lexicographic scan
+        always has a at or before c, and the result is the same."""
         self.mult.require_homogeneous()
         cx = self.complex
         maxdeg = cx.max_degree()
         names = self.basis_names()
-        for a in names:
+        for i, a in enumerate(names):
             da = cx.basis[a].degree
             for b in names:
                 dab = da + cx.basis[b].degree
                 if dab > maxdeg:
                     continue
-                for c in names:
+                for c in names[i:]:
                     if dab + cx.basis[c].degree > maxdeg:
                         continue
                     v = self.associator_names(a, b, c)
@@ -337,10 +344,9 @@ class Submodule:
 
     # -- linear spans --
 
-    def span_rows(self, degree: int, mdeg: tuple, piece=None):
+    def span_rows(self, degree: int, mdeg: tuple):
         cx = self.complex
-        if piece is None:
-            piece = cx.piece_basis(degree, mdeg)
+        piece = cx.piece_basis(degree, mdeg)
         rows = []
         for _, v, d, m in self.gens:
             if d != degree or not mono_divides(m, mdeg):
@@ -409,49 +415,22 @@ class Submodule:
 
     # -- homology --
 
-    def homology_dims(self, mdegs=None) -> dict:
-        cx = self.complex
-        if mdegs is None:
-            mdegs = cx.mdeg_support()
+    def homology_dims(self) -> dict:
         degs = self.degrees()
-        if not degs:
-            return {}
-        lo, hi = min(degs), max(degs)
-        dims = {i: 0 for i in range(lo, hi + 1)}
-        for md in mdegs:
-            rows = {i: self.span_rows(i, md) for i in range(lo, hi + 2)}
-            sizes = {i: linalg.rank(rows[i]) for i in rows}
-            dranks = {}
-            for i in rows:
-                imgs = []
-                for r in rows[i]:
-                    x = cx.vector_element(r, i, md)
-                    dx = cx.d(x)
-                    imgs.append(cx.element_vector(dx, i - 1, md))
-                dranks[i] = linalg.rank(imgs)
-            for i in range(lo, hi + 1):
-                dims[i] += sizes[i] - dranks[i] - dranks.get(i + 1, 0)
-        return dims
+        degrees = range(min(degs), max(degs) + 1) if degs else ()
+        return subquotient_homology(self.complex, degrees, a_rows=self.span_rows)
 
     def homology_class_reps(self, degree: int, mdeg: tuple):
         """Representative Elements of a basis of H_degree at this multidegree."""
         cx = self.complex
-        rows = self.span_rows(degree, mdeg)
-        basis_rows, _ = linalg.rref(rows)
+        basis_rows, _ = linalg.rref(self.span_rows(degree, mdeg))
         if not basis_rows:
             return []
-        imgs = []
-        for r in basis_rows:
-            x = cx.vector_element(r, degree, mdeg)
-            imgs.append(cx.element_vector(cx.d(x), degree - 1, mdeg))
+        imgs = cx.d_rows(basis_rows, degree, mdeg)
         cycle_combos = linalg.nullspace(_transpose(imgs), len(basis_rows))
-        boundary_rows = []
-        for r in self.span_rows(degree + 1, mdeg):
-            x = cx.vector_element(r, degree + 1, mdeg)
-            boundary_rows.append(cx.element_vector(cx.d(x), degree, mdeg))
         # keep cycle representatives independent modulo the boundaries
         out = []
-        acc = list(boundary_rows)
+        acc = cx.d_rows(self.span_rows(degree + 1, mdeg), degree + 1, mdeg)
         for combo in cycle_combos:
             vec = _combine(combo, basis_rows)
             if not linalg.in_span(acc, vec):
@@ -459,27 +438,22 @@ class Submodule:
                 acc.append(vec)
         return out
 
-    def annihilates_homology(self, r: Polynomial, mdegs=None):
+    def annihilates_homology(self, r: Polynomial):
         """Does multiplication by the monomial r kill H(submodule)?
 
         Returns (True, None) or (False, witness description)."""
         if not r.is_monomial():
             raise MDGError("annihilator test expects a monomial")
-        (rm, rc), = r.terms.items()
+        rm = r.lead_mono()
         cx = self.complex
-        if mdegs is None:
-            mdegs = cx.mdeg_support()
         degs = self.degrees()
-        for md in mdegs:
+        for md in cx.mdeg_support():
+            target_md = mono_mul(md, rm)
             for i in sorted(degs):
                 for rep in self.homology_class_reps(i, md):
-                    shifted = rep.scale(r)
-                    target_md = mono_mul(md, rm)
-                    vec = cx.element_vector(shifted, i, target_md)
-                    boundary_rows = []
-                    for row in self.span_rows(i + 1, target_md):
-                        x = cx.vector_element(row, i + 1, target_md)
-                        boundary_rows.append(cx.element_vector(cx.d(x), i, target_md))
+                    vec = cx.element_vector(rep.scale(r), i, target_md)
+                    boundary_rows = cx.d_rows(self.span_rows(i + 1, target_md),
+                                              i + 1, target_md)
                     if not linalg.in_span(boundary_rows, vec):
                         return False, f"class in degree {i} survives multiplication"
         return True, None
@@ -503,31 +477,13 @@ def _combine(combo, rows):
 
 # -- quotient by the associator submodule --
 
-def quotient_homology_dims(alg: MDGAlgebra, sub: Submodule, mdegs=None) -> dict:
+def quotient_homology_dims(alg: MDGAlgebra, sub: Submodule) -> dict:
     """Homology dimensions of the quotient complex F/S in degrees >= 1 over
-    the given multidegree support.  Degree 0 (the cyclic module R/I) is
-    excluded: it is not finite dimensional."""
+    the multidegree support.  Degree 0 (the cyclic module R/I) is excluded:
+    it is not finite dimensional."""
     cx = alg.complex
-    if mdegs is None:
-        mdegs = cx.mdeg_support()
-    maxdeg = cx.max_degree()
-    dims = {i: 0 for i in range(1, maxdeg + 1)}
-    for md in mdegs:
-        sub_rows = {i: sub.span_rows(i, md) for i in range(maxdeg + 2)}
-        sub_rank = {i: linalg.rank(sub_rows[i]) for i in sub_rows}
-        piece_size = {i: len(cx.piece_basis(i, md)) for i in range(maxdeg + 2)}
-        dbar_rank = {}
-        for i in range(1, maxdeg + 2):
-            if piece_size[i] == 0:
-                dbar_rank[i] = 0
-                continue
-            rows, _, _ = cx.diff_matrix(i, md)
-            stacked = rows + sub_rows[i - 1]
-            dbar_rank[i] = linalg.rank(stacked) - sub_rank[i - 1]
-        for i in range(1, maxdeg + 1):
-            qdim = piece_size[i] - sub_rank[i]
-            dims[i] += qdim - dbar_rank[i] - dbar_rank.get(i + 1, 0)
-    return dims
+    return subquotient_homology(cx, range(1, cx.max_degree() + 1),
+                                b_rows=sub.span_rows)
 
 
 # -- chain maps and multiplicators --

@@ -277,7 +277,7 @@ class PresentationReport:
         return "\n".join(lines) if lines else "zero in all degrees"
 
 
-def presentation_check(alg: MDGAlgebra, degrees=None) -> PresentationReport:
+def presentation_check(alg: MDGAlgebra) -> PresentationReport:
     """Compare, degree by degree over the fraction field, the linear part of
     the pair-relation ideal with the span of the associator submodule of the
     multiplication.  Both are computed independently: the former by reducing
@@ -289,11 +289,9 @@ def presentation_check(alg: MDGAlgebra, degrees=None) -> PresentationReport:
     ctx, gens = mult_ideal(alg)
     basis = buchberger(ctx, gens)
     cx = alg.complex
-    if degrees is None:
-        degrees = sorted(range(1, cx.max_degree() + 1))
     sub = alg.associator_submodule()
     components = {}
-    for i in degrees:
+    for i in range(1, cx.max_degree() + 1):
         names = [n for n in ctx.names if cx.basis[n].degree == i]
         if not names:
             continue

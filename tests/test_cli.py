@@ -7,6 +7,7 @@ import pytest
 
 from mdgkit import fixture_path, load_fixture
 from mdgkit.cli import run_command
+from mdgkit.complexes import ComplexError
 from mdgkit.parser import format_document, parse_document
 
 FK = str(fixture_path("fk"))
@@ -133,12 +134,26 @@ def test_a_differential_with_a_denominator_is_an_input_error(tmp_path,
     assert "d e3 = z*w;" in text
     bad = tmp_path / "laurent.mdg"
     bad.write_text(text.replace("d e3 = z*w;", "d e3 = z/x*w;"))
-    for cmd in ("homology", "quotient"):
+    for cmd in ("homology", "submodule", "quotient"):
         code, out, err = run(capsys, [cmd, str(bad)])
         assert code == 2
         assert out == ""
-        assert "(z*w)/(x) on 1 is not a polynomial" in err
+        assert "not a complex: d(e3) has multidegree (-1, 0, 1, 1)" in err
     assert run(capsys, ["check", str(bad)])[0] == 1
+
+
+def test_homology_commands_refuse_a_map_with_nonzero_square(tmp_path, capsys):
+    text = fixture_path("fa").read_text()
+    bad = tmp_path / "square.mdg"
+    bad.write_text(text.replace("d e3 = z*w;", "d e3 = 2*z*w;"))
+    for cmd in ("homology", "submodule", "quotient"):
+        code, out, err = run(capsys, [cmd, str(bad)])
+        assert code == 2
+        assert out == ""
+        assert "not a complex: d^2(e13) = x^2*z*w != 0" in err
+    assert run(capsys, ["check", str(bad)])[0] == 1
+    with pytest.raises(ComplexError, match=r"not a complex: d\^2\(e13\)"):
+        parse_document(bad.read_text()).algebra().complex.homology_dims()
 
 
 @pytest.mark.parametrize("text", ["", "ring x, y;\n"])

@@ -1,10 +1,15 @@
 """The associator subcomplex: closure under d and under the module action,
-and the diagnosable limit on saturation rounds."""
+the diagnosable limit on saturation rounds, the basis triple scan, and the
+long exact sequence tying H(S), H(F) and H(F/S) together."""
+
+from itertools import product
 
 import pytest
 
 from mdgkit import load_fixture, mdg
-from mdgkit.mdg import MDGError, Submodule
+from mdgkit.constructions import mapping_cone_extension
+from mdgkit.mdg import (MDGAlgebra, MDGError, MissingProductError, Submodule,
+                        quotient_homology_dims)
 
 ALGEBRAS = {name: load_fixture(name).algebra() for name in ("fk", "fm", "fa")}
 
@@ -27,3 +32,85 @@ def test_saturation_round_limit_is_diagnosable(monkeypatch):
     sub = Submodule(fm, [(label, v)])
     with pytest.raises(MDGError, match="round limit of 1: 7 generators reached"):
         sub.saturate()
+
+
+# -- the basis triple scan ----------------------------------------------------
+
+TABLES = [("fk", None), ("fk_split", "mu"), ("fk_split", "nu"), ("fm", None),
+          ("fa", None), ("fo_presentation", None), ("fo_full", None),
+          ("ex6", None), ("ex55", None), ("taylor_x2_xy", None)]
+
+
+def _full_scan(alg):
+    """Every ordered basis triple below the top degree, in lexicographic
+    order: the first nonzero associator as (a, b, c, associator), or None."""
+    cx = alg.complex
+    top = cx.max_degree()
+    for a, b, c in product(alg.basis_names(), repeat=3):
+        if sum(cx.basis[n].degree for n in (a, b, c)) > top:
+            continue
+        v = alg.associator_names(a, b, c)
+        if not v.is_zero():
+            return (a, b, c, v)
+    return None
+
+
+def _outcome(scan, alg):
+    try:
+        return scan(alg)
+    except MissingProductError as e:
+        return str(e)
+
+
+def _fk_with_a_doubled_product():
+    fk = ALGEBRAS["fk"]
+    mult = fk.mult.copy()
+    pair = next(iter(mult.table))
+    mult.table[pair] = mult.table[pair].scale(2)
+    return MDGAlgebra(fk.complex, mult)
+
+
+@pytest.mark.parametrize("name,mult", TABLES)
+def test_the_triple_scan_agrees_with_the_full_scan(name, mult):
+    alg = load_fixture(name).algebra(mult)
+    expected = _outcome(_full_scan, alg)
+    assert _outcome(MDGAlgebra.associative_on_basis, alg) == expected
+
+
+def test_the_triple_scan_finds_the_full_scan_witness_of_a_doubled_product():
+    alg = _fk_with_a_doubled_product()
+    expected = _full_scan(alg)
+    assert expected is not None
+    assert alg.associative_on_basis() == expected
+
+
+# -- the long exact sequence of 0 -> S -> F -> F/S -> 0 -----------------------
+
+def _cone_of_fk():
+    fk = ALGEBRAS["fk"]
+    return mapping_cone_extension(fk, fk.ring.var("x"))
+
+
+LES_ALGEBRAS = {
+    "fk": lambda: ALGEBRAS["fk"],
+    "fm": lambda: ALGEBRAS["fm"],
+    "fa": lambda: ALGEBRAS["fa"],
+    "fk_split mu": lambda: load_fixture("fk_split").algebra("mu"),
+    "fk + e, d(e) = x": _cone_of_fk,
+}
+
+
+@pytest.mark.parametrize("name", list(LES_ALGEBRAS))
+def test_the_three_homologies_have_zero_euler_characteristic(name):
+    """sum over i >= 1 of (-1)^i (H_i(S) - H_i(F) + H_i(F/S)) = 0, the Euler
+    characteristic of the long exact sequence; degree 0 drops out because
+    S_0 = 0, so F_0/S_0 = F_0."""
+    alg = LES_ALGEBRAS[name]()
+    sub = alg.associator_submodule()
+    assert not sub.is_zero() and 0 not in sub.degrees()
+    h_s = sub.homology_dims()
+    h_f = alg.complex.homology_dims()
+    h_q = quotient_homology_dims(alg, sub)
+    top = alg.complex.max_degree()
+    assert sum((-1) ** i * (h_s.get(i, 0) - h_f[i] + h_q[i])
+               for i in range(1, top + 1)) == 0
