@@ -268,6 +268,14 @@ class FreeComplex:
                 add_term(coeffs, name, self.ring.monomial(cof, c))
         return Element(self, coeffs)
 
+    def require_complex(self) -> None:
+        """Raise ComplexError naming the first problem `check` finds: ranks
+        of a map that is not a differential of multidegree 0 are not
+        homology."""
+        problems = self.check()
+        if problems:
+            raise ComplexError(f"not a complex: {problems[0]}")
+
     def d_rows(self, rows, degree: int, mdeg: tuple):
         """Images under d of coordinate rows of the (degree, mdeg) piece, as
         coordinate rows of the (degree-1, mdeg) piece."""
@@ -316,9 +324,7 @@ def subquotient_homology(cx: FreeComplex, degrees, a_rows=None,
     map A_i/B_i -> A_{i-1}/B_{i-1}.  Raises ComplexError when `cx.check()`
     finds a problem: the ranks of a map that is not a differential of
     multidegree 0 are not homology."""
-    problems = cx.check()
-    if problems:
-        raise ComplexError(f"not a complex: {problems[0]}")
+    cx.require_complex()
     dims = dict.fromkeys(degrees, 0)
     if not dims:
         return dims

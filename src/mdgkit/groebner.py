@@ -13,6 +13,27 @@ the leads are coprime, both polynomials are parity-homogeneous, and no odd
 generator occurs in both polynomials; under those hypotheses f*g = +-g*f holds
 exactly and the classical telescoping proof applies.
 
+The chain criterion (Buchberger; in the form of Gebauer & Moeller, J.
+Symbolic Comput. 6, 1988, that keeps one spanning tree of the pairs sharing
+an lcm) needs no such hypothesis.  Let f_i, f_j, f_k have leads a_i, a_j, a_k
+with a_k | T = lcm(a_i, a_j).  Left multiplication by monomials is
+associative, e^p e^q = +-e^(p+q) is never 0 in the non-strict algebra, and
+the term order is multiplicative; so e^(T-a)f has lead T with a nonzero
+coefficient for each of a = a_i, a_k, a_j.  The combinations of these three
+products that cancel T form a 2-dimensional space, spanned by
+e^(T-lcm_ik) S(i,k) and e^(T-lcm_kj) S(k,j) (one has no f_j part, the other
+no f_i part).  S(i,j) lies in that space.  If S(i,k) and S(k,j) have
+representations sum c e^m g with every m + lead(g) below their own lcm,
+lifting them by e^(T-lcm) gives one of S(i,j) with every term below T, and
+the pair (i,j) can be skipped.  The pairs (i,k) and (k,j) qualify once they
+are no longer pending: popped (reduced to zero or to a new element, or
+skipped by this criterion on pairs removed before them) or kept out of the
+queue by the product criterion.  The pending guard orders every skip after
+the pairs it relies on, so a triangle of pairs with equal lcms cannot skip
+itself away: the first of them to be popped finds the other two pending.
+Kandri-Rody & Weispfenning (J. Symbolic Comput. 9, 1990) carry Buchberger's
+theory over to algebras of solvable type, which include K[e].
+
 The associativity certificate: complete {f_ij} to a Groebner basis; the table
 is associative exactly when no basis element has a lead monomial of total
 degree 1 (a single generator).  Those degree-1 elements are the obstruction
@@ -45,9 +66,9 @@ degree could pass the check and still be non-associative, so `mult_ideal`
 rejects such a table before any triple is checked.
 
 `buchberger` returns a `GBasis` whose elements are plain monic `GCPoly`s,
-interreduced: no lead monomial divides another.  A completion that processes
-more than `max_pairs` S-pairs raises `PairLimitError`, an `MDGError`, so the
-CLI exits 2 on it.
+interreduced: no lead monomial divides another, and whose `stats` count the
+work done (see `STATS`).  A completion that processes more than `max_pairs`
+S-pairs raises `PairLimitError`, an `MDGError`, so the CLI exits 2 on it.
 
 Coefficients are Laurent polynomials (see `ring.laurent`).  That
 holds because every pair relation is multihomogeneous, so `mult_ideal`
@@ -58,6 +79,7 @@ multidegree before any S-polynomial is formed.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import product
 
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .gcalg import GCContext, GCPoly
@@ -66,9 +88,10 @@ from .ring import (add_term, laurent, mono_div, mono_divides, mono_lcm,
                    mono_mask)
 
 __all__ = [
-    "GBasis", "PairLimitError", "ReductionTrace", "associativity_certificate",
-    "buchberger", "context_for", "element_to_gc", "gc_to_element",
-    "mult_ideal", "normal_form", "pair_relation", "spoly",
+    "GBasis", "PairLimitError", "ReductionTrace", "STATS",
+    "associativity_certificate", "buchberger", "context_for",
+    "element_to_gc", "gc_to_element", "mult_ideal", "normal_form",
+    "pair_relation", "spoly",
 ]
 
 
@@ -173,6 +196,25 @@ class ReductionTrace:
         return GCPoly(f.ctx, terms)
 
 
+def _leads(basis) -> list:
+    return [(*g.lead(), i) for i, g in enumerate(basis) if g.terms]
+
+
+class _LeadList(list):
+    """A basis list that keeps `_leads` of itself as it grows, so
+    `normal_form` does not gather the leads on every call.  It grows only
+    by `append`; the engine never writes a basis any other way."""
+
+    def __init__(self, polys=()):
+        super().__init__(polys)
+        self.leads = _leads(self)
+
+    def append(self, poly: GCPoly):
+        if poly.terms:
+            self.leads.append((*poly.lead(), len(self)))
+        super().append(poly)
+
+
 def normal_form(f: GCPoly, basis):
     """(normal form, trace) of f under left reduction by the basis: no
     monomial of the normal form is divisible by a basis lead.  Reduces plain
@@ -180,7 +222,7 @@ def normal_form(f: GCPoly, basis):
     The first basis element whose lead divides wins; a lead whose support
     mask has a bit outside the monomial's is skipped without a scan."""
     key = f.ctx.order_key
-    leads = [(*g.lead(), i) for i, g in enumerate(basis) if g.terms]
+    leads = basis.leads if isinstance(basis, _LeadList) else _leads(basis)
     trace = ReductionTrace()
     remainder = {}
     work = dict(f.terms)
@@ -206,12 +248,22 @@ class PairLimitError(MDGError):
     """Completion processed more S-pairs than its `max_pairs` limit."""
 
 
-class GBasis:
-    """Confluent, interreduced basis: a list of monic GCPolys."""
+# The counters `buchberger` keeps in `GBasis.stats`: pairs pushed on the
+# queue, pairs kept out of it by the product criterion, popped pairs skipped
+# by the chain criterion, S-polynomials that vanish, nonzero S-polynomials
+# that reduce to zero, and elements the completion added to the generators.
+STATS = ("pairs_queued", "product_skips", "chain_skips", "zero_spolys",
+         "zero_normal_forms", "derived")
 
-    def __init__(self, ctx: GCContext, elements):
+
+class GBasis:
+    """Confluent, interreduced basis: a list of monic GCPolys, and the
+    counters of the completion that made it (empty when none ran)."""
+
+    def __init__(self, ctx: GCContext, elements, stats=None):
         self.ctx = ctx
-        self.elements = list(elements)
+        self.elements = _LeadList(elements)
+        self.stats = stats or {}
 
     def reduce(self, f: GCPoly):
         return normal_form(f, self.elements)
@@ -232,18 +284,23 @@ def _pair_key(ctx: GCContext, a: tuple, b: tuple):
     return ctx.order_key(mono_lcm(a, b))
 
 
-def buchberger(ctx: GCContext, generators,
-               use_product_criterion: bool = True,
+def buchberger(ctx: GCContext, generators, criteria: bool = True,
                max_pairs: int = 200000) -> GBasis:
     """Complete the generators to a confluent, interreduced basis.
 
-    Pair selection: smallest lcm in the term order first.  A pair is skipped
-    only when the leads are coprime, both elements are parity-homogeneous and
-    they share no odd generator in any term; see the module docstring for why
-    the plain coprime-lead criterion is unsound here.  Raises PairLimitError
-    after `max_pairs` pairs."""
-    elements = []
+    Pair selection: smallest lcm in the term order first.  With `criteria`,
+    two criteria skip pairs (both proved in the module docstring).  The
+    product criterion keeps a pair out of the queue when the leads are
+    coprime, both elements are parity-homogeneous and they share no odd
+    generator in any term; the plain coprime-lead criterion is unsound here.
+    The chain criterion skips a popped pair (i, j) when another element k
+    has a lead dividing lcm(a_i, a_j) and neither (i, k) nor (j, k) is still
+    pending.  `criteria=False` reduces every pair: the reference run.  Raises
+    PairLimitError after `max_pairs` pairs."""
+    elements = _LeadList()
     profiles = []   # (odd generator support, parity or None) per element
+    by_lead = {}    # lead monomial -> indices of the elements with that lead
+    stats = dict.fromkeys(STATS, 0)
 
     def profile(p: GCPoly):
         ctx_ = p.ctx
@@ -253,6 +310,7 @@ def buchberger(ctx: GCContext, generators,
         return odd, (parities.pop() if len(parities) == 1 else None)
 
     def append(poly):
+        by_lead.setdefault(poly.lead_mono(), []).append(len(elements))
         elements.append(poly)
         profiles.append(profile(poly))
 
@@ -260,27 +318,44 @@ def buchberger(ctx: GCContext, generators,
         if not g.is_zero():
             append(g.monic())
     queue = []
+    pending = set()   # the pairs (i, j), i < j, on the queue
     counter = 0
 
-    def skip(i, j):
+    def product_skip(i, j):
         if elements[i].lead()[1] & elements[j].lead()[1]:
             return False
         (odd_i, par_i), (odd_j, par_j) = profiles[i], profiles[j]
         return par_i is not None and par_j is not None and not (odd_i & odd_j)
 
+    def chain_skip(i, j, lcm):
+        # look up each divisor of lcm, enumerated on its support, as a lead
+        support = [p for p, e in enumerate(lcm) if e]
+        divisor = list(lcm)
+        for exps in product(*(range(lcm[p] + 1) for p in support)):
+            for p, e in zip(support, exps):
+                divisor[p] = e
+            for k in by_lead.get(tuple(divisor), ()):
+                if (k != i and k != j
+                        and (min(i, k), max(i, k)) not in pending
+                        and (min(j, k), max(j, k)) not in pending):
+                    return True
+        return False
+
     def push_pairs(new_index):
         nonlocal counter
         lm_new = elements[new_index].lead_mono()
         for i in range(new_index):
-            lm_i = elements[i].lead_mono()
-            if use_product_criterion and skip(i, new_index):
+            if criteria and product_skip(i, new_index):
+                stats["product_skips"] += 1
                 continue
             counter += 1
-            heappush(queue, (_pair_key(ctx, lm_i, lm_new), counter,
-                             i, new_index))
+            heappush(queue, (_pair_key(ctx, elements[i].lead_mono(), lm_new),
+                             counter, i, new_index))
+            pending.add((i, new_index))
 
     for k in range(len(elements)):
         push_pairs(k)
+    inputs = len(elements)
 
     processed = 0
     while queue:
@@ -289,17 +364,25 @@ def buchberger(ctx: GCContext, generators,
             raise PairLimitError(
                 f"pair limit of {max_pairs} exceeded with {len(elements)} "
                 "basis elements; the completion may not terminate")
-        _, _, i, j = heappop(queue)
+        (_, lcm), _, i, j = heappop(queue)      # the key is order_key(lcm)
+        pending.remove((i, j))
+        if criteria and chain_skip(i, j, lcm):
+            stats["chain_skips"] += 1
+            continue
         s = spoly(elements[i], elements[j])
         if s.is_zero():
+            stats["zero_spolys"] += 1
             continue
         nf, _ = normal_form(s, elements)
         if nf.is_zero():
+            stats["zero_normal_forms"] += 1
             continue
         append(nf.monic())
         push_pairs(len(elements) - 1)
 
-    return GBasis(ctx, _interreduce(elements))
+    stats["pairs_queued"] = counter
+    stats["derived"] = len(elements) - inputs
+    return GBasis(ctx, _interreduce(elements), stats)
 
 
 def _interreduce(elements):

@@ -421,7 +421,12 @@ class Submodule:
         return subquotient_homology(self.complex, degrees, a_rows=self.span_rows)
 
     def homology_class_reps(self, degree: int, mdeg: tuple):
-        """Representative Elements of a basis of H_degree at this multidegree."""
+        """Representative Elements of a basis of H_degree at this multidegree.
+        Raises ComplexError when the complex fails `FreeComplex.check`."""
+        self.complex.require_complex()
+        return self._class_reps(degree, mdeg)
+
+    def _class_reps(self, degree: int, mdeg: tuple):
         cx = self.complex
         basis_rows, _ = linalg.rref(self.span_rows(degree, mdeg))
         if not basis_rows:
@@ -441,16 +446,18 @@ class Submodule:
     def annihilates_homology(self, r: Polynomial):
         """Does multiplication by the monomial r kill H(submodule)?
 
-        Returns (True, None) or (False, witness description)."""
+        Returns (True, None) or (False, witness description).  Raises
+        ComplexError when the complex fails `FreeComplex.check`."""
         if not r.is_monomial():
             raise MDGError("annihilator test expects a monomial")
         rm = r.lead_mono()
         cx = self.complex
+        cx.require_complex()
         degs = self.degrees()
         for md in cx.mdeg_support():
             target_md = mono_mul(md, rm)
             for i in sorted(degs):
-                for rep in self.homology_class_reps(i, md):
+                for rep in self._class_reps(i, md):
                     vec = cx.element_vector(rep.scale(r), i, target_md)
                     boundary_rows = cx.d_rows(self.span_rows(i + 1, target_md),
                                               i + 1, target_md)

@@ -125,7 +125,7 @@ class Polynomial:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {self.ring.zero_mono: Fraction(1)}
+        return len(self.terms) == 1 and self.terms.get(self.ring.zero_mono) == 1
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and self.ring.zero_mono in self.terms)

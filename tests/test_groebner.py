@@ -133,8 +133,8 @@ def _coprime(a, b):
 
 def test_product_criterion_skips_are_sound(session):
     ctx, gens = session
-    with_crit = buchberger(ctx, gens, use_product_criterion=True)
-    without = buchberger(ctx, gens, use_product_criterion=False)
+    with_crit = buchberger(ctx, gens, criteria=True)
+    without = buchberger(ctx, gens, criteria=False)
     # same ideal: mutual reduction to zero
     for e in with_crit.elements:
         assert without.contains_poly(e)
@@ -345,6 +345,7 @@ def test_an_associative_complete_table_is_its_own_basis(name, monkeypatch):
     assert report.associative
     assert report.witnesses == [] and report.undefined_pairs == []
     assert _terms(report.basis.elements) == _terms(oracle.elements)
+    assert report.basis.stats == {} and oracle.stats["pairs_queued"] > 0
     # every pair monomial has a linear normal form under the fast basis
     fast = report.basis
     for i in range(fast.ctx.n):
@@ -406,3 +407,72 @@ def test_taylor_certificates_agree_with_buchberger(ideal):
     assert report.associative
     assert _terms(report.basis.elements) == _terms(
         buchberger(ctx, gens).elements)
+
+
+# -- the pair criteria against the criterion-free run --------------------------
+
+def _degree_one_presentation(name):
+    """The table of a fixture cut down to the products of two degree-1
+    basis elements; completion derives the rest."""
+    alg = load_fixture(name).algebra()
+    cx = alg.complex
+    partial = Multiplication(cx, "presentation")
+    for a, b in alg.mult.stored_pairs():
+        if cx.basis[a].degree == cx.basis[b].degree == 1:
+            partial.set_product(a, b, alg.mult.product(a, b))
+    return MDGAlgebra(cx, partial)
+
+
+ORACLE_TABLES = {
+    "fk": (lambda: load_fixture("fk").algebra(), 155),
+    "fa": (lambda: load_fixture("fa").algebra(), 122),
+    "ex6": (lambda: load_fixture("ex6").algebra(), 40),
+    "fk presentation": (lambda: _degree_one_presentation("fk"), 92),
+    "fa presentation": (lambda: _degree_one_presentation("fa"), 79),
+}
+
+
+def _same_basis_without_criteria(alg):
+    """The default completion and the criterion-free one, which reduces
+    every S-pair, give the same term dicts in the same order.  Returns the
+    default basis."""
+    ctx, gens = mult_ideal(alg)
+    basis = buchberger(ctx, gens)
+    oracle = buchberger(ctx, gens, criteria=False)
+    assert _terms(basis.elements) == _terms(oracle.elements)
+    assert oracle.stats["product_skips"] == oracle.stats["chain_skips"] == 0
+    return basis
+
+
+@pytest.mark.parametrize("name", list(ORACLE_TABLES))
+def test_the_pair_criteria_agree_with_the_criterion_free_run(name):
+    make, size = ORACLE_TABLES[name]
+    basis = _same_basis_without_criteria(make())
+    assert len(basis) == size
+
+
+def _taylor_without_one_product(ideal, drop):
+    alg = taylor_algebra(R4, [R4.monomial(m) for m in ideal])
+    mult = alg.mult.copy()
+    del mult.table[sorted(mult.table)[drop % len(mult.table)]]
+    return MDGAlgebra(alg.complex, mult)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(_monomial, min_size=3, max_size=5, unique=True)
+       .map(_minimal_generators).filter(lambda ideal: len(ideal) == 3),
+       st.integers(0, 10 ** 6))
+def test_criteria_agree_on_taylor_tables_without_one_product(ideal, drop):
+    _same_basis_without_criteria(_taylor_without_one_product(ideal, drop))
+
+
+def test_the_chain_criterion_skips_pairs_on_fk():
+    ctx, gens = mult_ideal(load_fixture("fk").algebra())
+    stats = buchberger(ctx, gens).stats
+    assert set(stats) == set(groebner.STATS)
+    assert stats["chain_skips"] > 0 and stats["product_skips"] > 0
+    # every queued pair is popped once: skipped, or reduced to zero, or the
+    # source of one derived element
+    assert stats["derived"] == 2 == (
+        stats["pairs_queued"] - stats["chain_skips"] - stats["zero_spolys"]
+        - stats["zero_normal_forms"])

@@ -159,3 +159,11 @@ def test_lead_and_degree():
     p = X * Y + Y ** 3
     assert p.lead_mono() == (1, 1, 0, 0)
     assert p.total_degree() == 3
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys(max_terms=2))
+def test_is_one_is_equality_with_the_constant_one(p):
+    assert p.is_one() == (p == R.one)
+    assert (p + R.one - p).is_one()
+    assert not (R.one + R.one).is_one()

@@ -1,15 +1,18 @@
 """The associator subcomplex: closure under d and under the module action,
-the diagnosable limit on saturation rounds, the basis triple scan, and the
-long exact sequence tying H(S), H(F) and H(F/S) together."""
+the diagnosable limit on saturation rounds, the basis triple scan, the
+long exact sequence tying H(S), H(F) and H(F/S) together, and the refusal
+of a map that is not a differential."""
 
 from itertools import product
 
 import pytest
 
-from mdgkit import load_fixture, mdg
+from mdgkit import fixture_path, load_fixture, mdg
+from mdgkit.complexes import ComplexError, FreeComplex
 from mdgkit.constructions import mapping_cone_extension
 from mdgkit.mdg import (MDGAlgebra, MDGError, MissingProductError, Submodule,
                         quotient_homology_dims)
+from mdgkit.parser import parse_document
 
 ALGEBRAS = {name: load_fixture(name).algebra() for name in ("fk", "fm", "fa")}
 
@@ -114,3 +117,30 @@ def test_the_three_homologies_have_zero_euler_characteristic(name):
     top = alg.complex.max_degree()
     assert sum((-1) ** i * (h_s.get(i, 0) - h_f[i] + h_q[i])
                for i in range(1, top + 1)) == 0
+
+
+# -- a map with nonzero square ------------------------------------------------
+
+def test_class_reps_and_annihilation_refuse_a_map_with_nonzero_square():
+    text = fixture_path("fa").read_text().replace("d e3 = z*w;",
+                                                  "d e3 = 2*z*w;")
+    alg = parse_document(text).algebra()
+    sub = alg.associator_submodule()
+    x = alg.complex.ring.var("x")
+    square = r"not a complex: d\^2\(e13\)"
+    with pytest.raises(ComplexError, match=square):
+        sub.homology_dims()
+    with pytest.raises(ComplexError, match=square):
+        sub.annihilates_homology(x)
+    with pytest.raises(ComplexError, match=square):
+        sub.homology_class_reps(1, alg.complex.mdeg_support()[0])
+
+
+def test_the_annihilation_test_checks_the_complex_once(monkeypatch):
+    sub = ALGEBRAS["fa"].associator_submodule()
+    calls = []
+    check = FreeComplex.check
+    monkeypatch.setattr(FreeComplex, "check",
+                        lambda cx: calls.append(cx) or check(cx))
+    assert sub.annihilates_homology(sub.complex.ring.var("x")) == (True, None)
+    assert len(calls) == 1

@@ -13,8 +13,9 @@ no options.  Run from anywhere:
     python3 tools/time_engine.py
 
 Prints one line per case: name, basis size and the best wall time in
-seconds (`time.perf_counter`).  Exits 0, or 1 when a basis size or a
-verdict differs.
+seconds (`time.perf_counter`), then the `GBasis.stats` counters of the
+completion (none for a certificate that takes the fast path).  Exits 0, or
+1 when a basis size or a verdict differs.
 The run takes a few minutes.
 """
 
@@ -33,7 +34,7 @@ RUNS = 3
 
 
 # Each run builds a fresh context, so no run starts with another's memoised
-# order keys, and returns (basis size, seconds).
+# order keys, and returns (basis size, seconds, the basis's stats).
 
 def taylor(ideal):
     ring = Ring(["x", "y", "z", "w"])
@@ -44,8 +45,8 @@ def completion(alg):
     def run():
         ctx, gens = mult_ideal(alg)
         start = time.perf_counter()
-        size = len(buchberger(ctx, gens))
-        return size, time.perf_counter() - start
+        basis = buchberger(ctx, gens)
+        return len(basis), time.perf_counter() - start, basis.stats
     return run
 
 
@@ -54,7 +55,8 @@ def certificate(alg):
         start = time.perf_counter()
         report = associativity_certificate(alg)
         elapsed = time.perf_counter() - start
-        return (len(report.basis) if report.associative else -1), elapsed
+        size = len(report.basis) if report.associative else -1
+        return size, elapsed, report.basis.stats
     return run
 
 
@@ -87,14 +89,16 @@ def main() -> int:
     for name, run, golden in cases():
         best = None
         for _ in range(RUNS):
-            size, elapsed = run()
+            size, elapsed, stats = run()
             if size != golden:
                 print(f"{name}: basis size {size}, expected {golden}")
                 ok = False
                 break
             best = elapsed if best is None else min(best, elapsed)
         else:
-            print(f"{name}: basis {size}, best of {RUNS} {best:.2f} s")
+            counters = "".join(f", {k} {v}" for k, v in stats.items())
+            print(f"{name}: basis {size}, best of {RUNS} {best:.2f} s"
+                  f"{counters}")
     return 0 if ok else 1
 
 
