@@ -21,7 +21,7 @@ from .mdg import (Homotopy, MDGAlgebra, MDGError, perturb_multiplication,
                   quotient_homology_dims)
 from .parser import (Document, DocumentError, format_document, parse_element,
                      parse_gcpoly, tokenize)
-from .ring import Polynomial, Ring, mono_divides
+from .ring import Polynomial, Ring, mono_div, mono_divides, mono_mul
 from .symdg import SymError, build_sym
 
 EXIT_OK = 0
@@ -287,7 +287,6 @@ def cmd_taylor(args) -> int:
                        "a basis element")
     doc.complexes["T"] = alg.complex
     doc.mults["mu"] = alg.mult
-    doc.mult_complex["mu"] = "T"
     print(format_document(doc), end="")
     return EXIT_OK
 
@@ -306,7 +305,6 @@ def cmd_cone(args) -> int:
     cone.complex.name = name
     out.complexes[name] = cone.complex
     out.mults["mu"] = cone.mult
-    out.mult_complex["mu"] = name
     print(format_document(out), end="")
     return EXIT_OK
 
@@ -342,19 +340,14 @@ def cmd_transport(args) -> int:
         _emit(args, {"command": "transport", "status": "fail",
                      "problems": problems}, "\n".join(problems))
         return EXIT_NEGATIVE
-    source_alg = None
-    for name, mult in doc.mults.items():
-        if doc.complexes[doc.mult_complex[name]] is iota.target:
-            source_alg = MDGAlgebra(iota.target, mult)
-            break
-    if source_alg is None:
+    big = next((m for m in doc.mults.values() if m.complex is iota.target),
+               None)
+    if big is None:
         raise CLIError("no multiplication table on the big complex")
-    mult = transport_multiplication(iota.source, source_alg, iota, pi)
-    existing = None
-    for name, m in doc.mults.items():
-        if doc.complexes[doc.mult_complex[name]] is iota.source:
-            existing = m
-            break
+    mult = transport_multiplication(iota.source,
+                                    MDGAlgebra(iota.target, big), iota, pi)
+    existing = next((m for m in doc.mults.values()
+                     if m.complex is iota.source), None)
     lines = []
     status = "transported"
     if existing is not None:
@@ -403,7 +396,9 @@ def cmd_perturb(args) -> int:
 
 def _random_homotopy(alg: MDGAlgebra, seed: int, entries: int = 8) -> Homotopy:
     """A graded-symmetric degree +1 pairing vanishing on odd diagonals, with
-    small random polynomial values landing in the right degrees."""
+    small random values landing in the right degrees.  h(a, b) is
+    c*x^(m_a + m_b - m_t)*t for a target t whose multidegree m_t divides
+    m_a + m_b, so h respects the multigrading."""
     cx = alg.complex
     rng = random.Random(seed)
     h = Homotopy(cx, f"h{seed}")
@@ -419,11 +414,13 @@ def _random_homotopy(alg: MDGAlgebra, seed: int, entries: int = 8) -> Homotopy:
             continue
         if (a, b) in h.table or da + db + 1 > maxdeg:
             continue
-        targets = cx.names_in_degree(da + db + 1)
+        mab = mono_mul(cx.basis[a].mdeg, cx.basis[b].mdeg)
+        targets = [t for t in cx.names_in_degree(da + db + 1)
+                   if mono_divides(cx.basis[t].mdeg, mab)]
         if not targets:
             continue
         t = rng.choice(targets)
-        mono = tuple(rng.randint(0, 1) for _ in cx.ring.variables)
+        mono = mono_div(mab, cx.basis[t].mdeg)
         value = cx.elem(t).scale(cx.ring.monomial(mono,
                                                   Fraction(rng.randint(1, 3))))
         h.set_value(a, b, value)
@@ -535,3 +532,7 @@ def run_command(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_command())
+
+
+if __name__ == "__main__":
+    main()

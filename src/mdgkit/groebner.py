@@ -394,11 +394,15 @@ def _interreduce(elements):
                    and (lj != lm or j < i)
                    for j, (lj, lmask) in enumerate(leads)):
             kept.append(elements[i])
+    # No kept lead divides another, and a lead divides no smaller monomial,
+    # so reducing a tail by all of `kept` never picks the element itself.
+    basis = _LeadList(kept)
     out = []
-    for i, e in enumerate(kept):
-        nf, _ = normal_form(e, kept[:i] + kept[i + 1:])
-        if not nf.is_zero():
-            out.append(nf.monic())
+    for e in kept:
+        lm = e.lead_mono()
+        tail, _ = normal_form(
+            GCPoly(e.ctx, {m: c for m, c in e.terms.items() if m != lm}), basis)
+        out.append(GCPoly(e.ctx, {lm: e.terms[lm], **tail.terms}).monic())
     return out
 
 

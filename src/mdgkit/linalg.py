@@ -1,17 +1,11 @@
-"""Exact Gaussian elimination over Fraction (and any exact field).
+"""Exact Gaussian elimination over Q.
 
-Matrices are lists of row vectors (lists).  Entries must support +, -, *, /,
-equality with 0 via truthiness of `is_zero()` when present, else `== 0`.
+Matrices are lists of row vectors (lists) of Fractions or ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def _is_zero(x) -> bool:
-    z = getattr(x, "is_zero", None)
-    return z() if callable(z) else x == 0
 
 
 def rref(rows):
@@ -25,7 +19,7 @@ def rref(rows):
     for c in range(ncols):
         pivot = None
         for i in range(r, len(rows)):
-            if not _is_zero(rows[i][c]):
+            if rows[i][c]:
                 pivot = i
                 break
         if pivot is None:
@@ -34,7 +28,7 @@ def rref(rows):
         pv = rows[r][c]
         rows[r] = [v / pv for v in rows[r]]
         for i in range(len(rows)):
-            if i != r and not _is_zero(rows[i][c]):
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -50,7 +44,7 @@ def rank(rows) -> int:
 
 def in_span(rows, vec) -> bool:
     """Is `vec` in the row span of `rows`?"""
-    if all(_is_zero(v) for v in vec):
+    if not any(vec):
         return True
     if not rows:
         return False

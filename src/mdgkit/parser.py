@@ -21,6 +21,7 @@ Comments run from ``#`` to end of line.  Errors carry line and column.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .gcalg import GCContext, GCPoly
@@ -94,14 +95,12 @@ def tokenize(text: str):
             col += j - i
             i = j
             continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
+        sym = "->" if text.startswith("->", i) else ch
+        if sym not in _SYMBOLS:
             raise DocumentError(f"unexpected character {ch!r}", line, col)
+        tokens.append(Token("sym", sym, line, col))
+        col += len(sym)
+        i += len(sym)
     tokens.append(Token("eof", None, line, col))
     return tokens
 
@@ -209,112 +208,97 @@ def parse_expression_string(text: str) -> tuple:
     return node
 
 
-# -- evaluation over a complex: values are Elements; scalars live on UNIT ----
+# -- evaluation: one rule set for elements of a complex and for the free
+# graded-commutative algebra --------------------------------------------------
 
 
-def _pure_scalar(v: Element):
-    """The coefficient if v is supported on the unit only, else None."""
-    if not v.coeffs:
-        return v.complex.ring.zero
-    if set(v.coeffs) == {UNIT}:
-        return v.coeffs[UNIT]
-    return None
+def _scalar_part(terms: dict, unit, ring: Ring):
+    """The coefficient of a value whose only key is `unit`, zero for the
+    zero value, None for any other value."""
+    if len(terms) == 1:
+        return terms.get(unit)
+    return None if terms else ring.zero
 
 
-def _inverse_scalar(ring: Ring, s):
-    """1/s; coefficients are Laurent polynomials, so s must be a Laurent
-    monomial."""
-    if not s.is_monomial():
-        raise DocumentError(f"cannot divide by {s}: a divisor must be a "
-                            "monomial")
-    return laurent(ring, s).inverse()
+def _evaluate(node, ring: Ring, scalar, generator, terms, unit,
+              products: bool):
+    """Evaluate an expression AST.  `scalar(c)` is the value of the ring
+    coefficient c, `generator(name)` the named basis value or None, and
+    `terms(v)` the coefficient dict of a value v; a scalar's only key is
+    `unit`.  Without `products` (inside a complex) two non-scalars never
+    multiply and only a scalar is raised to a power."""
+    def ev(node):
+        kind = node[0]
+        if kind == "num":
+            return scalar(node[1])
+        if kind == "name":
+            name, pos = node[1], node[2]
+            if name in ring.variables:
+                return scalar(ring.var(name))
+            value = generator(name)
+            if value is None:
+                raise DocumentError(f"unknown name {name!r}", *pos)
+            return value
+        if kind == "neg":
+            return -ev(node[1])
+        a = ev(node[1])
+        if kind == "pow":
+            s = _scalar_part(terms(a), unit, ring)
+            if s is not None:
+                return scalar(s ** node[2])
+            if not products:
+                raise DocumentError("only scalars can be raised to a power "
+                                    "here", *node[3])
+            acc = scalar(Fraction(1))
+            for _ in range(node[2]):
+                acc = acc * a
+            return acc
+        b = ev(node[2])
+        if kind == "add":
+            return a + b
+        if kind == "sub":
+            return a - b
+        sb = _scalar_part(terms(b), unit, ring)
+        if kind == "div":
+            if sb is None or sb.is_zero():
+                raise DocumentError("division is only defined by a nonzero "
+                                    "scalar")
+            # coefficients are Laurent polynomials: only monomials invert
+            if not sb.is_monomial():
+                raise DocumentError(f"cannot divide by {sb}: a divisor must "
+                                    "be a monomial")
+            return a.scale(laurent(ring, sb).inverse())
+        if kind != "mul":
+            raise DocumentError(f"bad expression node {kind!r}")
+        if sb is not None:
+            return a.scale(sb)
+        sa = _scalar_part(terms(a), unit, ring)
+        if sa is not None:
+            return b.scale(sa)
+        if products:
+            return a * b
+        raise DocumentError("cannot multiply two basis elements here; "
+                            "products belong in a mult block")
+
+    return ev(node)
 
 
 def eval_element(node, cx: FreeComplex) -> Element:
-    ring = cx.ring
-    kind = node[0]
-    if kind == "num":
-        return cx.element({UNIT: ring.const(node[1])})
-    if kind == "name":
-        name, pos = node[1], node[2]
-        if name in ring.variables:
-            return cx.element({UNIT: ring.var(name)})
-        if name in cx.basis:
-            return cx.elem(name)
-        raise DocumentError(f"unknown name {name!r}", *pos)
-    if kind == "neg":
-        return -eval_element(node[1], cx)
-    if kind in ("add", "sub"):
-        a = eval_element(node[1], cx)
-        b = eval_element(node[2], cx)
-        return a + b if kind == "add" else a - b
-    if kind == "mul":
-        a = eval_element(node[1], cx)
-        b = eval_element(node[2], cx)
-        sa, sb = _pure_scalar(a), _pure_scalar(b)
-        if sb is not None:
-            return a.scale(sb)
-        if sa is not None:
-            return b.scale(sa)
-        raise DocumentError("cannot multiply two basis elements here; "
-                            "products belong in a mult block")
-    if kind == "div":
-        a = eval_element(node[1], cx)
-        b = eval_element(node[2], cx)
-        sb = _pure_scalar(b)
-        if sb is None or sb.is_zero():
-            raise DocumentError("division is only defined by a nonzero scalar")
-        return a.scale(_inverse_scalar(ring, sb))
-    if kind == "pow":
-        base = eval_element(node[1], cx)
-        s = _pure_scalar(base)
-        if s is None:
-            raise DocumentError("only scalars can be raised to a power here",
-                                *node[3])
-        return cx.element({UNIT: s ** node[2]})
-    raise DocumentError(f"bad expression node {kind!r}")
+    """An element of cx; scalars live on UNIT."""
+    return _evaluate(node, cx.ring, lambda c: cx.element({UNIT: c}),
+                     lambda name: cx.elem(name) if name in cx.basis else None,
+                     attrgetter("coeffs"), UNIT, products=False)
 
 
 def parse_element(text: str, cx: FreeComplex) -> Element:
     return eval_element(parse_expression_string(text), cx)
 
 
-# -- evaluation in a free graded-commutative algebra -------------------------
-
-
 def eval_gcpoly(node, ctx: GCContext) -> GCPoly:
-    ring = ctx.ring
-    kind = node[0]
-    if kind == "num":
-        return ctx.one.scale(node[1])
-    if kind == "name":
-        name, pos = node[1], node[2]
-        if name in ring.variables:
-            return ctx.one.scale(ring.var(name))
-        if name in ctx.names:
-            return ctx.gen(name)
-        raise DocumentError(f"unknown name {name!r}", *pos)
-    if kind == "neg":
-        return -eval_gcpoly(node[1], ctx)
-    if kind in ("add", "sub"):
-        a = eval_gcpoly(node[1], ctx)
-        b = eval_gcpoly(node[2], ctx)
-        return a + b if kind == "add" else a - b
-    if kind == "mul":
-        return eval_gcpoly(node[1], ctx) * eval_gcpoly(node[2], ctx)
-    if kind == "div":
-        b = eval_gcpoly(node[2], ctx)
-        if set(b.terms) != {ctx.zero_mono}:
-            raise DocumentError("division is only defined by a nonzero scalar")
-        return eval_gcpoly(node[1], ctx).scale(
-            _inverse_scalar(ring, b.terms[ctx.zero_mono]))
-    if kind == "pow":
-        base = eval_gcpoly(node[1], ctx)
-        acc = ctx.one
-        for _ in range(node[2]):
-            acc = acc * base
-        return acc
-    raise DocumentError(f"bad expression node {kind!r}")
+    """An element of the free graded-commutative algebra of ctx."""
+    return _evaluate(node, ctx.ring, ctx.one.scale,
+                     lambda name: ctx.gen(name) if name in ctx.names else None,
+                     attrgetter("terms"), ctx.zero_mono, products=True)
 
 
 def parse_gcpoly(text: str, ctx: GCContext) -> GCPoly:
@@ -327,17 +311,15 @@ def parse_gcpoly(text: str, ctx: GCContext) -> GCPoly:
 
 class Document:
     """A parsed document: one ring plus named complexes, multiplication
-    tables, chain maps and homotopies."""
+    tables, chain maps and homotopies.  Each table, map and homotopy knows
+    the complexes it lives on."""
 
     def __init__(self):
         self.ring: Ring = None
         self.complexes: dict[str, FreeComplex] = {}
         self.mults: dict[str, Multiplication] = {}
-        self.mult_complex: dict[str, str] = {}
         self.maps: dict[str, ChainMap] = {}
-        self.map_spans: dict[str, tuple] = {}
         self.homotopies: dict[str, Homotopy] = {}
-        self.homotopy_complex: dict[str, str] = {}
 
     def algebra(self, mult_name: str = None) -> MDGAlgebra:
         """The algebra for the named table (default: the unique one)."""
@@ -349,8 +331,8 @@ class Document:
             mult_name = next(iter(self.mults))
         if mult_name not in self.mults:
             raise DocumentError(f"no mult block named {mult_name!r}")
-        cx = self.complexes[self.mult_complex[mult_name]]
-        return MDGAlgebra(cx, self.mults[mult_name])
+        mult = self.mults[mult_name]
+        return MDGAlgebra(mult.complex, mult)
 
     def sole_complex(self) -> FreeComplex:
         if len(self.complexes) != 1:
@@ -496,37 +478,55 @@ def _build_complex(ring, name, basis, diffs, semantic: list) -> FreeComplex:
     return cx
 
 
-def _parse_mult(ts: _TokenStream, doc: Document, semantic: list):
+def _complex_named(doc: Document, tok: Token) -> FreeComplex:
+    if tok.value not in doc.complexes:
+        raise DocumentError(f"unknown complex {tok.value!r}", tok.line, tok.col)
+    return doc.complexes[tok.value]
+
+
+def _parse_on(ts: _TokenStream, doc: Document):
+    """The header `<name> on <complex>` of a mult or homotopy block."""
     name_tok = ts.expect_id()
     _require_ring(doc, name_tok)
     on = ts.expect_id()
     if on.value != "on":
         raise DocumentError("expected 'on'", on.line, on.col)
-    cx_tok = ts.expect_id()
-    if cx_tok.value not in doc.complexes:
-        raise DocumentError(f"unknown complex {cx_tok.value!r}",
-                            cx_tok.line, cx_tok.col)
-    cx = doc.complexes[cx_tok.value]
-    mult = Multiplication(cx, name_tok.value)
+    return name_tok.value, _complex_named(doc, ts.expect_id())
+
+
+def _parse_entries(ts: _TokenStream, semantic: list, sep: str, basis,
+                   unknown: str, cx: FreeComplex, store):
+    """The body `{ key = expr; ... }` of a mult, map or homotopy block.  A
+    key is one basis name, or two joined by `sep`.  Each value is an element
+    of cx handed to `store(*names, value)`.  A key outside `basis` and a
+    value that does not evaluate or store are semantic errors."""
     ts.expect_sym("{")
     while not ts.at_sym("}"):
-        left = ts.expect_id()
-        ts.expect_sym("*")
-        right = ts.expect_id()
+        first = ts.expect_id()
+        line, names = first.line, [first.value]
+        if sep:
+            ts.expect_sym(sep)
+            names.append(ts.expect_id().value)
         ts.expect_sym("=")
         ast = parse_expression(ts)
         ts.expect_sym(";")
-        if left.value not in cx.basis or right.value not in cx.basis:
-            semantic.append(f"line {left.line}: product of unknown basis "
-                            f"elements {left.value!r}*{right.value!r}")
+        if not basis.keys() >= set(names):
+            semantic.append(f"line {line}: {unknown} "
+                            + sep.join(repr(n) for n in names))
             continue
         try:
-            mult.set_product(left.value, right.value, eval_element(ast, cx))
+            store(*names, eval_element(ast, cx))
         except (DocumentError, MDGError) as e:
-            semantic.append(f"line {left.line}: {e}")
+            semantic.append(f"line {line}: {e}")
     ts.expect_sym("}")
-    doc.mults[name_tok.value] = mult
-    doc.mult_complex[name_tok.value] = cx_tok.value
+
+
+def _parse_mult(ts: _TokenStream, doc: Document, semantic: list):
+    name, cx = _parse_on(ts, doc)
+    mult = Multiplication(cx, name)
+    _parse_entries(ts, semantic, "*", cx.basis,
+                   "product of unknown basis elements", cx, mult.set_product)
+    doc.mults[name] = mult
 
 
 def _parse_map(ts: _TokenStream, doc: Document, semantic: list):
@@ -536,67 +536,34 @@ def _parse_map(ts: _TokenStream, doc: Document, semantic: list):
     src = ts.expect_id()
     ts.expect_sym("->")
     dst = ts.expect_id()
-    for tok in (src, dst):
-        if tok.value not in doc.complexes:
-            raise DocumentError(f"unknown complex {tok.value!r}",
-                                tok.line, tok.col)
-    source = doc.complexes[src.value]
-    target = doc.complexes[dst.value]
+    source, target = _complex_named(doc, src), _complex_named(doc, dst)
     phi = ChainMap(source, target, name_tok.value)
-    ts.expect_sym("{")
-    while not ts.at_sym("}"):
-        bname = ts.expect_id()
-        ts.expect_sym("=")
-        ast = parse_expression(ts)
-        ts.expect_sym(";")
-        if bname.value not in source.basis:
-            semantic.append(f"line {bname.line}: image of unknown basis "
-                            f"element {bname.value!r}")
-            continue
-        try:
-            phi.set_image(bname.value, eval_element(ast, target))
-        except (DocumentError, MDGError) as e:
-            semantic.append(f"line {bname.line}: {e}")
-    ts.expect_sym("}")
+    _parse_entries(ts, semantic, "", source.basis,
+                   "image of unknown basis element", target, phi.set_image)
     doc.maps[name_tok.value] = phi
-    doc.map_spans[name_tok.value] = (src.value, dst.value)
 
 
 def _parse_homotopy(ts: _TokenStream, doc: Document, semantic: list):
-    name_tok = ts.expect_id()
-    _require_ring(doc, name_tok)
-    on = ts.expect_id()
-    if on.value != "on":
-        raise DocumentError("expected 'on'", on.line, on.col)
-    cx_tok = ts.expect_id()
-    if cx_tok.value not in doc.complexes:
-        raise DocumentError(f"unknown complex {cx_tok.value!r}",
-                            cx_tok.line, cx_tok.col)
-    cx = doc.complexes[cx_tok.value]
-    h = Homotopy(cx, name_tok.value)
-    ts.expect_sym("{")
-    while not ts.at_sym("}"):
-        left = ts.expect_id()
-        ts.expect_sym("|")
-        right = ts.expect_id()
-        ts.expect_sym("=")
-        ast = parse_expression(ts)
-        ts.expect_sym(";")
-        if left.value not in cx.basis or right.value not in cx.basis:
-            semantic.append(f"line {left.line}: homotopy on unknown basis "
-                            f"elements {left.value!r}|{right.value!r}")
-            continue
-        try:
-            h.set_value(left.value, right.value, eval_element(ast, cx))
-        except (DocumentError, MDGError) as e:
-            semantic.append(f"line {left.line}: {e}")
-    ts.expect_sym("}")
-    doc.homotopies[name_tok.value] = h
-    doc.homotopy_complex[name_tok.value] = cx_tok.value
+    name, cx = _parse_on(ts, doc)
+    h = Homotopy(cx, name)
+    _parse_entries(ts, semantic, "|", cx.basis,
+                   "homotopy on unknown basis elements", cx, h.set_value)
+    doc.homotopies[name] = h
 
 
 # ---------------------------------------------------------------------------
 # canonical printing
+
+
+def _block(header: str, statements) -> list:
+    return [header + " {", *(f"  {s};" for s in statements), "}", ""]
+
+
+def _pair_statements(table: dict, cx: FreeComplex, sep: str):
+    """`a<sep>b = value` for a mult or homotopy table, in basis order."""
+    pos = {name: i for i, name in enumerate(cx.order)}
+    for left, right in sorted(table, key=lambda p: (pos[p[0]], pos[p[1]])):
+        yield f"{left}{sep}{right} = {cx.format_element(table[(left, right)])}"
 
 
 def format_document(doc: Document) -> str:
@@ -605,51 +572,28 @@ def format_document(doc: Document) -> str:
         lines.append("ring " + ", ".join(doc.ring.variables) + ";")
         lines.append("")
     for name, cx in doc.complexes.items():
-        lines.append(f"complex {name} {{")
         by_degree: dict[int, list] = {}
         for bname in cx.order:
-            if bname == UNIT:
-                continue
-            by_degree.setdefault(cx.basis[bname].degree, []).append(bname)
-        for degree in sorted(by_degree):
-            items = ", ".join(
+            if bname != UNIT:
+                by_degree.setdefault(cx.basis[bname].degree, []).append(bname)
+        statements = [
+            f"basis {degree}: " + ", ".join(
                 f"{b} mdeg({', '.join(str(e) for e in cx.basis[b].mdeg)})"
                 for b in by_degree[degree])
-            lines.append(f"  basis {degree}: {items};")
-        for bname in cx.order:
-            if bname == UNIT or bname not in cx.diff:
-                continue
-            lines.append(f"  d {bname} = {cx.format_element(cx.diff[bname])};")
-        lines.append("}")
-        lines.append("")
+            for degree in sorted(by_degree)]
+        statements += [f"d {bname} = {cx.format_element(cx.diff[bname])}"
+                       for bname in cx.order
+                       if bname != UNIT and bname in cx.diff]
+        lines += _block(f"complex {name}", statements)
     for name, mult in doc.mults.items():
-        cx = mult.complex
-        lines.append(f"mult {name} on {doc.mult_complex[name]} {{")
-        for left, right in sorted(mult.table,
-                                  key=lambda p: (cx.order.index(p[0]),
-                                                 cx.order.index(p[1]))):
-            lines.append(f"  {left}*{right} = "
-                         f"{cx.format_element(mult.table[(left, right)])};")
-        lines.append("}")
-        lines.append("")
+        lines += _block(f"mult {name} on {mult.complex.name}",
+                        _pair_statements(mult.table, mult.complex, "*"))
     for name, phi in doc.maps.items():
-        src, dst = doc.map_spans[name]
-        lines.append(f"map {name}: {src} -> {dst} {{")
-        for bname in phi.source.order:
-            if bname not in phi.images:
-                continue
-            lines.append(f"  {bname} = "
-                         f"{phi.target.format_element(phi.images[bname])};")
-        lines.append("}")
-        lines.append("")
+        lines += _block(
+            f"map {name}: {phi.source.name} -> {phi.target.name}",
+            (f"{b} = {phi.target.format_element(phi.images[b])}"
+             for b in phi.source.order if b in phi.images))
     for name, h in doc.homotopies.items():
-        cx = h.complex
-        lines.append(f"homotopy {name} on {doc.homotopy_complex[name]} {{")
-        for left, right in sorted(h.table,
-                                  key=lambda p: (cx.order.index(p[0]),
-                                                 cx.order.index(p[1]))):
-            lines.append(f"  {left}|{right} = "
-                         f"{cx.format_element(h.table[(left, right)])};")
-        lines.append("}")
-        lines.append("")
+        lines += _block(f"homotopy {name} on {h.complex.name}",
+                        _pair_statements(h.table, h.complex, "|"))
     return "\n".join(lines).rstrip() + "\n" if lines else ""

@@ -249,12 +249,23 @@ def multiplication_relations(sym: SymDGAlgebra, alg: MDGAlgebra):
 # linear part of the relation ideal vs. the associator span
 # ---------------------------------------------------------------------------
 
-def _dict_rank(rows, ring) -> int:
-    """Rank of dict rows with Laurent entries (`ring.laurent`), laid out
-    densely over the union of their keys."""
+def _dict_rank(rows) -> int:
+    """Rank over the fraction field of multihomogeneous dict rows, laid out
+    densely over the union of their keys.  Each entry is q*x^(D_row - D_col),
+    so the matrix is diag(x^D_row) Q diag(x^-D_col) and has the rank of its
+    rational parts Q.  Raises SymError on an entry that is not a monomial."""
     cols = sorted({k for r in rows for k in r})
-    zero = laurent(ring, 0)
-    return linalg.rank([[r.get(k, zero) for k in cols] for r in rows])
+    return linalg.rank([[_rational_part(r[k]) if k in r else Fraction(0)
+                         for k in cols] for r in rows])
+
+
+def _rational_part(c) -> Fraction:
+    if c.is_zero():
+        return Fraction(0)
+    if not c.is_monomial():
+        raise SymError(f"entry {c} is not a monomial: the row is not "
+                       "multihomogeneous")
+    return c.lead_coeff()
 
 
 class PresentationReport:
@@ -296,14 +307,9 @@ def presentation_check(alg: MDGAlgebra) -> PresentationReport:
         if not names:
             continue
         # kernel of the reduction map on the degree-i span of the basis
-        rows = []
-        for n in names:
-            nf, _ = basis.reduce(ctx.gen(n))
-            rows.append({m: c for m, c in nf.terms.items()})
-        ideal_dim = len(names) - _dict_rank(rows, cx.ring)
-        span = [{nm: laurent(cx.ring, c) for nm, c in v.coeffs.items()}
-                for _, v, d, _ in sub.gens if d == i]
-        span_dim = _dict_rank(span, cx.ring)
+        rows = [basis.reduce(ctx.gen(n))[0].terms for n in names]
+        ideal_dim = len(names) - _dict_rank(rows)
+        span_dim = _dict_rank([v.coeffs for _, v, d, _ in sub.gens if d == i])
         if ideal_dim or span_dim:
             components[i] = (ideal_dim, span_dim)
     return PresentationReport(components, basis)

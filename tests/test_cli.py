@@ -2,9 +2,13 @@
 parse/print round trip over every bundled document."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mdgkit
 from mdgkit import fixture_path, load_fixture
 from mdgkit.cli import run_command
 from mdgkit.complexes import ComplexError
@@ -234,6 +238,15 @@ def test_assoc_without_triple_reports_first_witness(capsys):
     assert code == 0
 
 
+def test_the_module_entry_point_keeps_the_exit_code():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(mdgkit.__file__)))
+    run = subprocess.run([sys.executable, "-m", "mdgkit.cli", "assoc", FK],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 1
+    assert run.stdout.startswith("not associative")
+
+
 def test_assoc_modulo_monomial_ideal(capsys):
     # the obstruction at (e1, e45, e2) survives modulo (x^2, y, z, w)
     code, out, _ = run(capsys, ["assoc", FA, "--triple", "e1,e45,e2",
@@ -328,6 +341,37 @@ def test_perturb_is_deterministic_per_seed(capsys):
     assert first == second
     assert first[0] == 0
     assert "chain-map/degree/Leibniz ok" in first[1]
+
+
+@pytest.mark.parametrize("name", ["fk", "fm", "fa", "ex6"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_perturb_respects_the_multigrading(capsys, name, seed):
+    code, out, _ = run(capsys, ["perturb", str(fixture_path(name)),
+                                "--seed", str(seed)])
+    assert code == 0
+    assert out.endswith("multigrading respected")
+
+
+def test_a_perturbed_taylor_table_is_accepted_by_the_engine():
+    # Taylor algebra of (x^2, xy, yz, z^2): 15 generators.  The perturbed
+    # table is complete and not associative; its basis has
+    # w + (n - w)(n - w + 1)/2 elements for n generators and w witnesses.
+    from mdgkit.cli import _random_homotopy
+    from mdgkit.constructions import taylor_algebra
+    from mdgkit.groebner import associativity_certificate
+    from mdgkit.mdg import MDGAlgebra, perturb_multiplication
+    from mdgkit.ring import Ring
+    R = Ring(["x", "y", "z"])
+    x, y, z = (R.var(v) for v in "xyz")
+    alg = taylor_algebra(R, [x ** 2, x * y, y * z, z ** 2])
+    h = _random_homotopy(alg, 1)
+    assert h.table
+    algh = MDGAlgebra(alg.complex, perturb_multiplication(alg, h))
+    assert algh.check().ok()
+    report = associativity_certificate(algh)
+    n, w = 15, len(report.witnesses)
+    assert not report.associative and w == 2
+    assert len(report.basis) == w + (n - w) * (n - w + 1) // 2
 
 
 # -- canonical-form round trip ------------------------------------------------

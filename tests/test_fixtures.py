@@ -107,7 +107,9 @@ def fk_split():
 def test_split_document_is_a_splitting(fk_split):
     iota = fk_split.maps["iota"]
     pi = fk_split.maps["pi"]
-    assert fk_split.map_spans == {"iota": ("FK", "T5"), "pi": ("T5", "FK")}
+    assert {name: (phi.source.name, phi.target.name)
+            for name, phi in fk_split.maps.items()} == {
+        "iota": ("FK", "T5"), "pi": ("T5", "FK")}
     assert iota.check_chain_map() == []
     assert pi.check_chain_map() == []
     # pi o iota = id on the subresolution

@@ -116,6 +116,20 @@ def test_presentation_needs_a_total_table():
         sg.presentation_check(partial)
 
 
+def test_multihomogeneous_rows_are_ranked_by_their_rational_parts():
+    R = Ring(["x", "y"])
+    x, y = R.var("x"), R.var("y")
+    # rows of multidegree (2, 0) and (1, 1) over columns of multidegree
+    # (1, 0) and (0, 0): each entry is q*x^(D_row - D_col), so the rank is
+    # that of the rational parts q
+    first = {"a": laurent(R, x), "b": x ** 2}
+    assert sg._dict_rank([first, {"a": y, "b": (x * y).scale(2)}]) == 2
+    assert sg._dict_rank([first, {"a": y, "b": x * y}]) == 1
+    assert sg._dict_rank([{"a": R.zero}]) == 0
+    with pytest.raises(sg.SymError, match="not a monomial"):
+        sg._dict_rank([{"a": x + y}])
+
+
 # -- splitting the inclusion --------------------------------------------------
 
 

@@ -263,20 +263,15 @@ def solve_splitting(T_alg: MDGAlgebra, F: FreeComplex, pair_pins=None,
 # ---------------------------------------------------------------------------
 # document assembly
 
-def make_document(ring, complexes, mults=(), maps=(), homotopies=()):
+def make_document(ring, complexes, mults=(), maps=()):
+    """A document of the named (name, table) and (name, map) pairs; each
+    table and map names its own complexes."""
     doc = Document()
     doc.ring = ring
     for cx in complexes:
         doc.complexes[cx.name] = cx
-    for name, cxname, mult in mults:
-        doc.mults[name] = mult
-        doc.mult_complex[name] = cxname
-    for name, src, dst, cmap in maps:
-        doc.maps[name] = cmap
-        doc.map_spans[name] = (src, dst)
-    for name, cxname, h in homotopies:
-        doc.homotopies[name] = h
-        doc.homotopy_complex[name] = cxname
+    doc.mults.update(mults)
+    doc.maps.update(maps)
     return doc
 
 
@@ -357,12 +352,11 @@ def build_fk(verbose=True):
 
 def gen_fk():
     R, T_alg, F, iota, pi, alg = build_fk()
-    emit("fk.mdg", make_document(R, [F], mults=[("mu", "FK", alg.mult)]))
+    emit("fk.mdg", make_document(R, [F], mults=[("mu", alg.mult)]))
     emit("fk_split.mdg", make_document(
         R, [T_alg.complex, F],
-        mults=[("nu", T_alg.complex.name, T_alg.mult), ("mu", "FK", alg.mult)],
-        maps=[("iota", "FK", T_alg.complex.name, iota),
-              ("pi", T_alg.complex.name, "FK", pi)]))
+        mults=[("nu", T_alg.mult), ("mu", alg.mult)],
+        maps=[("iota", iota), ("pi", pi)]))
     return R, F, alg
 
 
@@ -451,7 +445,7 @@ def build_fm(fk, alg_k, verbose=True):
 def gen_fm(fk, alg_k):
     _, FM, _, alg = build_fm(fk, alg_k)
     emit("fm.mdg", make_document(fk.ring, [FM],
-                                 mults=[("mu", "FM", alg.mult)]))
+                                 mults=[("mu", alg.mult)]))
     return FM, alg
 
 
@@ -541,7 +535,7 @@ def build_fa(fk, alg_k, verbose=True):
 def gen_fa(fk, alg_k):
     FA, _, _, alg = build_fa(fk, alg_k)
     emit("fa.mdg", make_document(fk.ring, [FA],
-                                 mults=[("mu", "FA", alg.mult)]))
+                                 mults=[("mu", alg.mult)]))
     return FA, alg
 
 
@@ -671,8 +665,8 @@ def build_fo(R, verbose=True):
 def gen_fo(R):
     FO, partial, alg = build_fo(R)
     emit("fo_presentation.mdg",
-         make_document(R, [FO], mults=[("mu", "FO", partial)]))
-    emit("fo_full.mdg", make_document(R, [FO], mults=[("mu", "FO", alg.mult)]))
+         make_document(R, [FO], mults=[("mu", partial)]))
+    emit("fo_full.mdg", make_document(R, [FO], mults=[("mu", alg.mult)]))
     return FO, alg
 
 
@@ -710,7 +704,7 @@ def build_ex6(R, verbose=True):
 
 def gen_ex6(R):
     cx, alg = build_ex6(R)
-    emit("ex6.mdg", make_document(R, [cx], mults=[("mu", "EX6", alg.mult)]))
+    emit("ex6.mdg", make_document(R, [cx], mults=[("mu", alg.mult)]))
     return cx, alg
 
 
@@ -793,7 +787,7 @@ def build_ex55(verbose=True):
 def gen_ex55():
     cx, alg = build_ex55()
     emit("ex55.mdg", make_document(cx.ring, [cx],
-                                   mults=[("mu", "EX55", alg.mult)]))
+                                   mults=[("mu", alg.mult)]))
     return cx, alg
 
 
@@ -806,7 +800,7 @@ def gen_taylor2():
                          name="T2")
     assert alg.check().ok()
     emit("taylor_x2_xy.mdg", make_document(
-        R2, [alg.complex], mults=[("mu", "T2", alg.mult)]))
+        R2, [alg.complex], mults=[("mu", alg.mult)]))
 
 
 def main():
