@@ -244,7 +244,7 @@ def cmd_gb(args) -> int:
         return EXIT_OK
     report = associativity_certificate(alg)
     payload = {"command": "gb", "basis_size": len(report.basis),
-               "associative": report.associative,
+               "associative": report.associative, "route": report.route,
                "witnesses": [str(w) for w in report.witnesses],
                "undefined": [f"{a}*{b}" for a, b in report.undefined_pairs]}
     text = f"basis size: {len(report.basis)}\n{report.summary()}"
@@ -385,8 +385,12 @@ def cmd_perturb(args) -> int:
     core_ok = not (rep.complex_problems or rep.degree_problems
                    or rep.leibniz_problems)
     payload = {"command": "perturb", "seed": args.seed,
+               "entries": len(h.table),
                "chain_map_and_leibniz": core_ok,
                "multigrading_respected": not rep.mdeg_problems}
+    if not h.table:
+        print(f"warning: seed {args.seed} drew no homotopy entry; the table "
+              "is unchanged", file=sys.stderr)
     text = (f"seed {args.seed}: chain-map/degree/Leibniz "
             f"{'ok' if core_ok else 'FAIL'}; multigrading "
             f"{'respected' if not rep.mdeg_problems else 'not respected'}")

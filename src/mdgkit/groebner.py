@@ -40,30 +40,60 @@ degree 1 (a single generator).  Those degree-1 elements are the obstruction
 witnesses; monomials of total degree 2 that survive reduction mark products
 the table does not define yet.
 
-The diamond-lemma fast path (Bergman, Adv. Math. 29, 1978, read
-backwards).  Suppose the table defines every product, so the generators are
-the n(n+1)/2 relations f_ab, one per quadratic monomial e_a e_b (odd squares
-included), and every basis triple has associator 0.  Then the monic f_ab
-already are the reduced basis, and `associativity_certificate` returns them
-without running Buchberger:
-  * A, the complex with this table and scalars extended to the fraction
-    field K, is associative and graded-commutative, so e_a -> a extends to
-    an algebra map phi: K[e] -> A, onto A, and every f_ab lies in its
-    kernel; hence so does the ideal I = (f_ab).
-  * Every monomial of total degree >= 2 is divisible by some lead e_a e_b,
-    so any p reduces to a remainder r spanned by the normal words 1 and
-    e_c, with p - r in I.  If p lies in I, so does r, and phi(r) = 0; the
-    basis elements 1 and c are independent in A, so r = 0.  Every element
-    of I thus reduces to zero, i.e. every nonzero element of I has a lead
-    divisible by some e_a e_b: the f_ab are a Groebner basis.
-  * It is reduced: the leads are distinct quadratic monomials and the tails
-    are linear, so no lead divides another lead or a tail term.
-The triple check (`MDGAlgebra.associative_on_basis`) skips triples whose
-total degree exceeds the top of the complex.  Their associators vanish only
-because every product a*b lies in degree |a| + |b|, so (a*b)*c and a*(b*c)
-land above the top, where there is no basis.  A table with a*b in a lower
-degree could pass the check and still be non-associative, so `mult_ideal`
-rejects such a table before any triple is checked.
+The linear route for complete tables (Bergman's diamond lemma, Adv. Math.
+29, 1978, applied to a quotient algebra).  Suppose the table defines every
+product, so the generators are the n(n+1)/2 relations f_ab, one per
+quadratic monomial e_a e_b (odd squares included).  In a table that
+`mult_ideal` accepts, a*b = sum_d c_abd x^(m_a+m_b-m_d) d with rational
+c_abd (`Multiplication.structure_constants`), m_d the multidegree of d.
+Let K be the fraction field and A_K the complex with this table and
+scalars extended to K.  In the rescaled basis d' = x^(-m_d) d, a'*b' =
+sum_d c_abd d', so A_K = A_Q (x) K for the Q-algebra A_Q with the constants
+c_abd, and a multihomogeneous vector sum_d q_d x^(M-m_d) d is x^M times the
+rational vector q.  So the K-rank of multihomogeneous vectors is the
+Q-rank of their rational vectors (split a K-relation into its
+multihomogeneous parts).  Let S' be the smallest subspace of A_Q that
+contains every basis associator and is closed under left multiplication by
+each generator.  The table is
+graded-commutative, so S'_K = S' (x) K is a two-sided ideal; it holds every
+associator, which is K-trilinear in its arguments; so B = A_K/S'_K is
+associative and graded-commutative.
+  * The witnesses are the reduced echelon basis of S', each pivot the
+    largest generator of its row in the term order, written in the original
+    basis: e_p + sum_b c_b x^(m_p-m_b) e_b over non-pivot b.  The pair part
+    is the monic f_ab for non-pivot a <= b, its tail reduced by the
+    witnesses.  Call the union G.
+  * G lies in the ideal I = (f_ab).  Modulo the f's, e_a e_b e_c reduces
+    both to (a*b)*c and to a*(b*c), so every basis associator lies in I;
+    and for a linear w in I, e_a w lies in I and reduces to a*w.  So S'_K,
+    read as linear polynomials, lies in I.
+  * e_a -> a extends to an algebra map phi: K[e] -> B, onto B, which kills
+    every f_ab and every witness, hence I.
+  * Every monomial of total degree >= 2 is divisible by a pivot e_p or by
+    e_a e_b with a, b not pivots, so any p reduces modulo G to a remainder
+    r spanned by 1 and the e_c with c not a pivot, with p - r in I.  If p
+    lies in I, so does r, and phi(r) = 0; the classes of 1 and of those c
+    are independent in B, so r = 0.  Every element of I reduces to zero:
+    G is a Groebner basis of I.
+  * It is reduced: the leads are distinct, a pivot divides no pair lead of
+    G, and every tail is linear in non-pivot generators.
+The reduced basis is unique, so G is `buchberger`'s basis as a set.  The
+route lists the pair part in `mult_ideal` order, as the completion does,
+then the witnesses in ascending lead order.  The completion lists its
+witnesses in the order it derives them: that is ascending lead order on
+every fixture, but not on some perturbed Taylor tables of six monomials
+(`tools/check_criteria.py`).  The table is associative exactly when S' = 0,
+and then the monic f_ab are their own basis.  No product is undefined:
+every pair monomial is a lead of G or divisible by a pivot, so its normal
+form is linear.
+The triple scan skips triples whose total degree exceeds the top of the
+complex.  Their associators vanish only because every product a*b lies in
+degree |a| + |b|, so (a*b)*c and a*(b*c) land above the top, where there is
+no basis.  A table with a*b in a lower degree could have an associator the
+scan never reads, so `mult_ideal` rejects such a table before any triple is
+read.  The scan also reads only triples with c at or after a: [c,b,a] =
++-[a,b,c] in a graded-commutative table (see
+`MDGAlgebra.associative_on_basis`), so both span the same line.
 
 `buchberger` returns a `GBasis` whose elements are plain monic `GCPoly`s,
 interreduced: no lead monomial divides another, and whose `stats` count the
@@ -81,11 +111,12 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import product
 
+from . import linalg
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .gcalg import GCContext, GCPoly
 from .mdg import MDGAlgebra, MDGError, MissingProductError
-from .ring import (add_term, laurent, mono_div, mono_divides, mono_lcm,
-                   mono_mask)
+from .ring import (add_term, laurent, laurent_term, mono_div, mono_divides,
+                   mono_lcm, mono_mask)
 
 __all__ = [
     "GBasis", "PairLimitError", "ReductionTrace", "STATS",
@@ -407,13 +438,16 @@ def _interreduce(elements):
 
 
 class CertificateReport:
-    """Outcome of the associativity certificate."""
+    """Outcome of the associativity certificate.  `route` is "linear" for a
+    complete table and "buchberger" for a partial one."""
 
-    def __init__(self, associative, witnesses, undefined_pairs, basis: GBasis):
+    def __init__(self, associative, witnesses, undefined_pairs, basis: GBasis,
+                 route: str):
         self.associative = associative
         self.witnesses = witnesses            # GCPoly list, lead total degree 1
         self.undefined_pairs = undefined_pairs  # [(name, name)]
         self.basis = basis
+        self.route = route
 
     def summary(self) -> str:
         lines = []
@@ -432,17 +466,15 @@ def associativity_certificate(alg: MDGAlgebra) -> CertificateReport:
     monomials that stay irreducible mark products the table leaves undefined
     (reported separately, not as non-associativity).
 
-    A table that defines every product and passes the basis triple check is
-    its own basis (the diamond lemma, see the module docstring): the monic
-    pair relations are returned without running Buchberger.  Every other
-    table is completed by `buchberger`."""
+    A table that defines every product takes the linear route (see the
+    module docstring): its basis comes from the span of the basis
+    associators over Q, without running Buchberger.  A partial table is
+    completed by `buchberger`."""
     ctx, gens = mult_ideal(alg)
     n = ctx.n
     if (len(gens) == n * (n + 1) // 2
-            and all(ctx.mono_total(g.lead_mono()) == 2 for g in gens)
-            and alg.associative_on_basis() is None):
-        return CertificateReport(True, [], [], GBasis(
-            ctx, [g.monic() for g in gens]))
+            and all(ctx.mono_total(g.lead_mono()) == 2 for g in gens)):
+        return _linear_certificate(alg, ctx, gens)
     basis = buchberger(ctx, gens)
     witnesses = basis.linear_elements()
     undefined = []
@@ -452,4 +484,93 @@ def associativity_certificate(alg: MDGAlgebra) -> CertificateReport:
             nf, _ = basis.reduce(GCPoly(ctx, {mono: laurent(ctx.ring, 1)}))
             if any(ctx.mono_total(m) > 1 for m in nf.terms):
                 undefined.append((a, b))
-    return CertificateReport(not witnesses, witnesses, undefined, basis)
+    return CertificateReport(not witnesses, witnesses, undefined, basis,
+                             "buchberger")
+
+
+def _linear_certificate(alg: MDGAlgebra, ctx: GCContext, gens):
+    """The reduced basis of a complete table's pair relations: the monic
+    f_ab of the non-pivot pairs, their tails reduced by the witnesses, then
+    the witnesses in ascending lead order (the module docstring proves it)."""
+    columns, rows, pivots = _associator_span(alg, ctx)
+    mdeg = {nm: alg.complex.basis[nm].mdeg for nm in ctx.names}
+    witnesses = []
+    for row, pc in zip(reversed(rows), reversed(pivots)):
+        top = mdeg[columns[pc]]
+        witnesses.append(GCPoly(ctx, {
+            ctx.gen(b).lead_mono(): laurent_term(ctx.ring, q,
+                                                 mono_div(top, mdeg[b]))
+            for b, q in zip(columns, row) if q}))
+    pivot_index = [ctx.index(columns[pc]) for pc in pivots]
+    lead_list = _LeadList(witnesses)
+    pairs = []
+    for g in gens:
+        lm = g.lead_mono()
+        if any(lm[i] for i in pivot_index):
+            continue
+        g = g.monic()
+        if witnesses:
+            tail, _ = normal_form(GCPoly(ctx, {m: c for m, c in g.terms.items()
+                                               if m != lm}), lead_list)
+            g = GCPoly(ctx, {lm: g.terms[lm], **tail.terms})
+        pairs.append(g)
+    return CertificateReport(not witnesses, witnesses, [],
+                             GBasis(ctx, pairs + witnesses), "linear")
+
+
+def _associator_span(alg: MDGAlgebra, ctx: GCContext):
+    """(columns, rows, pivots): S', the span over Q of the basis associators
+    closed under left multiplication by each generator, in reduced echelon
+    form over the generators from the largest in the term order down, so
+    that each pivot is the largest generator of its row."""
+    consts = alg.mult.structure_constants()
+    maxdeg = alg.complex.max_degree()
+    names, degrees = ctx.names, ctx.degrees
+
+    def product(u, v):
+        out = {}
+        for d, p in u.items():
+            for e, q in v.items():
+                for f, r in consts[d, e].items():
+                    out[f] = out.get(f, 0) + p * q * r
+        return out
+
+    vectors = []
+    for i, a in enumerate(names):
+        for b, db in zip(names, degrees):
+            dab = degrees[i] + db
+            for c, dc in zip(names[i:], degrees[i:]):
+                if dab + dc > maxdeg:
+                    break
+                assoc = product(consts[a, b], {c: 1})
+                for f, q in product({a: 1}, consts[b, c]).items():
+                    assoc[f] = assoc.get(f, 0) - q
+                vectors.append(assoc)
+    columns = sorted(names, reverse=True,
+                     key=lambda nm: ctx.order_key(ctx.gen(nm).lead_mono()))
+    rows, pivots = _echelon([], vectors, columns)
+    while True:
+        sparse = [{c: q for c, q in zip(columns, row) if q} for row in rows]
+        grown, pivots = _echelon(rows, [product({a: 1}, v) for a in names
+                                        for v in sparse], columns)
+        if len(grown) == len(rows):
+            return columns, rows, pivots
+        rows = grown
+
+
+def _echelon(rows, vectors, columns):
+    """`linalg.rref` of echelon rows over `columns` plus the Q-vectors
+    {name: q}, each nonzero vector read once up to a scalar.  Returns
+    (rows, pivot columns)."""
+    seen = set()
+    dense = []
+    for v in vectors:
+        v = {k: q for k, q in v.items() if q}
+        if not v:
+            continue
+        scale = v[min(v)]
+        key = frozenset((k, q / scale) for k, q in v.items())
+        if key not in seen:
+            seen.add(key)
+            dense.append([v.get(c, 0) for c in columns])
+    return linalg.rref(rows + dense)

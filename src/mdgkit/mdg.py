@@ -122,6 +122,32 @@ class Multiplication:
             return f"{left}*{right} has multidegree {md}, expected {expected}"
         return None
 
+    def structure_constants(self) -> dict:
+        """{(a, b): {d: c_abd}} over every ordered pair of non-unit basis
+        elements whose product is defined, with a*b = sum_d c_abd *
+        x^(m_a + m_b - m_d) * d and each c_abd a Fraction; odd squares map
+        to {}.  The monomials follow from the multidegrees when no product
+        has an `mdeg_problem`, which `groebner.mult_ideal` checks.  Raises
+        MDGError on a coefficient that is not a single term."""
+        cx = self.complex
+        out = {}
+        for (left, right), value in self.table.items():
+            consts = {}
+            for d, coeff in value.coeffs.items():
+                if not coeff.is_monomial():
+                    raise MDGError(f"table is not multihomogeneous: product "
+                                   f"{left}*{right} has coefficient {coeff}")
+                consts[d] = coeff.lead_coeff()
+            out[(left, right)] = consts
+            if left != right:
+                sign = (-1) ** (cx.basis[left].degree * cx.basis[right].degree)
+                out[(right, left)] = (consts if sign == 1 else
+                                      {d: -c for d, c in consts.items()})
+        for name in cx.order:
+            if name != UNIT and cx.basis[name].degree % 2 == 1:
+                out[(name, name)] = {}
+        return out
+
     def multiply(self, x: Element, y: Element) -> Element:
         coeffs: dict = {}
         for n1, c1 in x.coeffs.items():

@@ -11,8 +11,8 @@ raises ValueError.
 
 Only this module tells a `Polynomial` coefficient from a `RationalFunction`:
 other modules ask the questions both answer (`is_polynomial`,
-`as_polynomial`, `is_monomial`, `lead_coeff`, `exponents`) or coerce a
-scalar with `laurent`.
+`as_polynomial`, `is_monomial`, `lead_coeff`, `exponents`), coerce a
+scalar with `laurent`, or build a Laurent monomial with `laurent_term`.
 """
 
 from __future__ import annotations
@@ -507,6 +507,15 @@ def laurent(ring: Ring, c) -> RationalFunction:
     if isinstance(c, Polynomial):
         return RationalFunction(c)
     return RationalFunction(ring.const(c))
+
+
+def laurent_term(ring: Ring, c, expts: tuple) -> RationalFunction:
+    """The Laurent monomial c*x^expts over ring, for a nonzero rational c
+    and an exponent tuple that may have negative entries."""
+    num = tuple(max(e, 0) for e in expts)
+    den = tuple(max(-e, 0) for e in expts)
+    return RationalFunction(ring.monomial(num, c), ring.monomial(den),
+                            _normalized=True)
 
 
 def _rf_normalize(num: Polynomial, den: Polynomial):

@@ -286,6 +286,15 @@ def test_gb_certificates(capsys):
     assert payload["witnesses"]
 
 
+@pytest.mark.parametrize("name, route", [("taylor_x2_xy", "linear"),
+                                         ("fk", "linear"),
+                                         ("ex6", "buchberger")])
+def test_gb_json_reports_the_route(capsys, name, route):
+    # complete tables take the linear route, the partial ex6 is completed
+    _, out, _ = run(capsys, ["gb", str(fixture_path(name)), "--json"])
+    assert json.loads(out)["route"] == route
+
+
 def test_gb_script_export_is_emit_only(capsys):
     code, out, _ = run(capsys, ["gb", TAYLOR, "--emit-script"])
     assert code == 0
@@ -341,6 +350,20 @@ def test_perturb_is_deterministic_per_seed(capsys):
     assert first == second
     assert first[0] == 0
     assert "chain-map/degree/Leibniz ok" in first[1]
+
+
+@pytest.mark.parametrize("seed, entries", [(0, 2), (1, 0)])
+def test_perturb_reports_the_entries_it_drew(capsys, seed, entries):
+    # on fk, seed 1 finds no pair with a target in the right multidegree:
+    # the table is unchanged, and the command says so on stderr
+    code, out, err = run(capsys, ["perturb", FK, "--seed", str(seed),
+                                  "--json"])
+    assert code == 0
+    assert json.loads(out)["entries"] == entries
+    assert ("drew no homotopy entry" in err) == (entries == 0)
+    code, out, err = run(capsys, ["perturb", FK, "--seed", str(seed)])
+    assert out.startswith(f"seed {seed}: chain-map/degree/Leibniz ok;")
+    assert ("drew no homotopy entry" in err) == (entries == 0)
 
 
 @pytest.mark.parametrize("name", ["fk", "fm", "fa", "ex6"])

@@ -9,10 +9,11 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mdgkit.groebner as groebner
 from mdgkit import load_fixture
+from mdgkit.cli import _random_homotopy
 from mdgkit.complexes import UNIT, Element, FreeComplex
 from mdgkit.constructions import taylor_algebra
 from mdgkit.gcalg import GCContext, GCPoly
@@ -20,10 +21,12 @@ from mdgkit.groebner import (PairLimitError, associativity_certificate,
                              buchberger, context_for, element_to_gc,
                              gc_to_element, mult_ideal, normal_form,
                              pair_relation, spoly)
-from mdgkit.mdg import MDGAlgebra, MDGError, Multiplication
+from mdgkit.mdg import (MDGAlgebra, MDGError, Multiplication,
+                        perturb_multiplication)
 from mdgkit.parser import parse_gcpoly
-from mdgkit.ring import (RationalFunction, Ring, add_term, mono_divides,
-                         mono_lcm)
+from mdgkit.ring import (RationalFunction, Ring, add_term, laurent_term,
+                         mono_div, mono_divides, mono_lcm, mono_mul)
+from mdgkit.symdg import _dict_rank
 
 R4 = Ring(["x", "y", "z", "w"])
 
@@ -309,7 +312,7 @@ def test_normal_form_matches_the_plain_scan(name):
         assert trace.steps == steps
 
 
-# -- the diamond-lemma fast path ----------------------------------------------
+# -- the linear route for complete tables -------------------------------------
 
 TAYLOR4 = [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0)]
 # (y^2w, yzw, x^2y, xzw) with its variables permuted
@@ -322,31 +325,32 @@ def _terms(polys):
     return [p.terms for p in polys]
 
 
-def _associative_complete_table(name):
-    if name == "fk_split-nu":
-        return load_fixture("fk_split").algebra("nu")
-    if name == "taylor_x2_xy":
-        return load_fixture(name).algebra()
-    ideal = TAYLOR4 if name == "taylor4" else TAYLOR4_SEEDED
-    return taylor_algebra(R4, [R4.monomial(m) for m in ideal])
+def _complete_table(name):
+    if name.startswith("fk_split-"):
+        return load_fixture("fk_split").algebra(name[len("fk_split-"):])
+    if name.startswith("taylor4"):
+        ideal = TAYLOR4 if name == "taylor4" else TAYLOR4_SEEDED
+        return taylor_algebra(R4, [R4.monomial(m) for m in ideal])
+    return load_fixture(name).algebra()
+
+
+def _no_completion(*args, **kwargs):
+    raise AssertionError("the linear route ran Buchberger")
 
 
 @pytest.mark.parametrize("name", ["fk_split-nu", "taylor_x2_xy", "taylor4",
                                   "taylor4_seeded"])
 def test_an_associative_complete_table_is_its_own_basis(name, monkeypatch):
-    alg = _associative_complete_table(name)
+    alg = _complete_table(name)
     ctx, gens = mult_ideal(alg)
     oracle = buchberger(ctx, gens)
-
-    def no_completion(*args, **kwargs):
-        raise AssertionError("the fast path ran Buchberger")
-    monkeypatch.setattr(groebner, "buchberger", no_completion)
+    monkeypatch.setattr(groebner, "buchberger", _no_completion)
     report = associativity_certificate(alg)
-    assert report.associative
+    assert report.associative and report.route == "linear"
     assert report.witnesses == [] and report.undefined_pairs == []
     assert _terms(report.basis.elements) == _terms(oracle.elements)
     assert report.basis.stats == {} and oracle.stats["pairs_queued"] > 0
-    # every pair monomial has a linear normal form under the fast basis
+    # every pair monomial has a linear normal form under the linear basis
     fast = report.basis
     for i in range(fast.ctx.n):
         for j in range(i, fast.ctx.n):
@@ -356,16 +360,67 @@ def test_an_associative_complete_table_is_its_own_basis(name, monkeypatch):
             assert all(fast.ctx.mono_total(m) <= 1 for m in nf.terms)
 
 
-@pytest.mark.parametrize("name", ["fk", "fa", "ex6"])
+@pytest.mark.parametrize("name", ["ex6"])
 def test_other_tables_take_the_buchberger_route(name):
-    # fk and fa are complete but not associative, ex6 is partial
+    # ex6 is partial, so its pair relations are completed
     alg = load_fixture(name).algebra()
     report = associativity_certificate(alg)
     ctx, gens = mult_ideal(alg)
     oracle = buchberger(ctx, gens)
-    assert not report.associative
+    assert not report.associative and report.route == "buchberger"
     assert _terms(report.basis.elements) == _terms(oracle.elements)
     assert _terms(report.witnesses) == _terms(oracle.linear_elements())
+
+
+@pytest.mark.parametrize("name", ["fk", "taylor4"])
+def test_structure_constants_rebuild_every_product(name):
+    alg = _complete_table(name)
+    cx = alg.complex
+    names = alg.basis_names()
+    consts = alg.mult.structure_constants()
+    assert set(consts) == {(a, b) for a in names for b in names}
+    for (a, b), row in consts.items():
+        top = mono_mul(cx.basis[a].mdeg, cx.basis[b].mdeg)
+        rebuilt = Element(cx, {d: laurent_term(cx.ring, q, mono_div(
+            top, cx.basis[d].mdeg)) for d, q in row.items()})
+        assert rebuilt == alg.mult.product(a, b), (a, b)
+    # a coefficient of two terms has no single rational constant
+    mult = alg.mult.copy()
+    a, b = next(k for k, v in mult.table.items() if not v.is_zero())
+    d = next(iter(mult.table[a, b].coeffs))
+    mult.set_product(a, b, cx.element({d: cx.ring.var("x")
+                                       + cx.ring.var("y")}))
+    with pytest.raises(MDGError, match="not multihomogeneous"):
+        mult.structure_constants()
+
+
+@pytest.mark.parametrize("name", ["fk", "fa", "fm", "fk_split-mu",
+                                  "fo_full"])
+def test_the_linear_route_matches_buchberger(name, monkeypatch):
+    # the same term dicts in the same order: the pair part, then the
+    # witnesses in ascending lead order; fk_split-nu and taylor_x2_xy are
+    # checked in the same way by the associative test above
+    alg = _complete_table(name)
+    ctx, gens = mult_ideal(alg)
+    oracle = buchberger(ctx, gens)
+    monkeypatch.setattr(groebner, "buchberger", _no_completion)
+    report = associativity_certificate(alg)
+    assert report.route == "linear" and report.undefined_pairs == []
+    assert report.associative == (name == "fo_full")
+    assert _terms(report.basis.elements) == _terms(oracle.elements)
+    assert _terms(report.witnesses) == _terms(oracle.linear_elements())
+    assert report.basis.stats == {}
+
+
+@pytest.mark.parametrize("name, rank", [("fk", 2), ("fa", 2), ("fm", 2),
+                                        ("fk_split-mu", 2),
+                                        ("fk_split-nu", 0)])
+def test_the_associator_submodule_has_rank_dim_s_prime(name, rank):
+    # the K-rank of the submodule's generators is dim S', one witness each
+    alg = _complete_table(name)
+    rows = [v.coeffs for _, v, _, _ in alg.associator_submodule().gens]
+    assert _dict_rank(rows) == rank
+    assert len(associativity_certificate(alg).witnesses) == rank
 
 
 def _declared_top_degree_first(alg):
@@ -407,6 +462,33 @@ def test_taylor_certificates_agree_with_buchberger(ideal):
     assert report.associative
     assert _terms(report.basis.elements) == _terms(
         buchberger(ctx, gens).elements)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(_monomial, min_size=3, max_size=6, unique=True)
+       .map(_minimal_generators).filter(lambda ideal: len(ideal) >= 3),
+       st.integers(0, 10 ** 6))
+def test_the_linear_route_matches_buchberger_on_perturbed_taylor_tables(
+        ideal, seed):
+    alg = taylor_algebra(R4, [R4.monomial(m) for m in ideal])
+    h = _random_homotopy(alg, seed)
+    assume(h.table)
+    algh = MDGAlgebra(alg.complex, perturb_multiplication(alg, h))
+    report = associativity_certificate(algh)
+    ctx, gens = mult_ideal(algh)
+    oracle = buchberger(ctx, gens)
+    assert report.route == "linear"
+    assert _terms(report.basis.elements) == _terms(_route_order(oracle))
+
+
+def _route_order(basis):
+    """The completed basis with its witnesses sorted into ascending lead
+    order, the order of the linear route.  The completion lists them in the
+    order it derives them, which can differ on larger tables."""
+    key = basis.ctx.order_key
+    return sorted(basis.elements, key=lambda e: (
+        (1, key(e.lead_mono())) if basis.ctx.mono_total(e.lead_mono()) == 1
+        else (0,)))
 
 
 # -- the pair criteria against the criterion-free run --------------------------

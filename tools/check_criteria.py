@@ -1,4 +1,5 @@
-"""Check the pair criteria of `buchberger` against a criterion-free run.
+"""Check the pair criteria of `buchberger` against a criterion-free run, and
+the linear route of `associativity_certificate` against `buchberger`.
 
 For the pair relations of the fixtures ex55, fm and fo_full and of the
 Taylor algebra of (x^2, w^2, zw, xy, yz), complete once with both criteria
@@ -6,13 +7,23 @@ Taylor algebra of (x^2, w^2, zw, xy, yz), complete once with both criteria
 The two bases must have the same monic term dicts in the same order.  The
 fast tables fk, fa, ex6 and the degree-1 presentations of fk and fa are
 checked the same way by the test suite; these cases take minutes, so they
-live here.  Takes no options.  Run from anywhere:
+live here.
+
+Then perturb the Taylor tables of (x^2, w^2, zw, xy, yz) and of (x^2, y^2,
+w^2, xy, yz, zw) by `mdg perturb`'s homotopy at seeds 1 and 2.  The tables
+are complete and not associative, so the certificate takes its linear
+route.  Its basis must have the golden size and witness count, and the term
+dicts of `buchberger`'s basis in the same order once the witnesses, which
+the completion lists as it derives them, are sorted into ascending lead
+order.  Takes no options.  Run from anywhere:
 
     python3 tools/check_criteria.py
 
-Prints one line per case: name, basis size, the counters of the run with
-criteria, and the seconds of each run.  Exits 0, or 1 when a pair of bases
-differs.
+Prints one line per case: for the criteria, name, basis size, the counters
+of the run with criteria, and the seconds of each run; for the linear
+route, name, basis size, witness count, the seconds of each route and
+whether the completion derived the witnesses in ascending lead order.
+Exits 0, or 1 when a pair of bases differs or a size or count is off.
 """
 
 import os
@@ -22,18 +33,39 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from mdgkit import load_fixture
+from mdgkit.cli import _random_homotopy
 from mdgkit.constructions import taylor_algebra
-from mdgkit.groebner import buchberger, mult_ideal
+from mdgkit.groebner import associativity_certificate, buchberger, mult_ideal
+from mdgkit.mdg import MDGAlgebra, perturb_multiplication
 from mdgkit.ring import Ring
 
 # exponent vectors over (x, y, z, w)
 TAYLOR5 = [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0),
            (0, 1, 1, 0)]
+TAYLOR6 = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 2), (1, 1, 0, 0),
+           (0, 1, 1, 0), (0, 0, 1, 1)]
+
+# (name, ideal, seed, golden basis size, golden witness count)
+PERTURBED = [
+    ("taylor5 seed 1", TAYLOR5, 1, 382, 4),
+    ("taylor5 seed 2", TAYLOR5, 2, 331, 6),
+    ("taylor6 seed 1", TAYLOR6, 1, 1659, 6),
+    ("taylor6 seed 2", TAYLOR6, 2, 1239, 14),
+]
 
 
 def taylor(ideal):
     ring = Ring(["x", "y", "z", "w"])
     return taylor_algebra(ring, [ring.monomial(m) for m in ideal])
+
+
+def perturbed(ideal, seed):
+    """The Taylor table of the ideal perturbed by `mdg perturb`'s homotopy
+    at the seed: complete, multigraded and, at the seeds above, not
+    associative."""
+    alg = taylor(ideal)
+    mult = perturb_multiplication(alg, _random_homotopy(alg, seed))
+    return MDGAlgebra(alg.complex, mult)
 
 
 def timed(alg, **kwargs):
@@ -43,21 +75,53 @@ def timed(alg, **kwargs):
     return basis, time.perf_counter() - start
 
 
+def terms(polys):
+    return [p.terms for p in polys]
+
+
+def check_criteria(name, alg) -> bool:
+    fast, t_fast = timed(alg)
+    slow, t_slow = timed(alg, criteria=False)
+    same = terms(fast.elements) == terms(slow.elements)
+    counters = ", ".join(f"{k} {v}" for k, v in fast.stats.items())
+    print(f"{name}: basis {len(fast)}, {counters}; "
+          f"{t_fast:.2f} s with criteria, {t_slow:.2f} s without: "
+          f"{'same basis' if same else 'BASES DIFFER'}", flush=True)
+    return same
+
+
+def check_linear_route(name, alg, size, count) -> bool:
+    start = time.perf_counter()
+    report = associativity_certificate(alg)
+    t_linear = time.perf_counter() - start
+    completed, t_completion = timed(alg)
+    ctx = completed.ctx
+    witnesses = completed.linear_elements()
+    ascending = sorted(witnesses, key=lambda w: ctx.order_key(w.lead_mono()))
+    pairs = [e for e in completed.elements
+             if ctx.mono_total(e.lead_mono()) > 1]
+    same = (report.route == "linear"
+            and terms(report.basis.elements) == terms(pairs + ascending))
+    golden = (len(report.basis), len(report.witnesses)) == (size, count)
+    order = ("ascending" if terms(witnesses) == terms(ascending)
+             else "not ascending")
+    print(f"{name}: basis {len(report.basis)}, {len(report.witnesses)} "
+          f"witnesses; {t_linear:.2f} s linear, {t_completion:.2f} s "
+          f"buchberger, derived in {order} lead order: "
+          f"{'same basis' if same else 'BASES DIFFER'}"
+          f"{'' if golden else f', expected {size} and {count}'}",
+          flush=True)
+    return same and golden
+
+
 def main() -> int:
     ok = True
-    cases = [(name, load_fixture(name).algebra())
-             for name in ("ex55", "fm", "fo_full")]
-    cases.append(("taylor5", taylor(TAYLOR5)))
-    for name, alg in cases:
-        fast, t_fast = timed(alg)
-        slow, t_slow = timed(alg, criteria=False)
-        same = ([p.terms for p in fast.elements]
-                == [p.terms for p in slow.elements])
-        ok = ok and same
-        counters = ", ".join(f"{k} {v}" for k, v in fast.stats.items())
-        print(f"{name}: basis {len(fast)}, {counters}; "
-              f"{t_fast:.2f} s with criteria, {t_slow:.2f} s without: "
-              f"{'same basis' if same else 'BASES DIFFER'}", flush=True)
+    for name in ("ex55", "fm", "fo_full"):
+        ok = check_criteria(name, load_fixture(name).algebra()) and ok
+    ok = check_criteria("taylor5", taylor(TAYLOR5)) and ok
+    for name, ideal, seed, size, count in PERTURBED:
+        ok = check_linear_route(name, perturbed(ideal, seed), size,
+                                count) and ok
     return 0 if ok else 1
 
 
