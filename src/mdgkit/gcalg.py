@@ -85,16 +85,18 @@ class GCContext:
     def word_mono(self, indices, strict=False):
         """Normalize a product of generators given by index sequence.
 
-        Returns (sign, exponent tuple); sign 0 when strict kills it."""
-        sign = 1
-        mono = self.zero_mono
+        Returns (sign, exponent tuple); sign 0 when strict kills it.  The
+        sign is (-1)^(number of inversions between odd generators): sorting
+        the word transposes exactly those pairs."""
+        expts = [0] * self.n
         for i in indices:
-            gi = tuple(1 if j == i else 0 for j in range(self.n))
-            s, mono = self.mono_mul_signed(mono, gi, strict=strict)
-            if s == 0:
-                return 0, mono
-            sign *= s
-        return sign, mono
+            expts[i] += 1
+        odd = [i for i in indices if self.parity[i]]
+        mono = tuple(expts)
+        if strict and len(set(odd)) < len(odd):
+            return 0, mono
+        inversions = sum(a > b for k, a in enumerate(odd) for b in odd[k + 1:])
+        return (-1 if inversions & 1 else 1), mono
 
     def order_key(self, mono: tuple) -> tuple:
         """(degree, exponents): the term order as a sort key, memoised because

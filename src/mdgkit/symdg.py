@@ -17,6 +17,20 @@ The model is truncated: only total degrees <= N are represented, which is
 enough for the quotient presentations and splitting certificates computed
 here, since d never raises total degree.
 
+The differential is kept over Q.  Write M(e^a) for the sum of the
+multidegrees of the factors of e^a.  `build_sym` refuses a complex unless
+d(e) = sum q * x^(m_e - m_t) * t with rational q, which every multigraded
+complex satisfies.  Replacing a factor e by t changes M by m_t - m_e, so the
+coefficient of e^b in d(e^a) is a rational times x^(M(a) - M(b)); the strict
+product e^a e^b = +-e^(a+b) preserves M.  Hence every value an axiom compares
+at a monomial e^c (d^2, the squares of both parts and their anticommutator
+on e^a, and both sides of the Leibniz rule on e^a e^b) is a rational times
+the single Laurent monomial x^(M - M(c)) fixed by its source, and the axiom
+holds exactly when its rational parts do.  `check` therefore reads d from
+one table, memoised per monomial, of {monomial: Fraction} dicts, and the
+GCPoly methods `d`, `d_keep` and `d_drop` read the same table and rebuild
+each coefficient as a Laurent monomial.
+
 A multiplication on the complex induces the ideal generated by the pair
 relations e_i e_j - e_i*e_j; the degree-<=1 part of that ideal recovers the
 span of the multiplicators of the inclusion (equivalently, the smallest
@@ -42,7 +56,7 @@ from .gcalg import GCPoly
 from .groebner import (GBasis, buchberger, context_for, element_to_gc,
                        mult_ideal)
 from .mdg import ChainMap, MDGAlgebra
-from .ring import add_term, laurent
+from .ring import add_term, laurent, laurent_term, mono_div
 
 __all__ = [
     "GradedMap", "SplitWitness", "SymDGAlgebra", "SymError", "Tensor",
@@ -70,19 +84,28 @@ class SymDGAlgebra:
         self.complex = complex_
         self.N = truncation
         self.ctx = context_for(complex_)
+        self._mdegs = [complex_.basis[n].mdeg for n in self.ctx.names]
         self._diff_words = self._differential_words()
+        self._table: dict = {}            # monomial -> (keep, drop)
+        self._mdeg_memo: dict = {}        # monomial -> M(monomial)
 
     def _differential_words(self):
-        """index -> list of (coefficient, generator index or None for the
-        unit) describing d of each generator."""
+        """index -> list of (rational q, generator index or None for the
+        unit), where d(e) = sum q * x^(m_e - m_target) * target.  Raises
+        SymError on a coefficient that is not such a single term."""
         cx = self.complex
         out = []
         for name in self.ctx.names:
-            dval = cx.d(cx.elem(name))
             entries = []
-            for nm, coeff in dval.coeffs.items():
-                entries.append((coeff, None if nm == UNIT
-                                else self.ctx.index(nm)))
+            for nm, coeff in cx.d(cx.elem(name)).coeffs.items():
+                want = mono_div(cx.basis[name].mdeg, cx.basis[nm].mdeg)
+                if not coeff.is_monomial() or coeff.exponents() != [want]:
+                    raise SymError(
+                        f"d({name}) is not multihomogeneous: its coefficient "
+                        f"of {nm} is {coeff}, not a single term of "
+                        f"multidegree {want}")
+                entries.append((coeff.lead_coeff(),
+                                None if nm == UNIT else self.ctx.index(nm)))
             out.append(entries)
         return out
 
@@ -151,82 +174,156 @@ class SymDGAlgebra:
 
     # -- the differential and its bigraded parts --
 
-    def _diff_split(self, p: GCPoly):
-        """(total-degree-keeping part, total-degree-dropping part) of d(p)."""
+    def _split(self, mono: tuple):
+        """(keep, drop): d(e^mono) split into the parts keeping and lowering
+        total degree, each {monomial: q} for the terms q * x^(M(mono) -
+        M(monomial)) * e^monomial.  Computed once per monomial."""
+        hit = self._table.get(mono)
+        if hit is not None:
+            return hit
         ctx = self.ctx
         keep: dict = {}
         drop: dict = {}
+        word = [i for i in range(ctx.n) for _ in range(mono[i])]
+        prefix = 0
+        for j, gi in enumerate(word):
+            sign = -1 if prefix & 1 else 1
+            rest = word[:j] + word[j + 1:]
+            for q, target in self._diff_words[gi]:
+                new_word = rest if target is None else (
+                    word[:j] + [target] + word[j + 1:])
+                s, new_mono = ctx.word_mono(new_word, strict=True)
+                if s:
+                    _add_q(drop if target is None else keep, new_mono,
+                           q * (s * sign))
+            prefix += ctx.degrees[gi]
+        hit = self._table[mono] = (keep, drop)
+        return hit
+
+    def _mdeg(self, mono: tuple) -> tuple:
+        """M(mono): the sum of the multidegrees of its factors, memoised."""
+        out = self._mdeg_memo.get(mono)
+        if out is None:
+            out = self.complex.ring.zero_mono
+            for e, md in zip(mono, self._mdegs):
+                if e:
+                    out = tuple(a + e * b for a, b in zip(out, md))
+            self._mdeg_memo[mono] = out
+        return out
+
+    def _apply(self, p: GCPoly, parts) -> GCPoly:
+        """The sum of the given parts (0 keep, 1 drop) of d, applied to p,
+        each coefficient rebuilt as the Laurent monomial q * x^(M(mono) -
+        M(monomial))."""
+        ring = self.ctx.ring
+        terms: dict = {}
         for mono, coeff in p.terms.items():
-            word = [i for i in range(ctx.n) for _ in range(mono[i])]
-            prefix = 0
-            for j, gi in enumerate(word):
-                sign = -1 if prefix & 1 else 1
-                rest = word[:j] + word[j + 1:]
-                for dcoeff, target in self._diff_words[gi]:
-                    new_word = rest if target is None else (
-                        word[:j] + [target] + word[j + 1:])
-                    s, new_mono = ctx.word_mono(new_word, strict=True)
-                    if s == 0:
-                        continue
-                    add_term(drop if target is None else keep, new_mono,
-                             coeff * dcoeff * (s * sign))
-                prefix += ctx.degrees[gi]
-        return GCPoly(ctx, keep), GCPoly(ctx, drop)
+            top = self._mdeg(mono)
+            split = self._split(mono)
+            for k in parts:
+                for m, q in split[k].items():
+                    add_term(terms, m, coeff * laurent_term(
+                        ring, q, mono_div(top, self._mdeg(m))))
+        return GCPoly(self.ctx, terms)
 
     def d(self, p: GCPoly) -> GCPoly:
-        keep, drop = self._diff_split(p)
-        return keep + drop
+        return self._apply(p, (0, 1))
 
     def d_keep(self, p: GCPoly) -> GCPoly:
         """The component of d preserving total degree."""
-        return self._diff_split(p)[0]
+        return self._apply(p, (0,))
 
     def d_drop(self, p: GCPoly) -> GCPoly:
         """The component of d lowering total degree by one."""
-        return self._diff_split(p)[1]
+        return self._apply(p, (1,))
+
+    def _image(self, terms: dict, k: int, out: dict) -> dict:
+        """Add part k (0 keep, 1 drop) of d, applied to the rational
+        combination `terms` of monomials, into out."""
+        for mono, c in terms.items():
+            for m, q in self._split(mono)[k].items():
+                _add_q(out, m, c * q)
+        return out
 
     # -- axioms --
 
     def check(self) -> list:
         """Violations of d^2 = 0, of the bigraded split (both component
         squares vanish and the components anticommute), and of the Leibniz
-        rule for the product, over all monomials in the truncation."""
+        rule for the product, over all monomials in the truncation.
+
+        Runs on the rational parts: see the module docstring."""
         problems = []
         ctx = self.ctx
-        monos = self.monomials()
-        for mono in monos:
-            p = self.mono_poly(mono)
-            keep, drop = self._diff_split(p)
-            if not self.d(keep + drop).is_zero():
-                problems.append(f"d^2 != 0 at {ctx.format_mono(mono)}")
-            if not self.d_keep(keep).is_zero():
-                problems.append(
-                    f"degree-keeping part does not square to zero at "
-                    f"{ctx.format_mono(mono)}")
-            if not self.d_drop(drop).is_zero():
-                problems.append(
-                    f"degree-dropping part does not square to zero at "
-                    f"{ctx.format_mono(mono)}")
-            if not (self.d_keep(drop) + self.d_drop(keep)).is_zero():
-                problems.append(
-                    f"the two parts of d do not anticommute at "
-                    f"{ctx.format_mono(mono)}")
-            total = ctx.mono_total(mono)
-            for t2 in range(1, self.N - total + 1):
-                for m2 in self.monomials(total=t2):
-                    q = self.mono_poly(m2)
-                    s, _ = ctx.mono_mul_signed(mono, m2, strict=True)
-                    if s == 0:
-                        continue
-                    deg = ctx.mono_degree(mono)
-                    lhs = self.d(self.mul(p, q))
-                    rhs = self.mul(self.d(p), q) + \
-                        self.mul(p, self.d(q)).scale(-1 if deg & 1 else 1)
-                    if not (lhs - rhs).is_zero():
-                        problems.append(
-                            f"Leibniz fails at {ctx.format_mono(mono)} * "
-                            f"{ctx.format_mono(m2)}")
+        by_total = [self.monomials(total=t) for t in range(self.N + 1)]
+        polys = {m: self.mono_poly(m) for monos in by_total for m in monos}
+        for total, monos in enumerate(by_total):
+            for mono in monos:
+                name = ctx.format_mono(mono)
+                keep, drop = self._split(mono)
+                keep2 = self._image(keep, 0, {})
+                drop2 = self._image(drop, 1, {})
+                anti = self._image(keep, 1, self._image(drop, 0, {}))
+                # d^2 = keep^2 + (the anticommutator) + drop^2, and the three
+                # lie in total degrees t, t - 1 and t - 2
+                if keep2 or anti or drop2:
+                    problems.append(f"d^2 != 0 at {name}")
+                if keep2:
+                    problems.append(
+                        f"degree-keeping part does not square to zero at "
+                        f"{name}")
+                if drop2:
+                    problems.append(
+                        f"degree-dropping part does not square to zero at "
+                        f"{name}")
+                if anti:
+                    problems.append(
+                        f"the two parts of d do not anticommute at {name}")
+                sign = -1 if ctx.mono_degree(mono) & 1 else 1
+                p = polys[mono]
+                for t2 in range(1, self.N - total + 1):
+                    for m2 in by_total[t2]:
+                        prod = self.mul(p, polys[m2])
+                        if prod.is_zero():
+                            continue
+                        (pm, c), = prod.terms.items()
+                        if self._leibniz_defect(mono, m2, pm,
+                                                1 if c.is_one() else -1,
+                                                sign):
+                            problems.append(
+                                f"Leibniz fails at {name} * "
+                                f"{ctx.format_mono(m2)}")
         return problems
+
+    def _leibniz_defect(self, a: tuple, b: tuple, ab: tuple, s: int,
+                        sign: int) -> dict:
+        """d(e^a) e^b + sign * e^a d(e^b) - d(e^a e^b), where e^a e^b =
+        s * e^ab and sign = (-1)^|e^a|, over Q."""
+        mul = self.ctx.mono_mul_signed
+        out: dict = {}
+        for part in self._split(a):
+            for m, q in part.items():
+                s2, m2 = mul(m, b, strict=True)
+                if s2:
+                    _add_q(out, m2, q if s2 > 0 else -q)
+        for part in self._split(b):
+            for m, q in part.items():
+                s2, m2 = mul(a, m, strict=True)
+                if s2:
+                    _add_q(out, m2, q if s2 == sign else -q)
+        for part in self._split(ab):
+            for m, q in part.items():
+                _add_q(out, m, -q if s > 0 else q)
+        return out
+
+
+def _add_q(terms: dict, key, q) -> None:
+    """add_term for rational values: drop the key when the sum is zero."""
+    q += terms.get(key, 0)
+    if q:
+        terms[key] = q
+    else:
+        terms.pop(key, None)
 
 
 def build_sym(source, truncation: int = 4) -> SymDGAlgebra:

@@ -338,6 +338,22 @@ def test_sym_reports_the_bigraded_dimensions(capsys):
     assert payload["dims"]["2,2"] == 1       # e1*e2 only: odd squares vanish
 
 
+@pytest.mark.parametrize("value,message", [
+    ("x + y", "coefficient of 1 is x + y"),
+    ("y", "coefficient of 1 is y"),
+])
+def test_sym_refuses_a_differential_that_is_not_multihomogeneous(
+        tmp_path, capsys, value, message):
+    doc = tmp_path / "inhomogeneous.mdg"
+    doc.write_text("ring x, y;\ncomplex F {\n  basis 1: a mdeg(1, 0);\n"
+                   f"  d a = {value};\n}}\n")
+    code, out, err = run(capsys, ["sym", str(doc)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: d(a) is not multihomogeneous")
+    assert message in err
+
+
 def test_transport_recovers_the_stored_table(capsys):
     code, out, _ = run(capsys, ["transport", SPLIT])
     assert code == 0

@@ -57,6 +57,31 @@ def test_mono_sign_matches_bubble_oracle(a, b):
     assert mono_to_word(prod) == list(sorted_word)
 
 
+def fold_word_mono(ctx, indices, strict=False):
+    """The former `GCContext.word_mono`, kept as an oracle: merge a unit
+    exponent tuple per factor through `mono_mul_signed`.  When strict kills
+    the word it returns the partial product."""
+    sign, mono = 1, ctx.zero_mono
+    for i in indices:
+        unit = tuple(1 if j == i else 0 for j in range(ctx.n))
+        s, mono = ctx.mono_mul_signed(mono, unit, strict=strict)
+        if s == 0:
+            return 0, mono
+        sign *= s
+    return sign, mono
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, CTX.n - 1), max_size=8), st.booleans())
+def test_word_mono_matches_the_fold(word, strict):
+    s, mono = CTX.word_mono(word, strict=strict)
+    s2, mono2 = fold_word_mono(CTX, word, strict)
+    assert s == s2
+    assert mono == tuple(word.count(i) for i in range(CTX.n))
+    if s:
+        assert mono == mono2
+
+
 @settings(max_examples=150, deadline=None)
 @given(monos, monos, monos)
 def test_sign_is_associative(a, b, c):

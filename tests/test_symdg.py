@@ -13,13 +13,14 @@ from fractions import Fraction
 
 import pytest
 
+import test_gcalg
 from mdgkit import load_fixture
 from mdgkit import symdg as sg
-from mdgkit.complexes import FreeComplex
+from mdgkit.complexes import UNIT, Element, FreeComplex
 from mdgkit.constructions import taylor_algebra
 from mdgkit.gcalg import GCPoly
 from mdgkit.mdg import ChainMap
-from mdgkit.ring import Ring, laurent
+from mdgkit.ring import Ring, add_term, laurent
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,145 @@ def test_truncation_guards(sym2, taylor2):
     assert not big.is_zero()  # exactly fills the truncation
     with pytest.raises(sg.SymError):
         sym2.mul(big, sym2.gen("e12"))
+
+
+# -- the differential over Q against independent routes ----------------------
+
+
+def _laurent_check(S):
+    """The former Laurent `SymDGAlgebra.check`, kept as an oracle: every
+    value of d is recomputed from the complex with Laurent coefficients and
+    the former word normalization (`test_gcalg.fold_word_mono`)."""
+    ctx, cx = S.ctx, S.complex
+    words = [[(coeff, None if nm == UNIT else ctx.index(nm))
+              for nm, coeff in cx.d(cx.elem(name)).coeffs.items()]
+             for name in ctx.names]
+
+    def diff_split(p):
+        keep: dict = {}
+        drop: dict = {}
+        for mono, coeff in p.terms.items():
+            word = [i for i in range(ctx.n) for _ in range(mono[i])]
+            prefix = 0
+            for j, gi in enumerate(word):
+                sign = -1 if prefix & 1 else 1
+                rest = word[:j] + word[j + 1:]
+                for dcoeff, target in words[gi]:
+                    new_word = rest if target is None else (
+                        word[:j] + [target] + word[j + 1:])
+                    s, new_mono = test_gcalg.fold_word_mono(ctx, new_word,
+                                                            strict=True)
+                    if s == 0:
+                        continue
+                    add_term(drop if target is None else keep, new_mono,
+                             coeff * dcoeff * (s * sign))
+                prefix += ctx.degrees[gi]
+        return GCPoly(ctx, keep), GCPoly(ctx, drop)
+
+    def d(p):
+        keep, drop = diff_split(p)
+        return keep + drop
+
+    def d_keep(p):
+        return diff_split(p)[0]
+
+    def d_drop(p):
+        return diff_split(p)[1]
+
+    problems = []
+    for mono in S.monomials():
+        p = S.mono_poly(mono)
+        keep, drop = diff_split(p)
+        if not d(keep + drop).is_zero():
+            problems.append(f"d^2 != 0 at {ctx.format_mono(mono)}")
+        if not d_keep(keep).is_zero():
+            problems.append(
+                f"degree-keeping part does not square to zero at "
+                f"{ctx.format_mono(mono)}")
+        if not d_drop(drop).is_zero():
+            problems.append(
+                f"degree-dropping part does not square to zero at "
+                f"{ctx.format_mono(mono)}")
+        if not (d_keep(drop) + d_drop(keep)).is_zero():
+            problems.append(
+                f"the two parts of d do not anticommute at "
+                f"{ctx.format_mono(mono)}")
+        total = ctx.mono_total(mono)
+        for t2 in range(1, S.N - total + 1):
+            for m2 in S.monomials(total=t2):
+                q = S.mono_poly(m2)
+                s, _ = ctx.mono_mul_signed(mono, m2, strict=True)
+                if s == 0:
+                    continue
+                deg = ctx.mono_degree(mono)
+                lhs = d(S.mul(p, q))
+                rhs = S.mul(d(p), q) + \
+                    S.mul(p, d(q)).scale(-1 if deg & 1 else 1)
+                if not (lhs - rhs).is_zero():
+                    problems.append(
+                        f"Leibniz fails at {ctx.format_mono(mono)} * "
+                        f"{ctx.format_mono(m2)}")
+    return problems
+
+
+@pytest.mark.parametrize("name,n", [("fk", 2), ("fa", 2),
+                                    ("taylor_x2_xy", 4)])
+def test_the_differential_matches_the_tensor_route(name, n):
+    S = sg.build_sym(load_fixture(name).algebra().complex, n)
+    for mono in S.monomials():
+        p = S.mono_poly(mono)
+        dp = S.d(p)
+        assert (dp - sg.dehomogenize(S, sg.homogenize(S, p, n).d())).is_zero()
+        keep, drop = S.d_keep(p), S.d_drop(p)
+        assert (keep + drop - dp).is_zero()
+        total = S.ctx.mono_total(mono)
+        assert all(S.ctx.mono_total(m) == total for m in keep.terms)
+        assert all(S.ctx.mono_total(m) == total - 1 for m in drop.terms)
+
+
+def _broken(name, gen, target):
+    """The fixture's complex with the coefficient of target in d(gen)
+    doubled: still multihomogeneous, but no longer a differential."""
+    cx = load_fixture(name).algebra().complex
+    coeffs = dict(cx.diff[gen].coeffs)
+    coeffs[target] = coeffs[target].scale(2)
+    cx.diff[gen] = Element(cx, coeffs)
+    return cx
+
+
+@pytest.mark.parametrize("name,n,gen,target,count", [
+    ("taylor_x2_xy", 4, "e12", "e2", 24),
+    ("fk", 2, "e13", "e3", 108),
+])
+def test_a_broken_differential_is_reported_as_by_the_laurent_check(
+        name, n, gen, target, count):
+    S = sg.build_sym(_broken(name, gen, target), n)
+    problems = S.check()
+    assert len(problems) == count
+    assert problems == _laurent_check(S)
+
+
+def test_a_differential_that_is_not_multihomogeneous_is_refused():
+    R = Ring(["x", "y"])
+    x, y = R.var("x"), R.var("y")
+    for value in (x + y, y, R.const(3)):
+        cx = FreeComplex(R, "F")
+        cx.add_basis("a", 1, (1, 0))
+        cx.set_diff("a", cx.element({UNIT: value}))
+        with pytest.raises(sg.SymError, match="not multihomogeneous"):
+            sg.build_sym(cx, 2)
+
+
+def test_every_fixture_complex_has_a_multihomogeneous_differential():
+    names = ["fk", "fk_split", "fm", "fa", "fo_presentation", "fo_full",
+             "ex6", "ex55", "taylor_x2_xy"]
+    seen = 0
+    for name in names:
+        for cx in load_fixture(name).complexes.values():
+            assert cx.check() == []
+            assert sg.build_sym(cx, 1).check() == []
+            seen += 1
+    assert seen == 10
 
 
 # -- linear part of the relation ideal vs. the associator span ----------------

@@ -1,5 +1,5 @@
-"""Time the Buchberger engine and the associativity certificate in process,
-best of three runs per case.
+"""Time the Buchberger engine, the associativity certificate and the
+symmetric-algebra check in process, best of three runs per case.
 
 The engine cases are `buchberger` on the pair relations of the fixtures fk,
 ex55 and fo_full and of the Taylor algebra of (x^2, w^2, zw, xy, yz).  The
@@ -7,16 +7,19 @@ certificate cases run `associativity_certificate` on fo_full, on the
 Taylor algebras of (x^2, y^2, w^2, xy, yz, zw) and of the same ideal plus
 xz, and on the perturbed Taylor tables of `tools/check_criteria.py`.  These
 tables are complete, so the certificate takes its linear route; the
-perturbed ones are not associative.  Each run's basis size (and, for a
-certificate, its witness count) is checked against its golden value before
-its time counts.  Takes no options.  Run from anywhere:
+perturbed ones are not associative.  The symmetric-algebra cases run
+`SymDGAlgebra.check()` on fk truncated at total degree 3 and on fm at 2.
+Each run's basis size (for a certificate, also its witness count; for a
+symmetric-algebra check, its monomial and problem counts) is checked
+against its golden value before its time counts.  Takes no options.  Run
+from anywhere:
 
     python3 tools/time_engine.py
 
-Prints one line per case: name, basis size and the best wall time in
+Prints one line per case: name, golden counts and the best wall time in
 seconds (`time.perf_counter`), then the `GBasis.stats` counters of the
-completion (none for a certificate, which takes the linear route).  Exits
-0, or 1 when a basis size or a witness count differs.
+completion (none for a certificate, which takes the linear route, or for a
+symmetric-algebra check).  Exits 0, or 1 when a golden count differs.
 The run takes a few minutes.
 """
 
@@ -30,6 +33,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from check_criteria import PERTURBED, TAYLOR5, TAYLOR6, perturbed, taylor
 from mdgkit import load_fixture
 from mdgkit.groebner import associativity_certificate, buchberger, mult_ideal
+from mdgkit.symdg import build_sym
 
 RUNS = 3
 
@@ -58,6 +62,17 @@ def certificate(alg):
     return run
 
 
+def sym_check(alg, truncation):
+    def run():
+        start = time.perf_counter()
+        sym = build_sym(alg, truncation)
+        problems = sym.check()
+        elapsed = time.perf_counter() - start
+        return (f"{len(sym.monomials())} monomials, {len(problems)} problems",
+                elapsed, {})
+    return run
+
+
 TAYLOR7 = TAYLOR6 + [(1, 0, 1, 0)]
 
 
@@ -76,10 +91,17 @@ def cases():
         ("certificate taylor7", certificate(taylor(TAYLOR7)), (8128, 0)),
     ] + [(f"certificate perturbed {name}",
           certificate(perturbed(ideal, seed)), (size, count))
-         for name, ideal, seed, size, count in PERTURBED]
+         for name, ideal, seed, size, count in PERTURBED] + [
+        ("sym check fk @3", sym_check(load_fixture("fk").algebra(), 3),
+         "1340 monomials, 0 problems"),
+        ("sym check fm @2", sym_check(load_fixture("fm").algebra(), 2),
+         "392 monomials, 0 problems"),
+    ]
 
 
 def describe(size) -> str:
+    if isinstance(size, str):
+        return size
     if isinstance(size, tuple):
         return f"basis {size[0]}, {size[1]} witnesses"
     return f"basis {size}"
