@@ -294,10 +294,15 @@ def cmd_taylor(args) -> int:
 def cmd_cone(args) -> int:
     if not args.expr:
         raise CLIError("cone needs --expr with the adjoined differential")
+    if not _is_name(args.prefix):
+        raise CLIError(f"--prefix {args.prefix!r} is not a name")
     doc = _load(args)
     alg = _algebra(doc, args)
     r = _parse_scalar(doc.ring, args.expr)
     cone = mapping_cone_extension(alg, r, prefix=args.prefix)
+    if any(v in cone.complex.basis for v in doc.ring.variables):
+        raise CLIError(f"--prefix {args.prefix!r} names a basis element "
+                       "like a ring variable")
     out = Document()
     out.ring = doc.ring
     name = "".join(ch if ch.isalnum() or ch == "_" else "_"

@@ -86,14 +86,11 @@ every fixture, but not on some perturbed Taylor tables of six monomials
 and then the monic f_ab are their own basis.  No product is undefined:
 every pair monomial is a lead of G or divisible by a pivot, so its normal
 form is linear.
-The triple scan skips triples whose total degree exceeds the top of the
-complex.  Their associators vanish only because every product a*b lies in
-degree |a| + |b|, so (a*b)*c and a*(b*c) land above the top, where there is
-no basis.  A table with a*b in a lower degree could have an associator the
-scan never reads, so `mult_ideal` rejects such a table before any triple is
-read.  The scan also reads only triples with c at or after a: [c,b,a] =
-+-[a,b,c] in a graded-commutative table (see
-`MDGAlgebra.associative_on_basis`), so both span the same line.
+The route reads the basis associators from `MDGAlgebra.basis_associators`,
+whose docstring proves its two skips sound: triples above the top of the
+complex, which needs every product a*b in degree |a| + |b| (checked by
+`Multiplication.structure_constants` before any triple is read), and
+triples with c before a.
 
 `buchberger` returns a `GBasis` whose elements are plain monic `GCPoly`s,
 interreduced: no lead monomial divides another, and whose `stats` count the
@@ -114,9 +111,9 @@ from itertools import product
 from . import linalg
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .gcalg import GCContext, GCPoly
-from .mdg import MDGAlgebra, MDGError, MissingProductError
-from .ring import (add_term, laurent, laurent_term, mono_div, mono_divides,
-                   mono_lcm, mono_mask)
+from .mdg import MDGAlgebra, MDGError
+from .ring import (add_term, laurent, mono_div, mono_divides, mono_lcm,
+                   mono_mask)
 
 __all__ = [
     "GBasis", "PairLimitError", "ReductionTrace", "STATS",
@@ -176,26 +173,15 @@ def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None):
     the table defines (odd squares are implied zero, so f_ii = e_i^2 there).
     Pairs with no stored product are skipped (partial-table exploration).
 
-    Raises MDGError when a nonzero product is not homogeneous of degree
-    |a| + |b| (the triple check of `associativity_certificate` relies on it)
-    or not multihomogeneous of multidegree mdeg(a) + mdeg(b) (the engine's
-    Laurent coefficients rely on it)."""
+    Raises the MDGError of `Multiplication.structure_constants` on a table
+    that is not homogeneous (the triple scan relies on it) or not
+    multihomogeneous (the engine's Laurent coefficients rely on it)."""
     if ctx is None:
         ctx = context_for(alg.complex)
-    alg.mult.require_homogeneous()
-    gens = []
-    for i, a in enumerate(ctx.names):
-        for b in ctx.names[i:]:
-            try:
-                value = alg.mult.product(a, b)
-            except MissingProductError:
-                continue
-            problem = alg.mult.mdeg_problem(a, b, value)
-            if problem:
-                raise MDGError(f"table is not multihomogeneous: product "
-                               f"{problem}")
-            gens.append(pair_relation(ctx, alg, a, b))
-    return ctx, gens
+    consts = alg.mult.structure_constants()
+    return ctx, [pair_relation(ctx, alg, a, b)
+                 for i, a in enumerate(ctx.names) for b in ctx.names[i:]
+                 if (a, b) in consts]
 
 
 def spoly(f: GCPoly, g: GCPoly) -> GCPoly:
@@ -493,14 +479,9 @@ def _linear_certificate(alg: MDGAlgebra, ctx: GCContext, gens):
     f_ab of the non-pivot pairs, their tails reduced by the witnesses, then
     the witnesses in ascending lead order (the module docstring proves it)."""
     columns, rows, pivots = _associator_span(alg, ctx)
-    mdeg = {nm: alg.complex.basis[nm].mdeg for nm in ctx.names}
-    witnesses = []
-    for row, pc in zip(reversed(rows), reversed(pivots)):
-        top = mdeg[columns[pc]]
-        witnesses.append(GCPoly(ctx, {
-            ctx.gen(b).lead_mono(): laurent_term(ctx.ring, q,
-                                                 mono_div(top, mdeg[b]))
-            for b, q in zip(columns, row) if q}))
+    witnesses = [element_to_gc(ctx, alg.q_element(
+        [columns[pc]], {b: q for b, q in zip(columns, row) if q}))
+        for row, pc in zip(reversed(rows), reversed(pivots))]
     pivot_index = [ctx.index(columns[pc]) for pc in pivots]
     lead_list = _LeadList(witnesses)
     pairs = []
@@ -524,35 +505,15 @@ def _associator_span(alg: MDGAlgebra, ctx: GCContext):
     form over the generators from the largest in the term order down, so
     that each pivot is the largest generator of its row."""
     consts = alg.mult.structure_constants()
-    maxdeg = alg.complex.max_degree()
-    names, degrees = ctx.names, ctx.degrees
-
-    def product(u, v):
-        out = {}
-        for d, p in u.items():
-            for e, q in v.items():
-                for f, r in consts[d, e].items():
-                    out[f] = out.get(f, 0) + p * q * r
-        return out
-
-    vectors = []
-    for i, a in enumerate(names):
-        for b, db in zip(names, degrees):
-            dab = degrees[i] + db
-            for c, dc in zip(names[i:], degrees[i:]):
-                if dab + dc > maxdeg:
-                    break
-                assoc = product(consts[a, b], {c: 1})
-                for f, q in product({a: 1}, consts[b, c]).items():
-                    assoc[f] = assoc.get(f, 0) - q
-                vectors.append(assoc)
-    columns = sorted(names, reverse=True,
+    columns = sorted(ctx.names, reverse=True,
                      key=lambda nm: ctx.order_key(ctx.gen(nm).lead_mono()))
-    rows, pivots = _echelon([], vectors, columns)
+    rows, pivots = _echelon([], (v for _, _, _, v in
+                                 alg.basis_associators(consts)), columns)
     while True:
         sparse = [{c: q for c, q in zip(columns, row) if q} for row in rows]
-        grown, pivots = _echelon(rows, [product({a: 1}, v) for a in names
-                                        for v in sparse], columns)
+        grown, pivots = _echelon(rows, [alg.mult.q_mul(consts, {a: 1}, v)
+                                        for a in ctx.names for v in sparse],
+                                 columns)
         if len(grown) == len(rows):
             return columns, rows, pivots
         rows = grown

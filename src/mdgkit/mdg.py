@@ -15,11 +15,13 @@ perturbation of multiplications.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from . import linalg
 from .complexes import (UNIT, ComplexError, Element, FreeComplex,
                         subquotient_homology)
-from .ring import Polynomial, add_term, mono_div, mono_divides, mono_mul
+from .ring import (Polynomial, add_term, laurent_term, mono_div,
+                   mono_divides, mono_mul)
 
 SATURATION_ROUNDS = 10      # the round limit of `Submodule.saturate`
 
@@ -99,14 +101,6 @@ class Multiplication:
                     f"expected {expected}")
         return None
 
-    def require_homogeneous(self):
-        """MDGError at the first product with a `degree_problem`: the degree
-        skips of the basis checks below are sound only without one."""
-        for (left, right), value in self.table.items():
-            problem = self.degree_problem(left, right, value)
-            if problem:
-                raise MDGError(f"table is not homogeneous: product {problem}")
-
     def mdeg_problem(self, left: str, right: str, value: Element):
         """Why the product left*right = value is not multihomogeneous of
         multidegree mdeg(left) + mdeg(right); None when it is (zero is)."""
@@ -126,18 +120,22 @@ class Multiplication:
         """{(a, b): {d: c_abd}} over every ordered pair of non-unit basis
         elements whose product is defined, with a*b = sum_d c_abd *
         x^(m_a + m_b - m_d) * d and each c_abd a Fraction; odd squares map
-        to {}.  The monomials follow from the multidegrees when no product
-        has an `mdeg_problem`, which `groebner.mult_ideal` checks.  Raises
-        MDGError on a coefficient that is not a single term."""
+        to {}.  The one precondition check of the scans over Q and of
+        `groebner.mult_ideal`: MDGError at the first stored product with a
+        `degree_problem` or an `mdeg_problem` (multidegrees are exponent
+        tuples, so a multihomogeneous coefficient is a single term)."""
         cx = self.complex
         out = {}
         for (left, right), value in self.table.items():
-            consts = {}
-            for d, coeff in value.coeffs.items():
-                if not coeff.is_monomial():
-                    raise MDGError(f"table is not multihomogeneous: product "
-                                   f"{left}*{right} has coefficient {coeff}")
-                consts[d] = coeff.lead_coeff()
+            problem = self.degree_problem(left, right, value)
+            if problem:
+                raise MDGError(f"table is not homogeneous: product {problem}")
+            problem = self.mdeg_problem(left, right, value)
+            if problem:
+                raise MDGError(f"table is not multihomogeneous: product "
+                               f"{problem}")
+            consts = {d: coeff.lead_coeff()
+                      for d, coeff in value.coeffs.items()}
             out[(left, right)] = consts
             if left != right:
                 sign = (-1) ** (cx.basis[left].degree * cx.basis[right].degree)
@@ -146,6 +144,26 @@ class Multiplication:
         for name in cx.order:
             if name != UNIT and cx.basis[name].degree % 2 == 1:
                 out[(name, name)] = {}
+        return out
+
+    def q_row(self, consts: dict, left: str, right: str) -> dict:
+        """The constants {d: c} of left*right: the `structure_constants()`
+        row, or from `product`, which reads the unit's pairs and raises the
+        MissingProductError of an undefined one."""
+        row = consts.get((left, right))
+        if row is None:
+            row = {d: c.lead_coeff()
+                   for d, c in self.product(left, right).coeffs.items()}
+        return row
+
+    def q_mul(self, consts: dict, u: dict, v: dict) -> dict:
+        """u*v for rational vectors {name: q} read at multidegrees M and N:
+        sum_d q_d x^(M + N - m_d) d, its pairs read in `multiply`'s order."""
+        out = {}
+        for d, p in u.items():
+            for e, q in v.items():
+                for f, r in self.q_row(consts, d, e).items():
+                    out[f] = out.get(f, 0) + r * p * q
         return out
 
     def multiply(self, x: Element, y: Element) -> Element:
@@ -229,41 +247,61 @@ class MDGAlgebra:
 
     # -- associativity / alternativity --
 
-    def associative_on_basis(self):
-        """First non-associative basis triple as (a, b, c, associator), or None.
+    def _q_associator(self, consts: dict, a: str, b: str, c: str) -> dict:
+        """[a,b,c] = sum_d q_d x^(m_a+m_b+m_c-m_d) d as {d: q}, read from the
+        `structure_constants()` in the order of `associator_names`, so that
+        a partial table raises the same MissingProductError."""
+        mult = self.mult
+        out = mult.q_mul(consts, mult.q_row(consts, a, b), {c: 1})
+        for d, q in mult.q_mul(consts, {a: 1},
+                               mult.q_row(consts, b, c)).items():
+            out[d] = out.get(d, 0) - q
+        return {d: q for d, q in out.items() if q}
 
-        Triples whose total degree exceeds the top of the complex are skipped;
-        their associator vanishes for degree reasons when every product lies
-        in degree |a| + |b| (see `Multiplication.degree_problem`).  The basis
-        need not be declared in degree order.
-
-        Only triples with c at or after a in basis order are evaluated:
-        [c,b,a] reads the same stored products as [a,b,c] and, once they are
-        defined, equals -(-1)^{|a||b|+|b||c|+|c||a|} [a,b,c].  So the first
-        nonzero associator or missing product of the full lexicographic scan
-        always has a at or before c, and the result is the same."""
-        self.mult.require_homogeneous()
+    def q_element(self, factors, vec: dict) -> Element:
+        """sum_d q_d x^(M - m_d) d for vec = {d: q}, M the multidegree of
+        the product of the basis elements `factors`."""
         cx = self.complex
-        maxdeg = cx.max_degree()
+        top = reduce(mono_mul, (cx.basis[n].mdeg for n in factors))
+        return Element(cx, {d: laurent_term(cx.ring, q,
+                                            mono_div(top, cx.basis[d].mdeg))
+                            for d, q in vec.items()})
+
+    def basis_associators(self, consts: dict):
+        """Yield (a, b, c, {d: q}), the `_q_associator` of the basis triples
+        in lexicographic order with c at or after a.
+
+        Triples whose total degree exceeds the top of the complex are
+        skipped; their associator vanishes for degree reasons when every
+        product lies in degree |a| + |b|, as `structure_constants` checks.
+        The basis need not be declared in degree order.  [c,b,a] reads the
+        same stored products as [a,b,c] and, once they are defined, equals
+        -(-1)^{|a||b|+|b||c|+|c||a|} [a,b,c].  So the first nonzero
+        associator or missing product of the full lexicographic scan always
+        has a at or before c, and both scans span the same lines."""
+        maxdeg = self.complex.max_degree()
         names = self.basis_names()
-        for i, a in enumerate(names):
-            da = cx.basis[a].degree
-            for b in names:
-                dab = da + cx.basis[b].degree
-                if dab > maxdeg:
+        degs = [self.complex.basis[n].degree for n in names]
+        for i, (a, da) in enumerate(zip(names, degs)):
+            for b, db in zip(names, degs):
+                if da + db > maxdeg:
                     continue
-                for c in names[i:]:
-                    if dab + cx.basis[c].degree > maxdeg:
-                        continue
-                    v = self.associator_names(a, b, c)
-                    if not v.is_zero():
-                        return (a, b, c, v)
+                for c, dc in zip(names[i:], degs[i:]):
+                    if da + db + dc <= maxdeg:
+                        yield a, b, c, self._q_associator(consts, a, b, c)
+
+    def associative_on_basis(self):
+        """The first nonzero `basis_associators` entry, or None."""
+        consts = self.mult.structure_constants()
+        for a, b, c, v in self.basis_associators(consts):
+            if v:
+                return (a, b, c, self.q_element((a, b, c), v))
         return None
 
     def alternative_on_basis(self):
         """First failure of [a, x, a] = 0 (|a| even) or
         [a,x,a] = (-1)^{|x|} 2 [a,a,x] (|a| odd) over basis pairs, or None."""
-        self.mult.require_homogeneous()
+        consts = self.mult.structure_constants()
         cx = self.complex
         maxdeg = cx.max_degree()
         for a in self.basis_names():
@@ -271,40 +309,34 @@ class MDGAlgebra:
             for x in self.basis_names():
                 if 2 * da + cx.basis[x].degree > maxdeg:
                     continue
-                axa = self.associator_names(a, x, a)
-                if da % 2 == 0:
-                    if not axa.is_zero():
-                        return (a, x, a, axa)
-                else:
-                    dx = cx.basis[x].degree
-                    aax = self.associator_names(a, a, x).scale(2 * (-1) ** dx)
-                    if not (axa - aax).is_zero():
-                        return (a, x, a, axa - aax)
+                v = self._q_associator(consts, a, x, a)
+                if da % 2 == 1:
+                    scale = 2 * (-1) ** cx.basis[x].degree
+                    for d, q in self._q_associator(consts, a, a, x).items():
+                        v[d] = v.get(d, 0) - q * scale
+                    v = {d: q for d, q in v.items() if q}
+                if v:
+                    return (a, x, a, self.q_element((a, x, a), v))
         return None
 
     # -- submodule machinery --
 
     def associator_submodule(self) -> "Submodule":
-        self.mult.require_homogeneous()
-        cx = self.complex
-        maxdeg = cx.max_degree()
-        names = self.basis_names()
-        gens = []
-        seen = set()
-        for b in names:
-            db = cx.basis[b].degree
-            for c in names:
-                dbc = db + cx.basis[c].degree
-                if dbc > maxdeg:
-                    continue
-                for x in names:
-                    if dbc + cx.basis[x].degree > maxdeg:
-                        continue
-                    v = self.associator_names(b, c, x)
-                    if v.is_zero():
-                        continue
-                    gens.append((f"[{b},{c},{x}]", v))
-        sub = Submodule(self, gens)
+        """The saturated span of the nonzero basis associators [a,b,c] in
+        lexicographic order; [c,b,a] is the flip in `basis_associators`."""
+        consts = self.mult.structure_constants()
+        deg = {n: self.complex.basis[n].degree for n in self.basis_names()}
+        pos = {n: i for i, n in enumerate(deg)}
+        found = {}
+        for a, b, c, v in self.basis_associators(consts):
+            sign = -(-1) ** (deg[b] * (deg[a] + deg[c]) + deg[a] * deg[c])
+            found[c, b, a] = {d: sign * q for d, q in v.items()}
+            found[a, b, c] = v
+        sub = Submodule(self, [
+            (f"[{a},{b},{c}]", self.q_element((a, b, c), v))
+            for (a, b, c), v in sorted(found.items(),
+                                       key=lambda t: [pos[n] for n in t[0]])
+            if v])
         sub.saturate()
         return sub
 

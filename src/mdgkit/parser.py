@@ -79,9 +79,9 @@ def tokenize(text: str):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":        # str.isdigit also takes "²" and "٣"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(Token("int", int(text[i:j]), line, col))
             col += j - i

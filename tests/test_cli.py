@@ -83,13 +83,19 @@ def test_gb_rejects_a_table_that_is_not_multihomogeneous(tmp_path, capsys,
     assert "e1*e2 = x*e12;" in text
     bad = tmp_path / "bad.mdg"
     bad.write_text(text.replace("e1*e2 = x*e12;", f"e1*e2 = {product};"))
-    for argv in (["gb", str(bad)], ["reduce", str(bad), "--expr", "e1*e2"]):
+    for argv in (["gb", str(bad)], ["reduce", str(bad), "--expr", "e1*e2"],
+                 ["assoc", str(bad)], ["alt", str(bad)],
+                 ["submodule", str(bad)], ["quotient", str(bad)]):
         code, _, err = run(capsys, argv)
-        assert code == 2
+        assert code == 2, argv
         assert "product e1*e2" in err and "not multihomogeneous" in err
     code, out, _ = run(capsys, ["check", str(bad)])
     assert code == 1
     assert out.startswith("mu: e1*e2")
+    # `assoc --triple` multiplies Elements, so it reads any table; e12*e1
+    # lies above the top degree, so this associator is exactly 0
+    code, out, _ = run(capsys, ["assoc", str(bad), "--triple", "e1,e2,e1"])
+    assert (code, out) == (0, "0")
 
 
 WRONG_DEGREE = """\
@@ -184,12 +190,25 @@ def test_taylor_duplicate_ring_variable_is_an_input_error(capsys):
     assert "duplicate variable 'x'" in err
 
 
-@pytest.mark.parametrize("ring, bad", [("x,,y", ""), ("2x,y", "2x")])
+@pytest.mark.parametrize("ring, bad", [("x,,y", ""), ("2x,y", "2x"),
+                                       ("²", "²"), ("٣", "٣")])
 def test_taylor_rejects_a_name_that_is_not_an_identifier(capsys, ring, bad):
     code, out, err = run(capsys, ["taylor", "--ring", ring, "--ideal", "y"])
     assert code == 2
     assert out == ""
     assert f"{bad!r} in --ring is not a variable name" in err
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])
+def test_a_digit_that_is_not_ascii_is_an_input_error(tmp_path, capsys, digit):
+    # "²" and "٣" pass str.isdigit; int() refuses the first and reads the
+    # second as 3
+    doc = tmp_path / "digit.mdg"
+    doc.write_text(f"ring x;\ncomplex F {{\n  basis 1: e mdeg({digit});\n"
+                   "  d e = x;\n}\n")
+    code, _, err = run(capsys, ["check", str(doc)])
+    assert code == 2
+    assert f"line 3, col 19: unexpected character {digit!r}" in err
 
 
 def test_taylor_rejects_a_variable_named_like_a_basis_element(capsys):
@@ -327,6 +346,18 @@ def test_cone_emits_a_valid_document(capsys):
     alg = doc.algebra()
     assert alg.check().ok()
     assert "E" in alg.complex.order
+
+
+@pytest.mark.parametrize("prefix, message", [
+    ("", "'' is not a name"), ("9", "'9' is not a name"),
+    ("a b", "'a b' is not a name"),
+    ("x", "'x' names a basis element like a ring variable")])
+def test_cone_refuses_a_prefix_it_cannot_print_back(capsys, prefix, message):
+    code, out, err = run(capsys, ["cone", TAYLOR, "--expr", "y",
+                                  "--prefix", prefix])
+    assert code == 2
+    assert out == ""
+    assert f"--prefix {message}" in err
 
 
 def test_sym_reports_the_bigraded_dimensions(capsys):

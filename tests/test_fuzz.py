@@ -28,9 +28,10 @@ complex K {
 CX = DOC.sole_complex()
 CTX = context_for(CX)
 
-# names of the ring, of the basis, and one unknown name
+# names of the ring, of the basis, one unknown name, and two digits that
+# are not ASCII (str.isdigit takes them, the tokenizer must not)
 TOKENS = ["x", "y", "e1", "e2", "e12", "z", "+", "-", "*", "/", "^", "(",
-          ")"]
+          ")", "²", "٣"]
 token_strings = st.lists(
     st.one_of(st.sampled_from(TOKENS), st.integers(0, 4).map(str)),
     min_size=1, max_size=12).map(" ".join)
@@ -60,7 +61,7 @@ def test_random_expressions_parse_or_raise_a_document_error(text):
 FIXTURES = {name: fixture_path(name).read_text() for name in ("fa", "ex6")}
 # a mutation deletes a token or replaces it by one of the same kind, so
 # most mutants still tokenize and many still parse
-REPLACEMENTS = {"int": ["", "0", "1", "2", "3"],
+REPLACEMENTS = {"int": ["", "0", "1", "2", "3", "²", "٣"],
                 "name": ["", "x", "w", "e1", "e2", "e12", "e123", "mult"],
                 "sym": ["", "*", "+", "-", "/", "^", "(", ")", ";", ",", "="]}
 

@@ -58,6 +58,48 @@ def _full_scan(alg):
     return None
 
 
+def _alternative_scan(alg):
+    """The alternative identities over basis pairs from `associator_names`:
+    the first failure as (a, x, a, difference), or None."""
+    cx = alg.complex
+    top = cx.max_degree()
+    for a, x in product(alg.basis_names(), repeat=2):
+        da = cx.basis[a].degree
+        if 2 * da + cx.basis[x].degree > top:
+            continue
+        v = alg.associator_names(a, x, a)
+        if da % 2 == 1:
+            dx = cx.basis[x].degree
+            v = v - alg.associator_names(a, a, x).scale(2 * (-1) ** dx)
+        if not v.is_zero():
+            return (a, x, a, v)
+    return None
+
+
+def _submodule_scan(alg):
+    """The associator submodule's (label, generator) list, its generators
+    the nonzero `associator_names` of the full scan, saturated."""
+    cx = alg.complex
+    top = cx.max_degree()
+    gens = []
+    for a, b, c in product(alg.basis_names(), repeat=3):
+        if sum(cx.basis[n].degree for n in (a, b, c)) <= top:
+            gens.append((f"[{a},{b},{c}]", alg.associator_names(a, b, c)))
+    sub = Submodule(alg, gens)
+    sub.saturate()
+    return [(label, v) for label, v, _, _ in sub.gens]
+
+
+def _submodule_gens(alg):
+    return [(label, v) for label, v, _, _ in alg.associator_submodule().gens]
+
+
+# (scan over Q, its reference from `associator_names`)
+SCANS = {"associative": (MDGAlgebra.associative_on_basis, _full_scan),
+         "alternative": (MDGAlgebra.alternative_on_basis, _alternative_scan),
+         "submodule": (_submodule_gens, _submodule_scan)}
+
+
 def _outcome(scan, alg):
     try:
         return scan(alg)
@@ -75,9 +117,12 @@ def _fk_with_a_doubled_product():
 
 @pytest.mark.parametrize("name,mult", TABLES)
 def test_the_triple_scan_agrees_with_the_full_scan(name, mult):
+    # witnesses and generators are compared as Elements, by value; a partial
+    # table must raise the same MissingProductError
     alg = load_fixture(name).algebra(mult)
-    expected = _outcome(_full_scan, alg)
-    assert _outcome(MDGAlgebra.associative_on_basis, alg) == expected
+    for kind, (scan, reference) in SCANS.items():
+        expected = _outcome(reference, alg)
+        assert _outcome(scan, alg) == expected, kind
 
 
 def test_the_triple_scan_finds_the_full_scan_witness_of_a_doubled_product():

@@ -7,19 +7,22 @@ certificate cases run `associativity_certificate` on fo_full, on the
 Taylor algebras of (x^2, y^2, w^2, xy, yz, zw) and of the same ideal plus
 xz, and on the perturbed Taylor tables of `tools/check_criteria.py`.  These
 tables are complete, so the certificate takes its linear route; the
-perturbed ones are not associative.  The symmetric-algebra cases run
+perturbed ones are not associative.  The scan cases run
+`associative_on_basis` on the Taylor-7 table (associative, so every triple
+is read) and `associator_submodule` on fm.  The symmetric-algebra cases run
 `SymDGAlgebra.check()` on fk truncated at total degree 3 and on fm at 2.
 Each run's basis size (for a certificate, also its witness count; for a
-symmetric-algebra check, its monomial and problem counts) is checked
-against its golden value before its time counts.  Takes no options.  Run
-from anywhere:
+scan, its verdict or generator count; for a symmetric-algebra check, its
+monomial and problem counts) is checked against its golden value before
+its time counts.  Takes no options.  Run from anywhere:
 
     python3 tools/time_engine.py
 
 Prints one line per case: name, golden counts and the best wall time in
 seconds (`time.perf_counter`), then the `GBasis.stats` counters of the
-completion (none for a certificate, which takes the linear route, or for a
-symmetric-algebra check).  Exits 0, or 1 when a golden count differs.
+completion (none for a certificate, which takes the linear route, for a
+scan or for a symmetric-algebra check).  Exits 0, or 1 when a golden count
+differs.
 The run takes a few minutes.
 """
 
@@ -62,6 +65,25 @@ def certificate(alg):
     return run
 
 
+def triple_scan(alg):
+    def run():
+        start = time.perf_counter()
+        hit = alg.associative_on_basis()
+        elapsed = time.perf_counter() - start
+        return ("associative" if hit is None else f"witness {hit[:3]}",
+                elapsed, {})
+    return run
+
+
+def submodule(alg):
+    def run():
+        start = time.perf_counter()
+        sub = alg.associator_submodule()
+        return (f"{len(sub.gens)} generators", time.perf_counter() - start,
+                {})
+    return run
+
+
 def sym_check(alg, truncation):
     def run():
         start = time.perf_counter()
@@ -81,6 +103,8 @@ def cases():
     associative and complete, so its basis is exactly its n(n+1)/2 pair
     relations, n = 2^k - 1, with no witness."""
     fo_full = load_fixture("fo_full").algebra()
+    fm = load_fixture("fm").algebra()
+    taylor7 = taylor(TAYLOR7)
     return [
         ("buchberger fk", completion(load_fixture("fk").algebra()), 155),
         ("buchberger ex55", completion(load_fixture("ex55").algebra()), 231),
@@ -88,13 +112,15 @@ def cases():
         ("buchberger taylor5", completion(taylor(TAYLOR5)), 496),
         ("certificate fo_full", certificate(fo_full), (630, 0)),
         ("certificate taylor6", certificate(taylor(TAYLOR6)), (2016, 0)),
-        ("certificate taylor7", certificate(taylor(TAYLOR7)), (8128, 0)),
+        ("certificate taylor7", certificate(taylor7), (8128, 0)),
     ] + [(f"certificate perturbed {name}",
           certificate(perturbed(ideal, seed)), (size, count))
          for name, ideal, seed, size, count in PERTURBED] + [
+        ("associative_on_basis taylor7", triple_scan(taylor7), "associative"),
+        ("associator_submodule fm", submodule(fm), "76 generators"),
         ("sym check fk @3", sym_check(load_fixture("fk").algebra(), 3),
          "1340 monomials, 0 problems"),
-        ("sym check fm @2", sym_check(load_fixture("fm").algebra(), 2),
+        ("sym check fm @2", sym_check(fm, 2),
          "392 monomials, 0 problems"),
     ]
 
