@@ -9,6 +9,7 @@ errors, unknown names).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -21,7 +22,8 @@ from .mdg import (Homotopy, MDGAlgebra, MDGError, perturb_multiplication,
                   quotient_homology_dims)
 from .parser import (Document, DocumentError, format_document, parse_element,
                      parse_gcpoly, tokenize)
-from .ring import Polynomial, Ring, mono_div, mono_divides, mono_mul
+from .ring import (Polynomial, Ring, laurent_term, mono_div, mono_divides,
+                   mono_mul)
 from .symdg import SymError, build_sym
 
 EXIT_OK = 0
@@ -245,6 +247,7 @@ def cmd_gb(args) -> int:
     report = associativity_certificate(alg)
     payload = {"command": "gb", "basis_size": len(report.basis),
                "associative": report.associative, "route": report.route,
+               "stats": report.basis.stats,
                "witnesses": [str(w) for w in report.witnesses],
                "undefined": [f"{a}*{b}" for a, b in report.undefined_pairs]}
     text = f"basis size: {len(report.basis)}\n{report.summary()}"
@@ -258,12 +261,37 @@ def cmd_reduce(args) -> int:
     doc = _load(args)
     alg = _algebra(doc, args)
     ctx, gens = mult_ideal(alg)
-    basis = buchberger(ctx, gens)
     f = parse_gcpoly(args.expr, ctx)
+    _require_multihomogeneous(alg.complex, f, args.expr)
+    basis = buchberger(ctx, gens)
     nf, _ = basis.reduce(f)
     _emit(args, {"command": "reduce", "expr": args.expr,
-                 "normal_form": str(nf)}, str(nf))
+                 "normal_form": str(nf), "stats": basis.stats}, str(nf))
     return EXIT_OK
+
+
+def _require_multihomogeneous(cx: FreeComplex, f, text: str) -> None:
+    """CLIError naming the first term of f, in descending order, whose
+    multidegree differs from that of f's lead term.  A term x^a*e^m has
+    multidegree a + sum_i m_i*mdeg(e_i); a coefficient with several terms
+    mixes multidegrees."""
+    ctx = f.ctx
+    mdegs = [cx.basis[name].mdeg for name in ctx.names]
+    lead = None
+    for mono, coeff in f.sorted_terms():
+        base = tuple(sum(e * md[k] for e, md in zip(mono, mdegs))
+                     for k in range(cx.ring.nvars))
+        word = ctx.format_mono(mono)
+        for expts in sorted(coeff.exponents(), reverse=True):
+            x = str(laurent_term(cx.ring, 1, expts))
+            term = word if x == "1" else x if word == "1" else f"{x}*{word}"
+            md = mono_mul(expts, base)
+            if lead is None:
+                lead = term, md
+            elif md != lead[1]:
+                raise CLIError(
+                    f"--expr {text!r} is not multihomogeneous: {term} has "
+                    f"multidegree {md}, {lead[0]} has {lead[1]}")
 
 
 def cmd_taylor(args) -> int:
@@ -526,9 +554,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: `parse_args` returns a fresh namespace and
+    keeps nothing in the parser, so calls share no state through it."""
+    return build_parser()
+
+
 def run_command(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if not e.code else EXIT_INPUT
     try:

@@ -161,13 +161,24 @@ class GCPoly:
         return GCPoly(self.ctx, {m: c * v for m, v in self.terms.items()})
 
     def term_mul_left(self, coeff, mono: tuple) -> "GCPoly":
-        """Left-multiply by the single term coeff * e^mono."""
-        coeff = laurent(self.ctx.ring, coeff)
+        """Left-multiply by the single term coeff * e^mono.  In the free
+        algebra e^mono e^m = +-e^(mono+m), never 0, and distinct m give
+        distinct products, so each term maps to one term.  A coefficient of
+        one multiplies nothing: the product only applies the Koszul signs."""
+        ctx = self.ctx
+        scaled = coeff != 1
+        if scaled:
+            coeff = laurent(ctx.ring, coeff)
+            if coeff.is_zero():
+                return ctx.zero
+        mul = ctx.mono_mul_signed
         terms: dict = {}
         for m, c in self.terms.items():
-            s, pm = self.ctx.mono_mul_signed(mono, m)
-            add_term(terms, pm, coeff * c if s == 1 else -(coeff * c))
-        return GCPoly(self.ctx, terms)
+            s, pm = mul(mono, m)
+            if scaled:
+                c = coeff * c
+            terms[pm] = c if s == 1 else -c
+        return GCPoly(ctx, terms)
 
     def __mul__(self, other):
         if not isinstance(other, GCPoly):
@@ -208,9 +219,13 @@ class GCPoly:
         return self.terms[self.lead_mono()]
 
     def monic(self) -> "GCPoly":
+        """self scaled to lead coefficient one: self itself when it is zero
+        or already monic (a GCPoly is never written, so sharing is safe)."""
         if self.is_zero():
             return self
         lc = self.lead_coeff()
+        if lc.is_one():
+            return self
         return self.scale(lc.inverse())
 
     def total_degree(self) -> int:

@@ -34,6 +34,26 @@ itself away: the first of them to be popped finds the other two pending.
 Kandri-Rody & Weispfenning (J. Symbolic Comput. 9, 1990) carry Buchberger's
 theory over to algebras of solvable type, which include K[e].
 
+The monomial criterion.  Every basis element is monic.  If f = e^a and
+g = e^b are single-term elements and T = lcm(a, b), then e^(T-a)f = s e^T
+and e^(T-b)g = s' e^T with s, s' = +-1, since e^p e^q = +-e^(p+q) is never
+0 in the non-strict algebra; so S(f, g) = s e^T - (s/s') s' e^T = 0.  The
+pair needs no reduction, and 0, the empty sum, is a representation with
+every term below T.  That is the property the chain criterion asks of a
+pair that is no longer pending, so a pair kept out of the queue this way
+counts as not pending, as a product-criterion skip does.  Pairs with a
+single-term element and one with several terms still enter the queue.
+
+Lifting a monic element changes only signs.  Let f = sum_t c_t e^t with
+lead coefficient 1, and m a monomial.  Then e^m f = sum_t +-c_t e^(m+t):
+each product e^m e^t is +-e^(m+t) and never 0, and t -> m + t is
+injective, so no two terms merge and every coefficient keeps its value up
+to the Koszul sign.  So `GCPoly.term_mul_left(1, m)` multiplies no
+coefficient, the lifted leads in `spoly` are +-1 and their ratio is +-1,
+so the S-polynomial is u - v or u + v with no scaling pass; and in
+`normal_form` the quotient of a reduction step is +-c, c the coefficient
+it cancels, so the step makes one multiplication per reducer term.
+
 The associativity certificate: complete {f_ij} to a Groebner basis; the table
 is associative exactly when no basis element has a lead monomial of total
 degree 1 (a single generator).  Those degree-1 elements are the obstruction
@@ -186,12 +206,19 @@ def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None):
 
 def spoly(f: GCPoly, g: GCPoly) -> GCPoly:
     """Left S-polynomial: cofactor monomials lift both leads to their lcm and
-    the scalar is chosen so the lead terms cancel exactly."""
+    the scalar is chosen so the lead terms cancel exactly.  When the lifted
+    leads agree up to sign, as they do for monic f and g (see the module
+    docstring), the scalar is +-1 and nothing is scaled."""
     a, b = f.lead_mono(), g.lead_mono()
     gamma = mono_lcm(a, b)
     u = f.term_mul_left(1, mono_div(gamma, a))
     v = g.term_mul_left(1, mono_div(gamma, b))
-    return u - v.scale(u.terms[gamma] * v.terms[gamma].inverse())
+    cu, cv = u.terms[gamma], v.terms[gamma]
+    if cu == cv:
+        return u - v
+    if cu == -cv:
+        return u + v
+    return u - v.scale(cu * cv.inverse())
 
 
 class ReductionTrace:
@@ -254,9 +281,13 @@ def normal_form(f: GCPoly, basis):
         g = basis[reducer]
         cof = mono_div(m, g.lead_mono())
         t = g.term_mul_left(1, cof)
-        c = work[m] * t.terms[m].inverse()
+        lc = t.terms[m]
+        c = work.pop(m)             # the step cancels the term at m
+        if not lc.is_one():         # a monic reducer lifts to a lead of +-1
+            c = -c if (-lc).is_one() else c * lc.inverse()
         for tm, tc in t.terms.items():
-            add_term(work, tm, -(c * tc))
+            if tm != m:
+                add_term(work, tm, -(c * tc))
         trace.steps.append((reducer, cof, c))
     return GCPoly(f.ctx, remainder), trace
 
@@ -266,11 +297,12 @@ class PairLimitError(MDGError):
 
 
 # The counters `buchberger` keeps in `GBasis.stats`: pairs pushed on the
-# queue, pairs kept out of it by the product criterion, popped pairs skipped
-# by the chain criterion, S-polynomials that vanish, nonzero S-polynomials
-# that reduce to zero, and elements the completion added to the generators.
-STATS = ("pairs_queued", "product_skips", "chain_skips", "zero_spolys",
-         "zero_normal_forms", "derived")
+# queue, pairs of single-term elements kept out of it, pairs kept out of it
+# by the product criterion, popped pairs skipped by the chain criterion,
+# S-polynomials that vanish, nonzero S-polynomials that reduce to zero, and
+# elements the completion added to the generators.
+STATS = ("pairs_queued", "monomial_skips", "product_skips", "chain_skips",
+         "zero_spolys", "zero_normal_forms", "derived")
 
 
 class GBasis:
@@ -306,14 +338,17 @@ def buchberger(ctx: GCContext, generators, criteria: bool = True,
     """Complete the generators to a confluent, interreduced basis.
 
     Pair selection: smallest lcm in the term order first.  With `criteria`,
-    two criteria skip pairs (both proved in the module docstring).  The
-    product criterion keeps a pair out of the queue when the leads are
-    coprime, both elements are parity-homogeneous and they share no odd
-    generator in any term; the plain coprime-lead criterion is unsound here.
-    The chain criterion skips a popped pair (i, j) when another element k
-    has a lead dividing lcm(a_i, a_j) and neither (i, k) nor (j, k) is still
-    pending.  `criteria=False` reduces every pair: the reference run.  Raises
-    PairLimitError after `max_pairs` pairs."""
+    three criteria skip pairs (all proved in the module docstring).  The
+    monomial criterion keeps a pair of single-term elements out of the
+    queue: its S-polynomial is 0.  The product criterion keeps a pair out
+    of the queue when the leads are coprime, both elements are
+    parity-homogeneous and they share no odd generator in any term; the
+    plain coprime-lead criterion is unsound here.  The chain criterion
+    skips a popped pair (i, j) when another element k has a lead dividing
+    lcm(a_i, a_j) and neither (i, k) nor (j, k) is still pending; a pair
+    kept out of the queue is never pending.  `criteria=False` reduces every
+    pair: the reference run.  Raises PairLimitError after `max_pairs`
+    pairs."""
     elements = _LeadList()
     profiles = []   # (odd generator support, parity or None) per element
     by_lead = {}    # lead monomial -> indices of the elements with that lead
@@ -361,7 +396,11 @@ def buchberger(ctx: GCContext, generators, criteria: bool = True,
     def push_pairs(new_index):
         nonlocal counter
         lm_new = elements[new_index].lead_mono()
+        single = len(elements[new_index].terms) == 1
         for i in range(new_index):
+            if criteria and single and len(elements[i].terms) == 1:
+                stats["monomial_skips"] += 1
+                continue
             if criteria and product_skip(i, new_index):
                 stats["product_skips"] += 1
                 continue

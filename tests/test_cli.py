@@ -9,9 +9,11 @@ import sys
 import pytest
 
 import mdgkit
+import mdgkit.cli as cli
 from mdgkit import fixture_path, load_fixture
 from mdgkit.cli import run_command
 from mdgkit.complexes import ComplexError
+from mdgkit.groebner import STATS
 from mdgkit.parser import format_document, parse_document
 
 FK = str(fixture_path("fk"))
@@ -312,6 +314,54 @@ def test_gb_json_reports_the_route(capsys, name, route):
     # complete tables take the linear route, the partial ex6 is completed
     _, out, _ = run(capsys, ["gb", str(fixture_path(name)), "--json"])
     assert json.loads(out)["route"] == route
+
+
+@pytest.mark.parametrize("command", ["gb", "reduce"])
+@pytest.mark.parametrize("name", ["fk", "ex6"])
+def test_json_reports_the_completion_stats(capsys, command, name):
+    # gb takes the linear route on the complete fk table: no completion ran
+    argv = [command, str(fixture_path(name)), "--json"]
+    if command == "reduce":
+        argv += ["--expr", "e1*e2"]
+    _, out, _ = run(capsys, argv)
+    stats = json.loads(out)["stats"]
+    if (command, name) == ("gb", "fk"):
+        assert stats == {}
+    else:
+        assert set(stats) == set(STATS) and stats["monomial_skips"] > 0
+
+
+@pytest.mark.parametrize("expr, term", [("x*e1 + e1", "e1"),
+                                        ("e1*e2 + x*e1*e2", "e1*e2")])
+def test_reduce_refuses_an_expression_that_is_not_multihomogeneous(
+        capsys, expr, term):
+    code, out, err = run(capsys, ["reduce", FK, "--expr", expr])
+    assert code == 2 and out == ""
+    assert "not multihomogeneous" in err
+    assert f": {term} has multidegree" in err
+
+
+def test_reduce_keeps_the_normal_form_of_a_homogeneous_expression(capsys):
+    # the outputs before the multihomogeneity check
+    for expr, nf in [("e1*e2", "e12"), ("x*e1*e2 - x*e12", "0"),
+                     ("e1*e5*e2", "-(y*z^2)*e124 - (x*y*z)*e234 "
+                                  "+ (x*w)*e345"),
+                     ("e1*e5*e2 - e1*e2*e5", "-(2*y*z^2)*e124 "
+                      "- (2*x*y*z)*e234 + (2*x*w)*e345")]:
+        code, out, _ = run(capsys, ["reduce", FK, "--expr", expr])
+        assert (code, out) == (0, nf)
+
+
+def test_consecutive_commands_share_no_state(capsys):
+    assert cli._parser() is cli._parser()
+    code, out, _ = run(capsys, ["assoc", FK, "--triple", "e1,e5,e2"])
+    assert code == 1
+    code, out, _ = run(capsys, ["assoc", FK])
+    assert code == 1 and out.startswith("not associative: [e1,e2,e5] =")
+    code, out, _ = run(capsys, ["assoc", FK, "--json"])
+    assert json.loads(out)["witness"] == ["e1", "e2", "e5"]
+    code, out, _ = run(capsys, ["assoc", FK])
+    assert out.startswith("not associative: [e1,e2,e5] =")
 
 
 def test_gb_script_export_is_emit_only(capsys):

@@ -10,8 +10,8 @@ from itertools import permutations
 from hypothesis import given, settings, strategies as st
 
 from mdgkit.gcalg import GCContext, GCPoly
-from mdgkit.ring import (Ring, RationalFunction, mono_divides, mono_mask,
-                         mono_mul)
+from mdgkit.ring import (Ring, RationalFunction, add_term, laurent,
+                         laurent_term, mono_divides, mono_mask, mono_mul)
 
 R = Ring(["x", "y"])
 
@@ -190,3 +190,46 @@ def test_format_powers():
     p = CTX.gen("a") * CTX.gen("a")
     assert str(p) == "a^2"
     assert str(p.strictify()) == "0"
+
+
+coefficients = st.builds(lambda c, e: laurent_term(R, c, e),
+                         st.fractions(-3, 3).filter(bool),
+                         st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+polys = st.dictionaries(monos, coefficients, max_size=6).map(
+    lambda terms: GCPoly(CTX, terms))
+
+
+def lifted_by_one(p, mono):
+    """e^mono * p with every coefficient multiplied by laurent(1), the
+    general product that `term_mul_left(1, mono)` must reproduce."""
+    one = laurent(R, 1)
+    terms = {}
+    for m, c in p.terms.items():
+        s, pm = CTX.mono_mul_signed(mono, m)
+        add_term(terms, pm, one * c if s == 1 else -(one * c))
+    return terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, monos, st.booleans())
+def test_lifting_by_one_only_applies_signs(p, mono, strict):
+    # strict: the polynomial and the cofactor carry no odd square
+    if strict:
+        p = p.strictify()
+        mono = tuple(min(e, 1) if CTX.parity[i] else e
+                     for i, e in enumerate(mono))
+    expected = lifted_by_one(p, mono)
+    for one in (1, laurent(R, 1)):
+        assert p.term_mul_left(one, mono).terms == expected
+    assert p.term_mul_left(2, mono).terms == {
+        m: c * 2 for m, c in expected.items()}
+    assert p.term_mul_left(0, mono).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys.filter(lambda p: p.terms))
+def test_monic_is_the_scaled_polynomial_and_keeps_a_monic_one(p):
+    monic = p.monic()
+    assert monic.terms == p.scale(p.lead_coeff().inverse()).terms
+    assert monic.lead_coeff().is_one()
+    assert monic.monic() is monic

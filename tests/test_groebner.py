@@ -24,8 +24,9 @@ from mdgkit.groebner import (PairLimitError, associativity_certificate,
 from mdgkit.mdg import (MDGAlgebra, MDGError, Multiplication,
                         perturb_multiplication)
 from mdgkit.parser import parse_gcpoly
-from mdgkit.ring import (RationalFunction, Ring, add_term, laurent_term,
-                         mono_div, mono_divides, mono_lcm, mono_mul)
+from mdgkit.ring import (RationalFunction, Ring, add_term, laurent,
+                         laurent_term, mono_div, mono_divides, mono_lcm,
+                         mono_mul)
 from mdgkit.symdg import _dict_rank
 
 R4 = Ring(["x", "y", "z", "w"])
@@ -312,6 +313,20 @@ def test_normal_form_matches_the_plain_scan(name):
         assert trace.steps == steps
 
 
+def test_normal_form_matches_the_plain_scan_on_a_basis_that_is_not_monic():
+    # the lifted leads are -2x or -1, so every step takes the general
+    # quotient or the sign flip instead of the monic shortcut
+    ctx, gens = mult_ideal(load_fixture("fa").algebra())
+    c = laurent_term(ctx.ring, -2, (1, 0, 0, 0))
+    basis = [g.scale(c) if i % 2 else -g
+             for i, g in enumerate(buchberger(ctx, gens).elements)]
+    for f in gens:
+        nf, trace = normal_form(f, basis)
+        terms, steps = _plain_normal_form(f, basis)
+        assert nf.terms == terms
+        assert trace.steps == steps
+
+
 # -- the linear route for complete tables -------------------------------------
 
 TAYLOR4 = [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0)]
@@ -522,7 +537,8 @@ def _same_basis_without_criteria(alg):
     basis = buchberger(ctx, gens)
     oracle = buchberger(ctx, gens, criteria=False)
     assert _terms(basis.elements) == _terms(oracle.elements)
-    assert oracle.stats["product_skips"] == oracle.stats["chain_skips"] == 0
+    assert (oracle.stats["monomial_skips"] == oracle.stats["product_skips"]
+            == oracle.stats["chain_skips"] == 0)
     return basis
 
 
@@ -558,3 +574,48 @@ def test_the_chain_criterion_skips_pairs_on_fk():
     assert stats["derived"] == 2 == (
         stats["pairs_queued"] - stats["chain_skips"] - stats["zero_spolys"]
         - stats["zero_normal_forms"])
+
+
+@pytest.mark.parametrize("make", [lambda: load_fixture("fk").algebra(),
+                                  lambda: load_fixture("fa").algebra(),
+                                  lambda: _degree_one_presentation("fk"),
+                                  lambda: _degree_one_presentation("fa")],
+                         ids=["fk", "fa", "fk presentation",
+                              "fa presentation"])
+def test_no_pair_of_single_term_elements_reaches_spoly(make):
+    # on these completions every vanishing S-polynomial came from a pair of
+    # single-term elements; the monomial criterion keeps them all off the
+    # queue
+    ctx, gens = mult_ideal(make())
+    stats = buchberger(ctx, gens).stats
+    assert stats["zero_spolys"] == 0 and stats["monomial_skips"] > 0
+
+
+def _general_spoly(f, g):
+    """The S-polynomial by the general formula u - v.scale(r), lifting
+    every coefficient through a product with laurent(1)."""
+    def lift(p, mono):
+        one = laurent(p.ctx.ring, 1)
+        terms = {}
+        for m, c in p.terms.items():
+            s, pm = p.ctx.mono_mul_signed(mono, m)
+            add_term(terms, pm, one * c if s == 1 else -(one * c))
+        return GCPoly(p.ctx, terms)
+    a, b = f.lead_mono(), g.lead_mono()
+    gamma = mono_lcm(a, b)
+    u, v = lift(f, mono_div(gamma, a)), lift(g, mono_div(gamma, b))
+    return u - v.scale(u.terms[gamma] * v.terms[gamma].inverse())
+
+
+def test_spoly_of_monic_elements_is_the_general_formula():
+    ctx, gens = mult_ideal(_degree_one_presentation("fk"))
+    elements = buchberger(ctx, gens).elements
+    rng = random.Random(5)
+    pairs = [rng.sample(range(len(elements)), 2) for _ in range(150)]
+    x = laurent_term(ctx.ring, 2, (1, 0, 0, 0))
+    for i, j in pairs:
+        f, g = elements[i], elements[j]
+        assert f.lead_coeff().is_one() and g.lead_coeff().is_one()
+        assert spoly(f, g).terms == _general_spoly(f, g).terms
+        # a lead ratio other than +-1 takes the scaling pass
+        assert spoly(f.scale(x), g).terms == _general_spoly(f.scale(x), g).terms

@@ -167,3 +167,19 @@ def test_is_one_is_equality_with_the_constant_one(p):
     assert p.is_one() == (p == R.one)
     assert (p + R.one - p).is_one()
     assert not (R.one + R.one).is_one()
+
+
+exps = st.tuples(*[st.integers(-3, 3)] * 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exps, exps)
+def test_the_monomial_kernels_match_the_componentwise_definitions(a, b):
+    from mdgkit.ring import (mono_div, mono_divides, mono_gcd, mono_lcm,
+                             mono_mul)
+    assert mono_mul(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert mono_div(b, a) == tuple(y - x for x, y in zip(a, b))
+    assert mono_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+    assert mono_gcd(a, b) == tuple(min(x, y) for x, y in zip(a, b))
+    assert mono_divides(a, b) == all(x <= y for x, y in zip(a, b))
+    assert mono_divides(a, mono_mul(a, tuple(abs(e) for e in b)))

@@ -2,10 +2,13 @@
 symmetric-algebra check in process, best of three runs per case.
 
 The engine cases are `buchberger` on the pair relations of the fixtures fk,
-ex55 and fo_full and of the Taylor algebra of (x^2, w^2, zw, xy, yz).  The
-certificate cases run `associativity_certificate` on fo_full, on the
-Taylor algebras of (x^2, y^2, w^2, xy, yz, zw) and of the same ideal plus
-xz, and on the perturbed Taylor tables of `tools/check_criteria.py`.  These
+ex55 and fo_full, of the Taylor algebra of (x^2, w^2, zw, xy, yz), and of
+the degree-1 presentations of ex55, fk and fa (each table cut down to the
+products of two degree-1 basis elements, as in perfbench's certify-growth
+workload).  The certificate cases run `associativity_certificate` on
+fo_full, on the Taylor algebras of (x^2, y^2, w^2, xy, yz, zw) and of the
+same ideal plus xz, and on the perturbed Taylor tables of
+`tools/check_criteria.py`.  These
 tables are complete, so the certificate takes its linear route; the
 perturbed ones are not associative.  The scan cases run
 `associative_on_basis` on the Taylor-7 table (associative, so every triple
@@ -36,6 +39,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from check_criteria import PERTURBED, TAYLOR5, TAYLOR6, perturbed, taylor
 from mdgkit import load_fixture
 from mdgkit.groebner import associativity_certificate, buchberger, mult_ideal
+from mdgkit.mdg import MDGAlgebra, Multiplication
 from mdgkit.symdg import build_sym
 
 RUNS = 3
@@ -95,6 +99,18 @@ def sym_check(alg, truncation):
     return run
 
 
+def presentation(name):
+    """The fixture's table cut down to the products of two degree-1 basis
+    elements; completion derives the rest."""
+    alg = load_fixture(name).algebra()
+    cx = alg.complex
+    partial = Multiplication(cx, "presentation")
+    for a, b in alg.mult.stored_pairs():
+        if cx.basis[a].degree == cx.basis[b].degree == 1:
+            partial.set_product(a, b, alg.mult.product(a, b))
+    return MDGAlgebra(cx, partial)
+
+
 TAYLOR7 = TAYLOR6 + [(1, 0, 1, 0)]
 
 
@@ -110,6 +126,10 @@ def cases():
         ("buchberger ex55", completion(load_fixture("ex55").algebra()), 231),
         ("buchberger fo_full", completion(fo_full), 630),
         ("buchberger taylor5", completion(taylor(TAYLOR5)), 496),
+        ("buchberger presentation ex55", completion(presentation("ex55")),
+         119),
+        ("buchberger presentation fk", completion(presentation("fk")), 92),
+        ("buchberger presentation fa", completion(presentation("fa")), 79),
         ("certificate fo_full", certificate(fo_full), (630, 0)),
         ("certificate taylor6", certificate(taylor(TAYLOR6)), (2016, 0)),
         ("certificate taylor7", certificate(taylor7), (8128, 0)),
