@@ -20,8 +20,8 @@ from .constructions import mapping_cone_extension, taylor_algebra
 from .groebner import associativity_certificate, buchberger, mult_ideal
 from .mdg import (Homotopy, MDGAlgebra, MDGError, perturb_multiplication,
                   quotient_homology_dims)
-from .parser import (Document, DocumentError, format_document, parse_element,
-                     parse_gcpoly, tokenize)
+from .parser import (Document, DocumentError, format_document, is_name,
+                     parse_element, parse_gcpoly, tokenize)
 from .ring import (Polynomial, Ring, laurent_term, mono_div, mono_divides,
                    mono_mul)
 from .symdg import SymError, build_sym
@@ -96,10 +96,9 @@ def _polynomial(coeff, what: str) -> Polynomial:
 def _is_name(text: str) -> bool:
     """Whether the document tokenizer reads text as exactly one name."""
     try:
-        tokens = [(t.kind, t.value) for t in tokenize(text)]
+        return tokenize(text) == [text, ""] and is_name(text)
     except DocumentError:
         return False
-    return tokens == [("id", text), ("eof", None)]
 
 
 def _parse_modulus(doc: Document, text: str):

@@ -40,6 +40,7 @@ class GCContext:
             raise ValueError("generators must be ordered by nondecreasing degree")
         self.n = len(self.names)
         self.parity = tuple(d & 1 for d in self.degrees)
+        self.odd = tuple(i for i, p in enumerate(self.parity) if p)
         self._index = {nm: i for i, nm in enumerate(self.names)}
         self.zero_mono = (0,) * self.n
         self._keys = {}
@@ -78,7 +79,7 @@ class GCContext:
     def mono_mul_signed(self, a: tuple, b: tuple, strict=False):
         """(sign, product monomial); sign 0 when strict and an odd square appears."""
         prod = mono_mul(a, b)
-        if strict and any(self.parity[i] and prod[i] > 1 for i in range(self.n)):
+        if strict and any(prod[i] > 1 for i in self.odd):
             return 0, prod
         return self.mono_sign(a, b), prod
 

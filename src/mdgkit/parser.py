@@ -16,17 +16,25 @@ Grammar sketch::
                  variables and basis names, with parentheses
 
 Comments run from ``#`` to end of line.  Errors carry line and column.
+
+Tokens are plain strings from one `findall` of one regular expression, with
+"" for the end of file.  A token's kind follows from its string: an ASCII
+digit first makes an int, a member of `_SYMBOLS` a symbol, anything else a
+name, which must start with a letter or "_".  The parser walks the list by
+index; AST nodes and semantic messages hold token indices, and `_positions`
+turns those into line and column only when a `DocumentError` is raised.
+One evaluator, `_evaluator`, combines plain coefficient dicts for elements
+of a complex and of the free graded-commutative algebra alike.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from operator import attrgetter
+import re
 
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .gcalg import GCContext, GCPoly
 from .mdg import ChainMap, Homotopy, MDGAlgebra, MDGError, Multiplication
-from .ring import Ring, laurent
+from .ring import Ring, add_term, laurent
 
 
 class DocumentError(Exception):
@@ -40,269 +48,284 @@ class DocumentError(Exception):
         super().__init__(message)
 
 
+class _Fault(DocumentError):
+    """A DocumentError whose position is still the token index `at` (None
+    for none); the entry point that holds the text locates it."""
+
+    def __init__(self, message: str, at: int = None):
+        super().__init__(message)
+        self.message = message
+        self.at = at
+
+
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_SYMBOLS = ("->", "{", "}", "(", ")", ";", ",", ":", "=", "+", "-", "*", "/",
-            "^", "|")
+_SYMBOLS = frozenset(("->", "{", "}", "(", ")", ";", ",", ":", "=", "+", "-",
+                      "*", "/", "^", "|"))
+_DIGITS = frozenset("0123456789")
+# first characters of the tokens that are not names; "" ends the file
+_NOT_NAME = _DIGITS | {s[0] for s in _SYMBOLS} | {""}
+# first characters, other than letters, of the tokens that are not symbols
+_LEADS = _DIGITS | {"_", ""}
+# blanks and comments, then one token: ASCII digits, a run of word
+# characters, an arrow, any other single character, or the end of the text
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*([0-9]+|\w+|->|[^ \t\r\n#]|\Z)")
 
 
-class Token:
-    __slots__ = ("kind", "value", "line", "col")
+def tokenize(text: str) -> list:
+    """The token strings of text, ended by "".  A character that starts no
+    token raises DocumentError, before any parsing."""
+    toks = _TOKEN.findall(text)
+    if len(toks) > 1 and not toks[-2]:
+        del toks[-1]        # after trailing blanks the end matches again
+    bad = [s for s in set(toks)
+           if not (s in _SYMBOLS or s[:1] in _LEADS or s[0].isalpha())]
+    if bad:
+        at = min(map(toks.index, bad))
+        raise _located(text, f"unexpected character {toks[at][0]!r}", at)
+    return toks
 
-    def __init__(self, kind, value, line, col):
-        self.kind = kind        # "id" | "int" | "sym" | "eof"
-        self.value = value
-        self.line = line
-        self.col = col
 
-    def __repr__(self):
-        return f"Token({self.kind}, {self.value!r})"
+def is_name(token: str) -> bool:
+    """Whether a token string of `tokenize` is a name."""
+    return token[:1] not in _NOT_NAME
 
 
-def tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if "0" <= ch <= "9":        # str.isdigit also takes "²" and "٣"
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(Token("int", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("id", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        sym = "->" if text.startswith("->", i) else ch
-        if sym not in _SYMBOLS:
-            raise DocumentError(f"unexpected character {ch!r}", line, col)
-        tokens.append(Token("sym", sym, line, col))
-        col += len(sym)
-        i += len(sym)
-    tokens.append(Token("eof", None, line, col))
-    return tokens
+def _positions(text: str, ats) -> dict:
+    """{token index: (line, col)} for the token indices ats of
+    tokenize(text), from one walk of the token regex.  The end of the file
+    after a comment on the last line sits at that comment's '#'."""
+    want, out, line, counted = set(ats), {}, 1, 0
+    for at, m in enumerate(_TOKEN.finditer(text)):
+        if len(out) == len(want):
+            break
+        if at in want:
+            offset, comment = m.start(1), text.find("#", text.rfind("\n") + 1)
+            if not m.group(1) and comment >= 0:
+                offset = comment
+            line += text.count("\n", counted, offset)
+            counted = offset
+            out[at] = (line, offset - text.rfind("\n", 0, offset))
+    return out
+
+
+def _located(text: str, message: str, at) -> DocumentError:
+    if at is None:
+        return DocumentError(message)
+    return DocumentError(message, *_positions(text, (at,))[at])
+
+
+def _shown(tok: str):
+    """A token as error messages show it: an int as its value, the end of
+    file as None."""
+    return int(tok) if tok[:1] in _DIGITS else tok or None
+
+
+def _expect(toks: list, i: int, sym: str) -> int:
+    """The index after the symbol sym at index i."""
+    if toks[i] != sym:
+        raise _Fault(f"expected {sym!r}, got {_shown(toks[i])!r}", i)
+    return i + 1
+
+
+def _name(toks: list, i: int) -> str:
+    if toks[i][:1] in _NOT_NAME:
+        raise _Fault(f"expected a name, got {_shown(toks[i])!r}", i)
+    return toks[i]
+
+
+def _int(toks: list, i: int) -> int:
+    if toks[i][:1] not in _DIGITS:
+        raise _Fault(f"expected an integer, got {_shown(toks[i])!r}", i)
+    return int(toks[i])
 
 
 # ---------------------------------------------------------------------------
-# expression AST (shared by element and algebra evaluation)
+# expression AST (shared by element and algebra evaluation); each parse
+# function takes the token index to start at and returns (AST, next index)
 
 
-class _TokenStream:
-    def __init__(self, tokens, pos=0):
-        self.tokens = tokens
-        self.pos = pos
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def at_sym(self, *vals) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.value in vals
-
-    def expect_sym(self, val) -> Token:
-        t = self.next()
-        if t.kind != "sym" or t.value != val:
-            raise DocumentError(f"expected {val!r}, got {t.value!r}", t.line, t.col)
-        return t
-
-    def expect_id(self) -> Token:
-        t = self.next()
-        if t.kind != "id":
-            raise DocumentError(f"expected a name, got {t.value!r}", t.line, t.col)
-        return t
-
-    def expect_int(self) -> Token:
-        t = self.next()
-        if t.kind != "int":
-            raise DocumentError(f"expected an integer, got {t.value!r}", t.line, t.col)
-        return t
-
-
-def parse_expression(ts: _TokenStream):
+def parse_expression(toks: list, i: int) -> tuple:
     """expr := term (('+'|'-') term)*"""
-    node = _parse_term(ts)
-    while ts.at_sym("+", "-"):
-        op = ts.next().value
-        rhs = _parse_term(ts)
+    node, i = _parse_term(toks, i)
+    while (op := toks[i]) == "+" or op == "-":
+        rhs, i = _parse_term(toks, i + 1)
         node = ("add" if op == "+" else "sub", node, rhs)
-    return node
+    return node, i
 
 
-def _parse_term(ts: _TokenStream):
-    node = _parse_factor(ts)
-    while ts.at_sym("*", "/"):
-        op = ts.next().value
-        rhs = _parse_factor(ts)
+def _parse_term(toks: list, i: int) -> tuple:
+    """term := factor (('*'|'/') factor)*"""
+    node, i = _parse_factor(toks, i)
+    while (op := toks[i]) == "*" or op == "/":
+        rhs, i = _parse_factor(toks, i + 1)
         node = ("mul" if op == "*" else "div", node, rhs)
-    return node
+    return node, i
 
 
-def _parse_factor(ts: _TokenStream):
-    if ts.at_sym("-"):
-        ts.next()
-        return ("neg", _parse_factor(ts))
-    if ts.at_sym("+"):
-        ts.next()
-        return _parse_factor(ts)
-    return _parse_power(ts)
-
-
-def _parse_power(ts: _TokenStream):
-    base = _parse_atom(ts)
-    if ts.at_sym("^"):
-        ts.next()
-        t = ts.expect_int()
-        return ("pow", base, t.value, (t.line, t.col))
-    return base
-
-
-def _parse_atom(ts: _TokenStream):
-    t = ts.peek()
-    if t.kind == "int":
-        ts.next()
-        return ("num", Fraction(t.value))
-    if t.kind == "id":
-        ts.next()
-        return ("name", t.value, (t.line, t.col))
-    if ts.at_sym("("):
-        ts.next()
-        node = parse_expression(ts)
-        ts.expect_sym(")")
-        return node
-    raise DocumentError(f"unexpected token {t.value!r} in expression", t.line, t.col)
-
-
-def parse_expression_string(text: str) -> tuple:
-    ts = _TokenStream(tokenize(text))
-    node = parse_expression(ts)
-    t = ts.peek()
-    if t.kind != "eof":
-        raise DocumentError(f"trailing input {t.value!r}", t.line, t.col)
-    return node
+def _parse_factor(toks: list, i: int) -> tuple:
+    """factor := ('-'|'+') factor | atom ['^' int], and
+    atom := int | name | '(' expr ')'"""
+    t = toks[i]
+    if t == "-":
+        node, i = _parse_factor(toks, i + 1)
+        return ("neg", node), i
+    if t == "+":
+        return _parse_factor(toks, i + 1)
+    if t == "(":
+        node, i = parse_expression(toks, i + 1)
+        i = _expect(toks, i, ")")
+    elif t[:1] in _DIGITS:
+        node, i = ("num", int(t)), i + 1
+    elif t[:1] not in _NOT_NAME:
+        node, i = ("name", t, i), i + 1
+    else:
+        raise _Fault(f"unexpected token {_shown(t)!r} in expression", i)
+    if toks[i] != "^":
+        return node, i
+    return ("pow", node, _int(toks, i + 1), i + 1), i + 2
 
 
 # -- evaluation: one rule set for elements of a complex and for the free
 # graded-commutative algebra --------------------------------------------------
 
 
-def _scalar_part(terms: dict, unit, ring: Ring):
-    """The coefficient of a value whose only key is `unit`, zero for the
-    zero value, None for any other value."""
-    if len(terms) == 1:
-        return terms.get(unit)
-    return None if terms else ring.zero
+def _evaluator(ring: Ring, coerce, generator, unit, multiply):
+    """An evaluator of expression ASTs to coefficient dicts.  `coerce(c)` is
+    the coefficient for the ring element c, `generator(name)` the dict of the
+    named basis value or None, and a scalar's only key is `unit`.
+    `multiply(a, b)` is the dict of the product of two non-scalars; without
+    it (inside a complex) two non-scalars never multiply and only a scalar
+    is raised to a power.  No dict holds a zero coefficient.  The values of
+    names and numbers are memoised while the evaluator lives, so the dicts
+    it returns must not be written."""
+    memo = {}
+    variables, one = set(ring.variables), ring.one
 
+    def scalar(c):
+        return {unit: coerce(c)} if not c.is_zero() else {}
 
-def _evaluate(node, ring: Ring, scalar, generator, terms, unit,
-              products: bool):
-    """Evaluate an expression AST.  `scalar(c)` is the value of the ring
-    coefficient c, `generator(name)` the named basis value or None, and
-    `terms(v)` the coefficient dict of a value v; a scalar's only key is
-    `unit`.  Without `products` (inside a complex) two non-scalars never
-    multiply and only a scalar is raised to a power."""
+    def scalar_part(terms):
+        """The coefficient of a scalar, zero for the zero value, None for
+        any other value."""
+        if len(terms) == 1:
+            return terms.get(unit)
+        return None if terms else ring.zero
+
+    def scale(terms, s):
+        if s.is_zero():
+            return {}
+        return {k: s if v is one else s * v for k, v in terms.items()}
+
     def ev(node):
         kind = node[0]
-        if kind == "num":
-            return scalar(node[1])
-        if kind == "name":
-            name, pos = node[1], node[2]
-            if name in ring.variables:
-                return scalar(ring.var(name))
-            value = generator(name)
+        if kind == "name" or kind == "num":
+            key = node[1]
+            value = memo.get(key)
             if value is None:
-                raise DocumentError(f"unknown name {name!r}", *pos)
+                if kind == "num":
+                    value = scalar(ring.const(key))
+                elif key in variables:
+                    value = scalar(ring.var(key))
+                else:
+                    value = generator(key)
+                    if value is None:
+                        raise _Fault(f"unknown name {key!r}", node[2])
+                memo[key] = value
             return value
         if kind == "neg":
-            return -ev(node[1])
+            return {k: -v for k, v in ev(node[1]).items()}
         a = ev(node[1])
         if kind == "pow":
-            s = _scalar_part(terms(a), unit, ring)
+            n = node[2]
+            s = scalar_part(a)
             if s is not None:
-                return scalar(s ** node[2])
-            if not products:
-                raise DocumentError("only scalars can be raised to a power "
-                                    "here", *node[3])
-            acc = scalar(Fraction(1))
-            for _ in range(node[2]):
-                acc = acc * a
-            return acc
+                return scalar(s ** n)
+            if multiply is None:
+                raise _Fault("only scalars can be raised to a power here",
+                             node[3])
+            power = scalar(ring.one)
+            while n:            # by squaring: the algebra is associative
+                if n & 1:
+                    power = multiply(power, a)
+                n >>= 1
+                if n:
+                    a = multiply(a, a)
+            return power
         b = ev(node[2])
-        if kind == "add":
-            return a + b
-        if kind == "sub":
-            return a - b
-        sb = _scalar_part(terms(b), unit, ring)
+        if kind == "add" or kind == "sub":
+            terms = dict(a)
+            for k, v in b.items():
+                add_term(terms, k, v if kind == "add" else -v)
+            return terms
+        s = scalar_part(b)
         if kind == "div":
-            if sb is None or sb.is_zero():
-                raise DocumentError("division is only defined by a nonzero "
-                                    "scalar")
+            if s is None or s.is_zero():
+                raise _Fault("division is only defined by a nonzero scalar")
             # coefficients are Laurent polynomials: only monomials invert
-            if not sb.is_monomial():
-                raise DocumentError(f"cannot divide by {sb}: a divisor must "
-                                    "be a monomial")
-            return a.scale(laurent(ring, sb).inverse())
+            if not s.is_monomial():
+                raise _Fault(f"cannot divide by {s}: a divisor must be a "
+                             "monomial")
+            return scale(a, laurent(ring, s).inverse())
         if kind != "mul":
-            raise DocumentError(f"bad expression node {kind!r}")
-        if sb is not None:
-            return a.scale(sb)
-        sa = _scalar_part(terms(a), unit, ring)
-        if sa is not None:
-            return b.scale(sa)
-        if products:
-            return a * b
-        raise DocumentError("cannot multiply two basis elements here; "
-                            "products belong in a mult block")
+            raise _Fault(f"bad expression node {kind!r}")
+        if s is not None:
+            return scale(a, s)
+        s = scalar_part(a)
+        if s is not None:
+            return scale(b, s)
+        if multiply is not None:
+            return multiply(a, b)
+        raise _Fault("cannot multiply two basis elements here; products "
+                     "belong in a mult block")
 
-    return ev(node)
+    return ev
+
+
+def _element_evaluator(cx: FreeComplex):
+    """Evaluates an AST to an element of cx; scalars live on UNIT."""
+    basis, one = cx.basis, cx.ring.one
+    ev = _evaluator(cx.ring, lambda c: c,
+                    lambda name: {name: one} if name in basis else None,
+                    UNIT, None)
+    return lambda node: Element(cx, terms) if (terms := ev(node)) else cx.zero
 
 
 def eval_element(node, cx: FreeComplex) -> Element:
     """An element of cx; scalars live on UNIT."""
-    return _evaluate(node, cx.ring, lambda c: cx.element({UNIT: c}),
-                     lambda name: cx.elem(name) if name in cx.basis else None,
-                     attrgetter("coeffs"), UNIT, products=False)
+    return _element_evaluator(cx)(node)
+
+
+def _parse_value(text: str, evaluate):
+    """The value of the expression text, by evaluate(AST)."""
+    toks = tokenize(text)
+    try:
+        node, i = parse_expression(toks, 0)
+        if toks[i]:
+            raise _Fault(f"trailing input {_shown(toks[i])!r}", i)
+        return evaluate(node)
+    except _Fault as e:
+        raise _located(text, e.message, e.at) from None
 
 
 def parse_element(text: str, cx: FreeComplex) -> Element:
-    return eval_element(parse_expression_string(text), cx)
+    return _parse_value(text, _element_evaluator(cx))
 
 
 def eval_gcpoly(node, ctx: GCContext) -> GCPoly:
     """An element of the free graded-commutative algebra of ctx."""
-    return _evaluate(node, ctx.ring, ctx.one.scale,
-                     lambda name: ctx.gen(name) if name in ctx.names else None,
-                     attrgetter("terms"), ctx.zero_mono, products=True)
+    ring = ctx.ring
+    terms = _evaluator(
+        ring, lambda c: laurent(ring, c),
+        lambda name: ctx.gen(name).terms if name in ctx.names else None,
+        ctx.zero_mono,
+        lambda a, b: (GCPoly(ctx, a) * GCPoly(ctx, b)).terms)(node)
+    return GCPoly(ctx, dict(terms)) if terms else ctx.zero
 
 
 def parse_gcpoly(text: str, ctx: GCContext) -> GCPoly:
-    return eval_gcpoly(parse_expression_string(text), ctx)
+    return _parse_value(text, lambda node: eval_gcpoly(node, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -343,130 +366,129 @@ class Document:
 
 
 def parse_document(text: str) -> Document:
-    ts = _TokenStream(tokenize(text))
+    toks = tokenize(text)
     doc = Document()
-    semantic: list[str] = []
-    while ts.peek().kind != "eof":
-        t = ts.expect_id()
-        if t.value == "ring":
-            _parse_ring(ts, doc, t)
-        elif t.value == "complex":
-            _parse_complex(ts, doc, semantic)
-        elif t.value == "mult":
-            _parse_mult(ts, doc, semantic)
-        elif t.value == "map":
-            _parse_map(ts, doc, semantic)
-        elif t.value == "homotopy":
-            _parse_homotopy(ts, doc, semantic)
-        else:
-            raise DocumentError(f"unknown statement {t.value!r}", t.line, t.col)
+    # (token whose line prefixes the message, message, token whose line
+    # and column prefix it), each token index possibly None
+    semantic: list[tuple] = []
+    i = 0
+    try:
+        while toks[i]:
+            statement = _STATEMENTS.get(_name(toks, i))
+            if statement is None:
+                raise _Fault(f"unknown statement {toks[i]!r}", i)
+            i = statement(toks, i + 1, doc, semantic)
+    except _Fault as e:
+        raise _located(text, e.message, e.at) from None
     if semantic:
-        raise DocumentError("; ".join(semantic))
+        pos = _positions(text, [at for line_at, _, fault_at in semantic
+                                for at in (line_at, fault_at) if at is not None])
+        raise DocumentError("; ".join(
+            (f"line {pos[line_at][0]}: " if line_at is not None else "")
+            + ("line {}, col {}: ".format(*pos[fault_at])
+               if fault_at is not None else "") + message
+            for line_at, message, fault_at in semantic))
     return doc
 
 
-def _require_ring(doc: Document, tok: Token):
+# Each statement parser takes the index after its keyword and returns the
+# index after the statement.
+
+
+def _require_ring(doc: Document, at: int):
     if doc.ring is None:
-        raise DocumentError("a ring declaration must come first",
-                            tok.line, tok.col)
+        raise _Fault("a ring declaration must come first", at)
 
 
-def _parse_ring(ts: _TokenStream, doc: Document, tok: Token):
+def _parse_ring(toks: list, i: int, doc: Document, semantic: list) -> int:
     if doc.ring is not None:
-        raise DocumentError("duplicate ring declaration", tok.line, tok.col)
-    names = [ts.expect_id().value]
-    while ts.at_sym(","):
-        ts.next()
-        t = ts.expect_id()
-        if t.value in names:
-            raise DocumentError(f"duplicate variable {t.value!r}",
-                                t.line, t.col)
-        names.append(t.value)
-    ts.expect_sym(";")
+        raise _Fault("duplicate ring declaration", i - 1)
+    names = [_name(toks, i)]
+    while toks[i + 1] == ",":
+        i += 2
+        if _name(toks, i) in names:
+            raise _Fault(f"duplicate variable {toks[i]!r}", i)
+        names.append(toks[i])
+    i = _expect(toks, i + 1, ";")
     doc.ring = Ring(names)
+    return i
 
 
-def _parse_complex(ts: _TokenStream, doc: Document, semantic: list):
-    name_tok = ts.expect_id()
-    _require_ring(doc, name_tok)
-    if name_tok.value in doc.complexes:
-        raise DocumentError(f"duplicate complex {name_tok.value!r}",
-                            name_tok.line, name_tok.col)
-    ts.expect_sym("{")
+def _parse_complex(toks: list, i: int, doc: Document, semantic: list) -> int:
+    name = _name(toks, i)
+    _require_ring(doc, i)
+    if name in doc.complexes:
+        raise _Fault(f"duplicate complex {name!r}", i)
+    i = _expect(toks, i + 1, "{")
     ring = doc.ring
     nvars = len(ring.variables)
-    basis = []          # (name, degree, mdeg-or-None, token)
-    diffs = []          # (name, ast, token)
-    while not ts.at_sym("}"):
-        kw = ts.expect_id()
-        if kw.value == "basis":
-            degree = ts.expect_int().value
-            ts.expect_sym(":")
+    basis = []          # (name, degree, mdeg-or-None, token index)
+    diffs = []          # (name, ast, token index)
+    while toks[i] != "}":
+        kw = _name(toks, i)
+        if kw == "basis":
+            degree = _int(toks, i + 1)
+            i = _expect(toks, i + 2, ":")
             while True:
-                bname = ts.expect_id()
-                if bname.value in ring.variables:
-                    raise DocumentError(
-                        f"basis element {bname.value!r} has the name of a "
-                        "ring variable", bname.line, bname.col)
+                at, bname = i, _name(toks, i)
+                if bname in ring.variables:
+                    raise _Fault(f"basis element {bname!r} has the name of a "
+                                 "ring variable", at)
                 mdeg = None
-                if ts.peek().kind == "id" and ts.peek().value == "mdeg":
-                    ts.next()
-                    ts.expect_sym("(")
-                    ints = [ts.expect_int().value]
-                    while ts.at_sym(","):
-                        ts.next()
-                        ints.append(ts.expect_int().value)
-                    ts.expect_sym(")")
+                i += 1
+                if toks[i] == "mdeg":
+                    i = _expect(toks, i + 1, "(")
+                    ints = [_int(toks, i)]
+                    while toks[i + 1] == ",":
+                        i += 2
+                        ints.append(_int(toks, i))
+                    i = _expect(toks, i + 1, ")")
                     if len(ints) != nvars:
-                        raise DocumentError(
-                            f"mdeg has {len(ints)} entries for a ring with "
-                            f"{nvars} variables", bname.line, bname.col)
+                        raise _Fault(f"mdeg has {len(ints)} entries for a ring "
+                                     f"with {nvars} variables", at)
                     mdeg = tuple(ints)
-                basis.append((bname.value, degree, mdeg, bname))
-                if ts.at_sym(","):
-                    ts.next()
-                    continue
-                break
-            ts.expect_sym(";")
-        elif kw.value == "d":
-            bname = ts.expect_id()
-            ts.expect_sym("=")
-            ast = parse_expression(ts)
-            ts.expect_sym(";")
-            diffs.append((bname.value, ast, bname))
+                basis.append((bname, degree, mdeg, at))
+                if toks[i] != ",":
+                    break
+                i += 1
+            i = _expect(toks, i, ";")
+        elif kw == "d":
+            at, bname = i + 1, _name(toks, i + 1)
+            ast, i = parse_expression(toks, _expect(toks, i + 2, "="))
+            i = _expect(toks, i, ";")
+            diffs.append((bname, ast, at))
         else:
-            raise DocumentError(f"unknown complex statement {kw.value!r}",
-                                kw.line, kw.col)
-    ts.expect_sym("}")
-    doc.complexes[name_tok.value] = _build_complex(
-        ring, name_tok.value, basis, diffs, semantic)
+            raise _Fault(f"unknown complex statement {kw!r}", i)
+    doc.complexes[name] = _build_complex(ring, name, basis, diffs, semantic)
+    return i + 1
 
 
 def _build_complex(ring, name, basis, diffs, semantic: list) -> FreeComplex:
     cx = FreeComplex(ring, name)
     last_degree = 0
-    for bname, degree, mdeg, tok in basis:
+    for bname, degree, mdeg, at in basis:
         if degree < last_degree:
-            semantic.append(
-                f"line {tok.line}: basis element {bname!r} of degree {degree} "
-                f"declared after degree {last_degree}; declaration order must "
-                f"be nondecreasing in homological degree")
+            semantic.append((at, f"basis element {bname!r} of degree {degree} "
+                             f"declared after degree {last_degree}; "
+                             "declaration order must be nondecreasing in "
+                             "homological degree", None))
         last_degree = max(last_degree, degree)
         try:
             cx.add_basis(bname, degree, mdeg if mdeg is not None
                          else ring.zero_mono)
         except ComplexError as e:
-            semantic.append(f"line {tok.line}: {e}")
+            semantic.append((at, str(e), None))
     inferred = {bname for bname, _, mdeg, _ in basis if mdeg is None}
-    for bname, ast, tok in diffs:
+    evaluate = _element_evaluator(cx)
+    for bname, ast, at in diffs:
         if bname not in cx.basis:
-            semantic.append(f"line {tok.line}: d of unknown basis element "
-                            f"{bname!r}")
+            semantic.append((at, f"d of unknown basis element {bname!r}",
+                             None))
             continue
         try:
-            cx.set_diff(bname, eval_element(ast, cx))
-        except DocumentError as e:
-            semantic.append(str(e))
+            cx.set_diff(bname, evaluate(ast))
+        except _Fault as e:
+            semantic.append((None, e.message, e.at))
     # infer missing multidegrees from the differential, bottom degree up
     for bname in sorted(inferred, key=lambda b: cx.basis[b].degree):
         img = cx.diff.get(bname)
@@ -474,81 +496,95 @@ def _build_complex(ring, name, basis, diffs, semantic: list) -> FreeComplex:
             try:
                 cx.basis[bname].mdeg = img.multidegree()
             except ComplexError as e:
-                semantic.append(f"cannot infer mdeg of {bname!r}: {e}")
+                semantic.append((None, f"cannot infer mdeg of {bname!r}: {e}",
+                                 None))
     return cx
 
 
-def _complex_named(doc: Document, tok: Token) -> FreeComplex:
-    if tok.value not in doc.complexes:
-        raise DocumentError(f"unknown complex {tok.value!r}", tok.line, tok.col)
-    return doc.complexes[tok.value]
+def _complex_named(doc: Document, toks: list, at: int) -> FreeComplex:
+    if toks[at] not in doc.complexes:
+        raise _Fault(f"unknown complex {toks[at]!r}", at)
+    return doc.complexes[toks[at]]
 
 
-def _parse_on(ts: _TokenStream, doc: Document):
-    """The header `<name> on <complex>` of a mult or homotopy block."""
-    name_tok = ts.expect_id()
-    _require_ring(doc, name_tok)
-    on = ts.expect_id()
-    if on.value != "on":
-        raise DocumentError("expected 'on'", on.line, on.col)
-    return name_tok.value, _complex_named(doc, ts.expect_id())
+def _parse_on(toks: list, i: int, doc: Document):
+    """The header `<name> on <complex>` of a mult or homotopy block: (name,
+    complex, index after the header)."""
+    name = _name(toks, i)
+    _require_ring(doc, i)
+    if _name(toks, i + 1) != "on":
+        raise _Fault("expected 'on'", i + 1)
+    _name(toks, i + 2)
+    return name, _complex_named(doc, toks, i + 2), i + 3
 
 
-def _parse_entries(ts: _TokenStream, semantic: list, sep: str, basis,
-                   unknown: str, cx: FreeComplex, store):
+def _parse_entries(toks: list, i: int, semantic: list, sep: str, basis,
+                   unknown: str, cx: FreeComplex, store) -> int:
     """The body `{ key = expr; ... }` of a mult, map or homotopy block.  A
     key is one basis name, or two joined by `sep`.  Each value is an element
     of cx handed to `store(*names, value)`.  A key outside `basis` and a
     value that does not evaluate or store are semantic errors."""
-    ts.expect_sym("{")
-    while not ts.at_sym("}"):
-        first = ts.expect_id()
-        line, names = first.line, [first.value]
+    evaluate = _element_evaluator(cx)
+    i = _expect(toks, i, "{")
+    while toks[i] != "}":
+        at, names = i, [_name(toks, i)]
         if sep:
-            ts.expect_sym(sep)
-            names.append(ts.expect_id().value)
-        ts.expect_sym("=")
-        ast = parse_expression(ts)
-        ts.expect_sym(";")
-        if not basis.keys() >= set(names):
-            semantic.append(f"line {line}: {unknown} "
-                            + sep.join(repr(n) for n in names))
+            i = _expect(toks, i + 1, sep)
+            names.append(_name(toks, i))
+        ast, i = parse_expression(toks, _expect(toks, i + 1, "="))
+        i = _expect(toks, i, ";")
+        if names[0] not in basis or names[-1] not in basis:
+            semantic.append((at, f"{unknown} "
+                             + sep.join(repr(n) for n in names), None))
             continue
         try:
-            store(*names, eval_element(ast, cx))
-        except (DocumentError, MDGError) as e:
-            semantic.append(f"line {line}: {e}")
-    ts.expect_sym("}")
+            store(*names, evaluate(ast))
+        except _Fault as e:
+            semantic.append((at, e.message, e.at))
+        except MDGError as e:
+            semantic.append((at, str(e), None))
+    return i + 1
 
 
-def _parse_mult(ts: _TokenStream, doc: Document, semantic: list):
-    name, cx = _parse_on(ts, doc)
+def _parse_mult(toks: list, i: int, doc: Document, semantic: list) -> int:
+    name, cx, i = _parse_on(toks, i, doc)
     mult = Multiplication(cx, name)
-    _parse_entries(ts, semantic, "*", cx.basis,
-                   "product of unknown basis elements", cx, mult.set_product)
+    i = _parse_entries(toks, i, semantic, "*", cx.basis,
+                       "product of unknown basis elements", cx,
+                       mult.set_product)
     doc.mults[name] = mult
+    return i
 
 
-def _parse_map(ts: _TokenStream, doc: Document, semantic: list):
-    name_tok = ts.expect_id()
-    _require_ring(doc, name_tok)
-    ts.expect_sym(":")
-    src = ts.expect_id()
-    ts.expect_sym("->")
-    dst = ts.expect_id()
-    source, target = _complex_named(doc, src), _complex_named(doc, dst)
-    phi = ChainMap(source, target, name_tok.value)
-    _parse_entries(ts, semantic, "", source.basis,
-                   "image of unknown basis element", target, phi.set_image)
-    doc.maps[name_tok.value] = phi
+def _parse_map(toks: list, i: int, doc: Document, semantic: list) -> int:
+    name = _name(toks, i)
+    _require_ring(doc, i)
+    src = _expect(toks, i + 1, ":")
+    _name(toks, src)
+    dst = _expect(toks, src + 1, "->")
+    _name(toks, dst)
+    source = _complex_named(doc, toks, src)
+    target = _complex_named(doc, toks, dst)
+    phi = ChainMap(source, target, name)
+    i = _parse_entries(toks, dst + 1, semantic, "", source.basis,
+                       "image of unknown basis element", target,
+                       phi.set_image)
+    doc.maps[name] = phi
+    return i
 
 
-def _parse_homotopy(ts: _TokenStream, doc: Document, semantic: list):
-    name, cx = _parse_on(ts, doc)
+def _parse_homotopy(toks: list, i: int, doc: Document, semantic: list) -> int:
+    name, cx, i = _parse_on(toks, i, doc)
     h = Homotopy(cx, name)
-    _parse_entries(ts, semantic, "|", cx.basis,
-                   "homotopy on unknown basis elements", cx, h.set_value)
+    i = _parse_entries(toks, i, semantic, "|", cx.basis,
+                       "homotopy on unknown basis elements", cx, h.set_value)
     doc.homotopies[name] = h
+    return i
+
+
+_STATEMENTS = {"ring": _parse_ring, "complex": _parse_complex,
+               "mult": _parse_mult, "map": _parse_map,
+               "homotopy": _parse_homotopy}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -281,6 +282,15 @@ def test_reduce_golden_on_the_21_generator_table(capsys):
     code, out, _ = run(capsys, ["reduce", EX55, "--expr", "e12*e35"])
     assert code == 0
     assert out == "-(v)*e12345"
+
+
+@pytest.mark.parametrize("expr", ["e1^3000000", "e12^300000"])
+def test_reduce_takes_a_large_power_promptly(capsys, expr):
+    # a power is taken by squaring, so the exponent costs about log2 n
+    # products; both powers reduce to 0 on fk
+    start = time.perf_counter()
+    assert run(capsys, ["reduce", FK, "--expr", expr]) == (0, "0", "")
+    assert time.perf_counter() - start < 10
 
 
 def test_alt_and_submodule_and_quotient(capsys):

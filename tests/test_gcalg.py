@@ -172,6 +172,21 @@ def test_strict_normalization_kills_odd_squares():
     assert s == 1 and m == (2, 0, 0, 0, 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=6).map(sorted),
+       st.data())
+def test_strict_product_reads_the_odd_generators_only(degrees, data):
+    # the strict path against its definition: an odd square anywhere kills
+    # the product, and otherwise it is the non-strict product
+    ctx = GCContext(R, [f"g{i}" for i in range(len(degrees))], degrees)
+    mono = st.tuples(*[st.integers(0, 3)] * ctx.n)
+    a, b = data.draw(mono), data.draw(mono)
+    prod = mono_mul(a, b)
+    killed = any(ctx.parity[i] and prod[i] > 1 for i in range(ctx.n))
+    expected = (0, prod) if killed else ctx.mono_mul_signed(a, b)
+    assert ctx.mono_mul_signed(a, b, strict=True) == expected
+
+
 def test_gcpoly_arithmetic_and_lead():
     a, b, c = CTX.gen("a"), CTX.gen("b"), CTX.gen("c")
     assert (a * b + b * a).is_zero()          # odd*odd anticommute

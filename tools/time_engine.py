@@ -1,5 +1,10 @@
-"""Time the Buchberger engine, the associativity certificate and the
-symmetric-algebra check in process, best of three runs per case.
+"""Time the document parser, the Buchberger engine, the associativity
+certificate and the symmetric-algebra check in process, best of three runs
+per case.
+
+The parse case runs `parse_document` on the text of each of the 9 bundled
+fixtures; its golden count is the number of stored products, chain-map
+images and differentials over all of them.
 
 The engine cases are `buchberger` on the pair relations of the fixtures fk,
 ex55 and fo_full, of the Taylor algebra of (x^2, w^2, zw, xy, yz), and of
@@ -16,8 +21,8 @@ is read) and `associator_submodule` on fm.  The symmetric-algebra cases run
 `SymDGAlgebra.check()` on fk truncated at total degree 3 and on fm at 2.
 Each run's basis size (for a certificate, also its witness count; for a
 scan, its verdict or generator count; for a symmetric-algebra check, its
-monomial and problem counts) is checked against its golden value before
-its time counts.  Takes no options.  Run from anywhere:
+monomial and problem counts; for the parse case, its entry count) is
+checked against its golden value before its time counts.  Takes no options.  Run from anywhere:
 
     python3 tools/time_engine.py
 
@@ -37,9 +42,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 # the Taylor tables shared with check_criteria.py, beside this script
 from check_criteria import PERTURBED, TAYLOR5, TAYLOR6, perturbed, taylor
-from mdgkit import load_fixture
+from mdgkit import fixture_path, load_fixture
 from mdgkit.groebner import associativity_certificate, buchberger, mult_ideal
 from mdgkit.mdg import MDGAlgebra, Multiplication
+from mdgkit.parser import parse_document
 from mdgkit.symdg import build_sym
 
 RUNS = 3
@@ -49,6 +55,27 @@ RUNS = 3
 # order keys, and returns (size, seconds, the basis's stats): the size is
 # the basis size of a completion, and the basis size and witness count of a
 # certificate.
+
+FIXTURES = ["ex55", "ex6", "fa", "fk", "fk_split", "fm", "fo_full",
+            "fo_presentation", "taylor_x2_xy"]
+
+
+def parse_fixtures():
+    texts = [fixture_path(name).read_text() for name in FIXTURES]
+
+    def run():
+        start = time.perf_counter()
+        docs = [parse_document(text) for text in texts]
+        elapsed = time.perf_counter() - start
+        entries = sum(len(table.table) for doc in docs
+                      for table in doc.mults.values())
+        entries += sum(len(phi.images) for doc in docs
+                       for phi in doc.maps.values())
+        entries += sum(len(cx.diff) for doc in docs
+                       for cx in doc.complexes.values())
+        return f"{entries} entries", elapsed, {}
+    return run
+
 
 def completion(alg):
     def run():
@@ -122,6 +149,7 @@ def cases():
     fm = load_fixture("fm").algebra()
     taylor7 = taylor(TAYLOR7)
     return [
+        ("parse 9 fixtures", parse_fixtures(), "2294 entries"),
         ("buchberger fk", completion(load_fixture("fk").algebra()), 155),
         ("buchberger ex55", completion(load_fixture("ex55").algebra()), 231),
         ("buchberger fo_full", completion(fo_full), 630),
