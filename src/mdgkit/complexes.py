@@ -182,7 +182,8 @@ class FreeComplex:
     # -- structural checks --
 
     def check(self) -> list:
-        """Verify d is defined, degree -1, multidegree 0, and d^2 = 0.
+        """Verify d is defined, degree -1, multidegree 0, polynomial, and
+        d^2 = 0.
 
         Returns a list of human-readable violation strings (empty = good)."""
         problems = []
@@ -208,6 +209,9 @@ class FreeComplex:
                     problems.append(f"d({name}) has multidegree {md}, expected {b.mdeg}")
             except ComplexError as e:
                 problems.append(f"d({name}): {e}")
+            problems.extend(f"d({name}): {v} on {k} is not a polynomial"
+                            for k, v in dn.coeffs.items()
+                            if not v.is_polynomial())
             dd = self.d(dn)
             if not dd.is_zero():
                 problems.append(f"d^2({name}) = {dd} != 0")
@@ -276,20 +280,44 @@ class FreeComplex:
         if problems:
             raise ComplexError(f"not a complex: {problems[0]}")
 
-    def d_rows(self, rows, degree: int, mdeg: tuple):
+    def diff_constants(self) -> dict:
+        """{n: {k: q_nk}} over the basis, with d(e_n) = sum_k q_nk *
+        x^(m_n - m_k) * e_k and each q_nk a Fraction; {} where d is zero or
+        undefined.  Reads no coefficient beyond its constant, so its one
+        precondition is `require_complex`: once d is polynomial of
+        multidegree 0, each coefficient is the single term q_nk *
+        x^(m_n - m_k), and m_k divides m_n.  In every (degree, mdeg) piece
+        the matrix of d is then (q_nk), restricted to the basis elements
+        whose multidegree divides mdeg."""
+        return {name: {k: v.lead_coeff() for k, v in
+                       self.diff.get(name, self.zero).coeffs.items()}
+                for name in self.order}
+
+    def d_rows(self, consts: dict, rows, degree: int, mdeg: tuple):
         """Images under d of coordinate rows of the (degree, mdeg) piece, as
-        coordinate rows of the (degree-1, mdeg) piece."""
+        coordinate rows of the (degree-1, mdeg) piece, read from the
+        `diff_constants()` consts: a piece holds each basis element once."""
         piece = self.piece_basis(degree, mdeg)
-        target = self.piece_basis(degree - 1, mdeg)
-        return [self.element_vector(self.d(self.vector_element(r, degree, mdeg, piece)),
-                                    degree - 1, mdeg, piece=target)
-                for r in rows]
+        target = {name: i for i, (name, _) in
+                  enumerate(self.piece_basis(degree - 1, mdeg))}
+        out = []
+        for r in rows:
+            vec = [Fraction(0)] * len(target)
+            for (name, _), c in zip(piece, r):
+                if c:
+                    for k, q in consts[name].items():
+                        vec[target[k]] += c * q
+            out.append(vec)
+        return out
 
     def diff_matrix(self, degree: int, mdeg: tuple):
         """Rows = images under d of the piece basis vectors, as coordinate
-        vectors in the (degree-1, mdeg) piece."""
+        vectors in the (degree-1, mdeg) piece.  Raises ComplexError when
+        `check` finds a problem."""
+        self.require_complex()
         piece = self.piece_basis(degree, mdeg)
-        rows = self.d_rows(_unit_rows(len(piece)), degree, mdeg)
+        rows = self.d_rows(self.diff_constants(), _unit_rows(len(piece)),
+                           degree, mdeg)
         return rows, piece, self.piece_basis(degree - 1, mdeg)
 
     def homology_dims(self) -> dict:
@@ -328,13 +356,14 @@ def subquotient_homology(cx: FreeComplex, degrees, a_rows=None,
     dims = dict.fromkeys(degrees, 0)
     if not dims:
         return dims
+    consts = cx.diff_constants()
     lo, hi = min(dims), max(dims)
     for md in cx.mdeg_support():
         b = {i: b_rows(i, md) if b_rows else [] for i in range(lo - 1, hi + 1)}
         b_dim = {i: _rank(rows) for i, rows in b.items()}
         a = {i: a_rows(i, md) if a_rows else _unit_rows(len(cx.piece_basis(i, md)))
              for i in range(lo, hi + 2)}
-        r = {i: _rank(cx.d_rows(rows, i, md) + b[i - 1]) - b_dim[i - 1]
+        r = {i: _rank(cx.d_rows(consts, rows, i, md) + b[i - 1]) - b_dim[i - 1]
              if rows and i > 0 else 0 for i, rows in a.items()}
         for i in range(lo, hi + 1):
             a_dim = _rank(a[i]) if a_rows else len(a[i])

@@ -216,9 +216,20 @@ class MDGAlgebra:
     # -- axiom checking --
 
     def check(self) -> "AxiomReport":
+        """The complex's `check`, the degree and multidegree of every stored
+        product, and Leibniz, d(l*r) = d(l)*r + (-1)^{|l|} l*d(r), on every
+        stored product of the right degree; a pair whose Leibniz terms need
+        a product the table lacks is skipped.
+
+        When the complex and every stored product pass, every term of the
+        Leibniz defect of l*r lies at multidegree m_l + m_r, so it is read
+        from the `diff_constants()` and `structure_constants()` and becomes
+        an `Element` only in a failure message.  Otherwise the defect is
+        computed on `Element`s, the only route valid for such input."""
         report = AxiomReport()
-        report.complex_problems = self.complex.check()
         cx = self.complex
+        report.complex_problems = cx.check()
+        pairs = []
         for (l, r), value in self.mult.table.items():
             problem = self.mult.degree_problem(l, r, value)
             if problem:
@@ -227,18 +238,54 @@ class MDGAlgebra:
             problem = self.mult.mdeg_problem(l, r, value)
             if problem:
                 report.mdeg_problems.append(problem)
-            # Leibniz: d(l*r) = d(l)*r + (-1)^{|l|} l*d(r); needs subproducts
+            pairs.append((l, r))
+        if report.ok():
+            dc, mc = cx.diff_constants(), self.mult.structure_constants()
+
+            def defect(l, r):
+                v = self._q_leibniz(dc, mc, l, r)
+                return self.q_element((l, r), v) if v else cx.zero
+        else:
+            defect = self._leibniz_defect
+        for l, r in pairs:
             try:
-                lhs = cx.d(value)
-                rhs = self.mul(cx.d(cx.elem(l)), cx.elem(r))
-                term = self.mul(cx.elem(l), cx.d(cx.elem(r)))
-                rhs = rhs + (term if cx.basis[l].degree % 2 == 0 else -term)
-                if not (lhs - rhs).is_zero():
-                    report.leibniz_problems.append(
-                        f"Leibniz fails for {l}*{r}: d(product) - expected = {lhs - rhs}")
+                v = defect(l, r)
             except MissingProductError as e:
                 report.skipped_leibniz.append((f"{l}*{r}", str(e)))
+                continue
+            if not v.is_zero():
+                report.leibniz_problems.append(
+                    f"Leibniz fails for {l}*{r}: d(product) - expected = {v}")
         return report
+
+    def _leibniz_defect(self, l: str, r: str) -> Element:
+        """d(l*r) - d(l)*r - (-1)^{|l|} l*d(r) on Elements."""
+        cx = self.complex
+        lhs = cx.d(self.mult.table[l, r])
+        rhs = self.mul(cx.d(cx.elem(l)), cx.elem(r))
+        term = self.mul(cx.elem(l), cx.d(cx.elem(r)))
+        rhs = rhs + (term if cx.basis[l].degree % 2 == 0 else -term)
+        return lhs - rhs
+
+    def _q_leibniz(self, dc: dict, mc: dict, l: str, r: str) -> dict:
+        """The `_leibniz_defect` of a stored pair as {k: q} at multidegree
+        m_l + m_r, from the constants dc of d and mc of the table; the
+        pairs are read in the Element route's order, so that a partial
+        table raises the same MissingProductError."""
+        q_row = self.mult.q_row
+        out = {}
+        for d, v in self.mult.table[l, r].coeffs.items():
+            c = v.lead_coeff()
+            for k, q in dc[d].items():
+                out[k] = out.get(k, 0) + c * q
+        for k, q in dc[l].items():
+            for f, c in q_row(mc, k, r).items():
+                out[f] = out.get(f, 0) - q * c
+        odd = self.complex.basis[l].degree % 2
+        for k, q in dc[r].items():
+            for f, c in q_row(mc, l, k).items():
+                out[f] = out.get(f, 0) + (q * c if odd else -(q * c))
+        return {k: q for k, q in out.items() if q}
 
     def defined_everywhere(self) -> bool:
         names = self.basis_names()
@@ -378,6 +425,7 @@ class Submodule:
         self.alg = alg
         self.complex = alg.complex
         self.gens = []          # (label, Element, degree, mdeg)
+        self._consts = []       # {k: q} of each generator, as in span_rows
         for label, v in gens:
             self.add_generator(label, v)
 
@@ -385,6 +433,7 @@ class Submodule:
         if v.is_zero():
             return
         self.gens.append((label, v, v.degree(), v.multidegree()))
+        self._consts.append({k: c.lead_coeff() for k, c in v.coeffs.items()})
 
     def degrees(self) -> set:
         return {d for _, _, d, _ in self.gens}
@@ -403,14 +452,26 @@ class Submodule:
     # -- linear spans --
 
     def span_rows(self, degree: int, mdeg: tuple):
+        """Coordinate rows of the generators' monomial shifts in the
+        (degree, mdeg) piece.  A generator of multidegree m is
+        sum_k q_k x^(m - m_k) e_k, so its shift by x^(mdeg - m) has row
+        (q_k) when every m_k divides mdeg; otherwise a coefficient of the
+        shift has a denominator, and `element_vector` raises on it."""
         cx = self.complex
         piece = cx.piece_basis(degree, mdeg)
+        index = {name: i for i, (name, _) in enumerate(piece)}
         rows = []
-        for _, v, d, m in self.gens:
+        for (_, v, d, m), consts in zip(self.gens, self._consts):
             if d != degree or not mono_divides(m, mdeg):
                 continue
-            shifted = v.scale(cx.ring.monomial(mono_div(mdeg, m)))
-            rows.append(cx.element_vector(shifted, degree, mdeg, piece=piece))
+            if consts.keys() <= index.keys():
+                row = [Fraction(0)] * len(piece)
+                for k, q in consts.items():
+                    row[index[k]] = q
+            else:
+                shifted = v.scale(cx.ring.monomial(mono_div(mdeg, m)))
+                row = cx.element_vector(shifted, degree, mdeg, piece=piece)
+            rows.append(row)
         return rows
 
     def contains(self, x: Element) -> bool:
@@ -482,18 +543,19 @@ class Submodule:
         """Representative Elements of a basis of H_degree at this multidegree.
         Raises ComplexError when the complex fails `FreeComplex.check`."""
         self.complex.require_complex()
-        return self._class_reps(degree, mdeg)
+        return self._class_reps(self.complex.diff_constants(), degree, mdeg)
 
-    def _class_reps(self, degree: int, mdeg: tuple):
+    def _class_reps(self, consts: dict, degree: int, mdeg: tuple):
         cx = self.complex
         basis_rows, _ = linalg.rref(self.span_rows(degree, mdeg))
         if not basis_rows:
             return []
-        imgs = cx.d_rows(basis_rows, degree, mdeg)
+        imgs = cx.d_rows(consts, basis_rows, degree, mdeg)
         cycle_combos = linalg.nullspace(_transpose(imgs), len(basis_rows))
         # keep cycle representatives independent modulo the boundaries
         out = []
-        acc = cx.d_rows(self.span_rows(degree + 1, mdeg), degree + 1, mdeg)
+        acc = cx.d_rows(consts, self.span_rows(degree + 1, mdeg), degree + 1,
+                        mdeg)
         for combo in cycle_combos:
             vec = _combine(combo, basis_rows)
             if not linalg.in_span(acc, vec):
@@ -511,13 +573,15 @@ class Submodule:
         rm = r.lead_mono()
         cx = self.complex
         cx.require_complex()
+        consts = cx.diff_constants()
         degs = self.degrees()
         for md in cx.mdeg_support():
             target_md = mono_mul(md, rm)
             for i in sorted(degs):
-                for rep in self._class_reps(i, md):
+                for rep in self._class_reps(consts, i, md):
                     vec = cx.element_vector(rep.scale(r), i, target_md)
-                    boundary_rows = cx.d_rows(self.span_rows(i + 1, target_md),
+                    boundary_rows = cx.d_rows(consts,
+                                              self.span_rows(i + 1, target_md),
                                               i + 1, target_md)
                     if not linalg.in_span(boundary_rows, vec):
                         return False, f"class in degree {i} survives multiplication"

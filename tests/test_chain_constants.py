@@ -1,0 +1,171 @@
+"""The chain layer over Q: `FreeComplex.d_rows`, `Submodule.span_rows` and
+the Leibniz check of `MDGAlgebra.check` read rational constants.  Each is
+held here against the `Element` route it replaced, kept in this file as the
+reference."""
+
+from fractions import Fraction
+
+import pytest
+
+from mdgkit import load_fixture
+from mdgkit.complexes import ComplexError, Element
+from mdgkit.mdg import MDGAlgebra, MissingProductError, Submodule
+from mdgkit.ring import laurent_term, mono_div, mono_divides, mono_mul
+
+FIXTURES = ["ex55", "ex6", "fa", "fk", "fk_split", "fm", "fo_full",
+            "fo_presentation", "taylor_x2_xy"]
+
+COMPLEXES = [(name, cname) for name in FIXTURES
+             for cname in load_fixture(name).complexes]
+
+ALGEBRAS = {name: load_fixture(name).algebra() for name in ("fk", "fm", "fa")}
+
+
+def element_d_rows(cx, rows, degree, mdeg):
+    """d on coordinate rows through Elements: row -> Element -> d -> row."""
+    piece = cx.piece_basis(degree, mdeg)
+    target = cx.piece_basis(degree - 1, mdeg)
+    return [cx.element_vector(cx.d(cx.vector_element(r, degree, mdeg, piece)),
+                              degree - 1, mdeg, piece=target)
+            for r in rows]
+
+
+def element_span_rows(sub, degree, mdeg):
+    """Each generator shifted as an Element, then read as a row."""
+    cx = sub.complex
+    piece = cx.piece_basis(degree, mdeg)
+    return [cx.element_vector(v.scale(cx.ring.monomial(mono_div(mdeg, m))),
+                              degree, mdeg, piece=piece)
+            for _, v, d, m in sub.gens
+            if d == degree and mono_divides(m, mdeg)]
+
+
+def element_leibniz(alg):
+    """Leibniz problems and skipped pairs of every product of the right
+    degree, computed on Elements."""
+    cx, mult = alg.complex, alg.mult
+    problems, skipped = [], []
+    for (l, r), value in mult.table.items():
+        if mult.degree_problem(l, r, value):
+            continue
+        try:
+            lhs = cx.d(value)
+            rhs = alg.mul(cx.d(cx.elem(l)), cx.elem(r))
+            term = alg.mul(cx.elem(l), cx.d(cx.elem(r)))
+            rhs = rhs + (term if cx.basis[l].degree % 2 == 0 else -term)
+            if not (lhs - rhs).is_zero():
+                problems.append(f"Leibniz fails for {l}*{r}: "
+                                f"d(product) - expected = {lhs - rhs}")
+        except MissingProductError as e:
+            skipped.append((f"{l}*{r}", str(e)))
+    return problems, skipped
+
+
+@pytest.mark.parametrize("name, cname", COMPLEXES)
+def test_d_rows_match_the_element_round_trip(name, cname):
+    cx = load_fixture(name).complexes[cname]
+    cx.require_complex()
+    consts = cx.diff_constants()
+    for degree in range(1, cx.max_degree() + 1):
+        for md in cx.mdeg_support():
+            n = len(cx.piece_basis(degree, md))
+            units = [[Fraction(int(i == j)) for j in range(n)]
+                     for i in range(n)]
+            assert (cx.d_rows(consts, units, degree, md)
+                    == element_d_rows(cx, units, degree, md)), (degree, md)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_span_rows_match_the_shifted_elements(name):
+    sub = ALGEBRAS[name].associator_submodule()
+    cx = sub.complex
+    for degree in range(cx.max_degree() + 1):
+        for md in cx.mdeg_support():
+            assert (sub.span_rows(degree, md)
+                    == element_span_rows(sub, degree, md)), (degree, md)
+
+
+def test_a_shift_with_a_denominator_is_refused_as_before():
+    fk = ALGEBRAS["fk"]
+    cx = fk.complex
+    m = cx.basis["e1"].mdeg
+    lower = tuple(e - 1 if e else 0 for e in m)
+    laurent = Element(cx, {"e1": laurent_term(fk.ring, 1,
+                                              mono_div(lower, m))})
+    sub = Submodule(fk, [("v", laurent)])
+    with pytest.raises(ComplexError) as ours:
+        sub.span_rows(1, lower)
+    with pytest.raises(ComplexError) as theirs:
+        element_span_rows(sub, 1, lower)
+    assert str(ours.value) == str(theirs.value)
+    assert "on e1 is not a polynomial" in str(ours.value)
+
+
+def broken_tables(alg):
+    """Multihomogeneous breaks of single entries: one rational constant
+    doubled, one term added at the product's multidegree (a polynomial
+    coefficient and, where one exists, a Laurent one), one product
+    removed; and a nonzero value stored for an odd square, which the
+    product reads as zero but Leibniz reads as stored."""
+    cx, ring = alg.complex, alg.ring
+    a, k = cx.names_in_degree(1)[0], cx.names_in_degree(2)[0]
+    top = mono_mul(cx.basis[a].mdeg, cx.basis[a].mdeg)
+    yield (f"{a}*{a} stored", a, a,
+           Element(cx, {k: laurent_term(ring, 3,
+                                        mono_div(top, cx.basis[k].mdeg))}))
+    pairs = sorted(alg.mult.table)[::11]
+    for l, r in pairs:
+        value = alg.mult.table[l, r]
+        top = mono_mul(cx.basis[l].mdeg, cx.basis[r].mdeg)
+        if not value.is_zero():
+            k, c = next(iter(value.coeffs.items()))
+            yield f"{l}*{r} doubled", l, r, value + Element(cx, {k: c})
+        names = cx.names_in_degree(cx.basis[l].degree + cx.basis[r].degree)
+        for laurent in (False, True):
+            fits = [k for k in names
+                    if mono_divides(cx.basis[k].mdeg, top) != laurent]
+            if fits:
+                k = fits[-1]
+                term = laurent_term(ring, 3, mono_div(top, cx.basis[k].mdeg))
+                yield (f"{l}*{r} plus {k}{' (Laurent)' if laurent else ''}",
+                       l, r, value + Element(cx, {k: term}))
+        yield f"{l}*{r} removed", l, r, None
+
+
+def break_table(alg, l, r, value):
+    mult = alg.mult.copy()
+    if value is None:
+        del mult.table[l, r]
+    else:
+        mult.table[l, r] = value
+    return MDGAlgebra(alg.complex, mult)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_leibniz_over_q_matches_the_element_route(name):
+    failing = skipping = 0
+    for label, l, r, value in broken_tables(ALGEBRAS[name]):
+        broken = break_table(ALGEBRAS[name], l, r, value)
+        report = broken.check()
+        # no complex, degree or multidegree problem: the route over Q ran
+        assert report.all_problems() == report.leibniz_problems, label
+        assert ((report.leibniz_problems, report.skipped_leibniz)
+                == element_leibniz(broken)), label
+        failing += bool(report.leibniz_problems)
+        skipping += bool(report.skipped_leibniz)
+    assert failing and skipping
+
+
+def test_a_leibniz_failure_reads_as_before():
+    # e1*e2 = 2*e12 breaks Leibniz on the pair and on every product whose
+    # Leibniz terms read it
+    fk = ALGEBRAS["fk"]
+    value = fk.mult.table["e1", "e2"]
+    broken = break_table(fk, "e1", "e2", value + value)
+    assert broken.check().summary().splitlines() == [
+        f"FAIL Leibniz fails for {pair}: d(product) - expected = {defect}"
+        for pair, defect in [("e1*e2", "-w^2*e1 + x^2*e2"),
+                             ("e1*e12", "x^2*e12"), ("e1*e23", "-z*e12"),
+                             ("e1*e24", "-x*y*e12"), ("e2*e12", "w^2*e12"),
+                             ("e2*e13", "z*w*e12"), ("e2*e14", "y*e12")]]
+    assert broken.check().leibniz_problems == element_leibniz(broken)[0]

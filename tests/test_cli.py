@@ -155,6 +155,38 @@ def test_a_differential_with_a_denominator_is_an_input_error(tmp_path,
     assert run(capsys, ["check", str(bad)])[0] == 1
 
 
+LAURENT_COEFFICIENT = """ring x, y;
+
+complex L {
+  basis 1: a mdeg(0, 1), b mdeg(1, 0);
+  basis 2: c mdeg(1, 0);
+  d a = y;
+  d b = x;
+  d c = x/y*a - b;
+}
+
+mult mu on L {
+  a*b = -y*c;
+}
+"""
+
+
+def test_a_coefficient_with_a_denominator_at_the_right_multidegree_fails_check(
+        tmp_path, capsys):
+    # d(c) has multidegree (1, 0) and d^2 = 0, but x/y is no polynomial
+    bad = tmp_path / "laurent_coefficient.mdg"
+    bad.write_text(LAURENT_COEFFICIENT)
+    problem = "d(c): (x)/(y) on a is not a polynomial"
+    code, out, _ = run(capsys, ["check", str(bad)])
+    assert code == 1
+    assert out.splitlines() == [f"L: {problem}", f"mu: {problem}"]
+    for cmd in ("homology", "submodule", "quotient"):
+        code, out, err = run(capsys, [cmd, str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: not a complex: {problem}"
+
+
 def test_homology_commands_refuse_a_map_with_nonzero_square(tmp_path, capsys):
     text = fixture_path("fa").read_text()
     bad = tmp_path / "square.mdg"

@@ -1,6 +1,6 @@
 """Time the document parser, the Buchberger engine, the associativity
-certificate and the symmetric-algebra check in process, best of three runs
-per case.
+certificate, the symmetric-algebra check and the chain layer in process,
+best of three runs per case.
 
 The parse case runs `parse_document` on the text of each of the 9 bundled
 fixtures; its golden count is the number of stored products, chain-map
@@ -19,17 +19,22 @@ perturbed ones are not associative.  The scan cases run
 `associative_on_basis` on the Taylor-7 table (associative, so every triple
 is read) and `associator_submodule` on fm.  The symmetric-algebra cases run
 `SymDGAlgebra.check()` on fk truncated at total degree 3 and on fm at 2.
+The chain-layer cases run `MDGAlgebra.check()` on fk_split's table nu and
+on fm, `homology_dims()` on fm and on fk_split, and
+`quotient_homology_dims` on fm by its associator submodule (built before
+the timing starts).
 Each run's basis size (for a certificate, also its witness count; for a
 scan, its verdict or generator count; for a symmetric-algebra check, its
-monomial and problem counts; for the parse case, its entry count) is
-checked against its golden value before its time counts.  Takes no options.  Run from anywhere:
+monomial and problem counts; for an axiom check, its problem and skipped
+counts; for a homology case, its dimensions; for the parse case, its entry
+count) is checked against its golden value before its time counts.  Takes no options.  Run from anywhere:
 
     python3 tools/time_engine.py
 
 Prints one line per case: name, golden counts and the best wall time in
 seconds (`time.perf_counter`), then the `GBasis.stats` counters of the
 completion (none for a certificate, which takes the linear route, for a
-scan or for a symmetric-algebra check).  Exits 0, or 1 when a golden count
+scan, for a symmetric-algebra check or for a chain-layer case).  Exits 0, or 1 when a golden count
 differs.
 The run takes a few minutes.
 """
@@ -44,7 +49,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from check_criteria import PERTURBED, TAYLOR5, TAYLOR6, perturbed, taylor
 from mdgkit import fixture_path, load_fixture
 from mdgkit.groebner import associativity_certificate, buchberger, mult_ideal
-from mdgkit.mdg import MDGAlgebra, Multiplication
+from mdgkit.mdg import MDGAlgebra, Multiplication, quotient_homology_dims
 from mdgkit.parser import parse_document
 from mdgkit.symdg import build_sym
 
@@ -126,6 +131,25 @@ def sym_check(alg, truncation):
     return run
 
 
+def axiom_check(alg):
+    def run():
+        start = time.perf_counter()
+        report = alg.check()
+        elapsed = time.perf_counter() - start
+        return (f"{len(report.all_problems())} problems, "
+                f"{len(report.skipped_leibniz)} skipped", elapsed, {})
+    return run
+
+
+def homology(run_dims):
+    def run():
+        start = time.perf_counter()
+        dims = run_dims()
+        elapsed = time.perf_counter() - start
+        return ", ".join(f"H_{i}={n}" for i, n in dims.items()), elapsed, {}
+    return run
+
+
 def presentation(name):
     """The fixture's table cut down to the products of two degree-1 basis
     elements; completion derives the rest."""
@@ -147,6 +171,8 @@ def cases():
     relations, n = 2^k - 1, with no witness."""
     fo_full = load_fixture("fo_full").algebra()
     fm = load_fixture("fm").algebra()
+    split_nu = load_fixture("fk_split").algebra("nu")
+    fm_sub = fm.associator_submodule()
     taylor7 = taylor(TAYLOR7)
     return [
         ("parse 9 fixtures", parse_fixtures(), "2294 entries"),
@@ -170,6 +196,15 @@ def cases():
          "1340 monomials, 0 problems"),
         ("sym check fm @2", sym_check(fm, 2),
          "392 monomials, 0 problems"),
+        ("check fk_split --mult nu", axiom_check(split_nu),
+         "0 problems, 0 skipped"),
+        ("check fm", axiom_check(fm), "0 problems, 0 skipped"),
+        ("homology fm", homology(fm.complex.homology_dims),
+         "H_0=13, H_1=0, H_2=0, H_3=0, H_4=0"),
+        ("homology fk_split", homology(split_nu.complex.homology_dims),
+         "H_0=15, H_1=0, H_2=0, H_3=0, H_4=0, H_5=0"),
+        ("quotient fm", homology(lambda: quotient_homology_dims(fm, fm_sub)),
+         "H_1=0, H_2=0, H_3=0, H_4=2"),
     ]
 
 
