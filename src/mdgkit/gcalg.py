@@ -69,10 +69,10 @@ class GCContext:
         par = 0
         # each e_i-block of a (i odd) passes the e_j-blocks of b with j < i odd
         seen_odd_b = 0
-        for i in range(self.n):
-            if self.parity[i] and a[i] & 1 and seen_odd_b & 1:
+        for i in self.odd:
+            if a[i] & 1 and seen_odd_b:
                 par ^= 1
-            if self.parity[i] and b[i] & 1:
+            if b[i] & 1:
                 seen_odd_b ^= 1
         return -1 if par else 1
 
@@ -201,7 +201,7 @@ class GCPoly:
         """Drop monomials containing an odd square."""
         ctx = self.ctx
         terms = {m: c for m, c in self.terms.items()
-                 if not any(ctx.parity[i] and m[i] > 1 for i in range(ctx.n))}
+                 if not any(m[i] > 1 for i in ctx.odd)}
         return GCPoly(ctx, terms)
 
     def lead(self) -> tuple:

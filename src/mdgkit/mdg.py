@@ -455,22 +455,23 @@ class Submodule:
         """Coordinate rows of the generators' monomial shifts in the
         (degree, mdeg) piece.  A generator of multidegree m is
         sum_k q_k x^(m - m_k) e_k, so its shift by x^(mdeg - m) has row
-        (q_k) when every m_k divides mdeg; otherwise a coefficient of the
-        shift has a denominator, and `element_vector` raises on it."""
+        (q_k) when every m_k divides mdeg.  Otherwise the coefficient
+        q_k x^(mdeg - m_k) of the first e_k outside the piece has a
+        denominator, and ComplexError names it."""
         cx = self.complex
         piece = cx.piece_basis(degree, mdeg)
         index = {name: i for i, (name, _) in enumerate(piece)}
         rows = []
-        for (_, v, d, m), consts in zip(self.gens, self._consts):
+        for (_, _, d, m), consts in zip(self.gens, self._consts):
             if d != degree or not mono_divides(m, mdeg):
                 continue
-            if consts.keys() <= index.keys():
-                row = [Fraction(0)] * len(piece)
-                for k, q in consts.items():
-                    row[index[k]] = q
-            else:
-                shifted = v.scale(cx.ring.monomial(mono_div(mdeg, m)))
-                row = cx.element_vector(shifted, degree, mdeg, piece=piece)
+            row = [Fraction(0)] * len(piece)
+            for k, q in consts.items():
+                if k not in index:
+                    coeff = laurent_term(cx.ring, q,
+                                         mono_div(mdeg, cx.basis[k].mdeg))
+                    raise ComplexError(f"{coeff} on {k} is not a polynomial")
+                row[index[k]] = q
             rows.append(row)
         return rows
 

@@ -24,7 +24,10 @@ name, which must start with a letter or "_".  The parser walks the list by
 index; AST nodes and semantic messages hold token indices, and `_positions`
 turns those into line and column only when a `DocumentError` is raised.
 One evaluator, `_evaluator`, combines plain coefficient dicts for elements
-of a complex and of the free graded-commutative algebra alike.
+of a complex and of the free graded-commutative algebra alike.  A chain of
+terms joined by + and -, or of factors joined by * and /, is one AST node
+that the evaluator reads in a loop, so only nesting costs stack; nesting
+past the stack raises DocumentError("expression nested too deeply").
 """
 
 from __future__ import annotations
@@ -56,6 +59,10 @@ class _Fault(DocumentError):
         super().__init__(message)
         self.message = message
         self.at = at
+
+
+# the message for a RecursionError of the parser or the evaluator
+_TOO_DEEP = "expression nested too deeply"
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +154,25 @@ def _int(toks: list, i: int) -> int:
 
 
 def parse_expression(toks: list, i: int) -> tuple:
-    """expr := term (('+'|'-') term)*"""
+    """expr := term (('+'|'-') term)*, a chain of two or more terms being
+    one node ("sum", first, [(op, term), ...])."""
     node, i = _parse_term(toks, i)
+    rest = []
     while (op := toks[i]) == "+" or op == "-":
         rhs, i = _parse_term(toks, i + 1)
-        node = ("add" if op == "+" else "sub", node, rhs)
-    return node, i
+        rest.append((op, rhs))
+    return (("sum", node, rest) if rest else node), i
 
 
 def _parse_term(toks: list, i: int) -> tuple:
-    """term := factor (('*'|'/') factor)*"""
+    """term := factor (('*'|'/') factor)*, a chain of two or more factors
+    being one node ("product", first, [(op, factor), ...])."""
     node, i = _parse_factor(toks, i)
+    rest = []
     while (op := toks[i]) == "*" or op == "/":
         rhs, i = _parse_factor(toks, i + 1)
-        node = ("mul" if op == "*" else "div", node, rhs)
-    return node, i
+        rest.append((op, rhs))
+    return (("product", node, rest) if rest else node), i
 
 
 def _parse_factor(toks: list, i: int) -> tuple:
@@ -218,6 +229,27 @@ def _evaluator(ring: Ring, coerce, generator, unit, multiply):
             return {}
         return {k: s if v is one else s * v for k, v in terms.items()}
 
+    def combine(op, a, b):
+        """a * b or a / b, as op says."""
+        s = scalar_part(b)
+        if op == "/":
+            if s is None or s.is_zero():
+                raise _Fault("division is only defined by a nonzero scalar")
+            # coefficients are Laurent polynomials: only monomials invert
+            if not s.is_monomial():
+                raise _Fault(f"cannot divide by {s}: a divisor must be a "
+                             "monomial")
+            return scale(a, laurent(ring, s).inverse())
+        if s is not None:
+            return scale(a, s)
+        s = scalar_part(a)
+        if s is not None:
+            return scale(b, s)
+        if multiply is not None:
+            return multiply(a, b)
+        raise _Fault("cannot multiply two basis elements here; products "
+                     "belong in a mult block")
+
     def ev(node):
         kind = node[0]
         if kind == "name" or kind == "num":
@@ -236,7 +268,17 @@ def _evaluator(ring: Ring, coerce, generator, unit, multiply):
             return value
         if kind == "neg":
             return {k: -v for k, v in ev(node[1]).items()}
+        if kind == "sum":
+            terms = dict(ev(node[1]))
+            for op, rhs in node[2]:
+                for k, v in ev(rhs).items():
+                    add_term(terms, k, v if op == "+" else -v)
+            return terms
         a = ev(node[1])
+        if kind == "product":
+            for op, rhs in node[2]:
+                a = combine(op, a, ev(rhs))
+            return a
         if kind == "pow":
             n = node[2]
             s = scalar_part(a)
@@ -253,32 +295,7 @@ def _evaluator(ring: Ring, coerce, generator, unit, multiply):
                 if n:
                     a = multiply(a, a)
             return power
-        b = ev(node[2])
-        if kind == "add" or kind == "sub":
-            terms = dict(a)
-            for k, v in b.items():
-                add_term(terms, k, v if kind == "add" else -v)
-            return terms
-        s = scalar_part(b)
-        if kind == "div":
-            if s is None or s.is_zero():
-                raise _Fault("division is only defined by a nonzero scalar")
-            # coefficients are Laurent polynomials: only monomials invert
-            if not s.is_monomial():
-                raise _Fault(f"cannot divide by {s}: a divisor must be a "
-                             "monomial")
-            return scale(a, laurent(ring, s).inverse())
-        if kind != "mul":
-            raise _Fault(f"bad expression node {kind!r}")
-        if s is not None:
-            return scale(a, s)
-        s = scalar_part(a)
-        if s is not None:
-            return scale(b, s)
-        if multiply is not None:
-            return multiply(a, b)
-        raise _Fault("cannot multiply two basis elements here; products "
-                     "belong in a mult block")
+        raise _Fault(f"bad expression node {kind!r}")
 
     return ev
 
@@ -307,6 +324,8 @@ def _parse_value(text: str, evaluate):
         return evaluate(node)
     except _Fault as e:
         raise _located(text, e.message, e.at) from None
+    except RecursionError:
+        raise DocumentError(_TOO_DEEP) from None
 
 
 def parse_element(text: str, cx: FreeComplex) -> Element:
@@ -380,6 +399,8 @@ def parse_document(text: str) -> Document:
             i = statement(toks, i + 1, doc, semantic)
     except _Fault as e:
         raise _located(text, e.message, e.at) from None
+    except RecursionError:
+        raise DocumentError(_TOO_DEEP) from None
     if semantic:
         pos = _positions(text, [at for line_at, _, fault_at in semantic
                                 for at in (line_at, fault_at) if at is not None])

@@ -301,6 +301,39 @@ def test_the_module_entry_point_keeps_the_exit_code():
     assert run.stdout.startswith("not associative")
 
 
+def _one_generator(mdeg: int, value: str) -> str:
+    return (f"ring x;\ncomplex C {{\n  basis 1: a mdeg({mdeg});\n"
+            f"  d a = {value};\n}}\n")
+
+
+@pytest.mark.parametrize("command, text, code, stream", [
+    # chains of + and * of any length parse and evaluate in loops
+    ("check", _one_generator(1, " + ".join(["x"] * 1200)), 0,
+     "all checks passed"),
+    ("check", _one_generator(1200, "*".join(["x"] * 1200)), 0,
+     "all checks passed"),
+    ("reduce", " + ".join(["e1*e2"] * 1000), 0, "(1000)*e12"),
+    # nesting is bounded by the stack, and exceeding it is an input error
+    ("check", _one_generator(1, "(" * 400 + "x" + ")" * 400), 2,
+     "error: expression nested too deeply"),
+], ids=["sum", "product", "reduce", "nested"])
+def test_a_long_expression_never_crashes_the_cli(tmp_path, command, text,
+                                                 code, stream):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(mdgkit.__file__)))
+    if command == "reduce":
+        argv = ["reduce", FK, "--expr", text]
+    else:
+        doc = tmp_path / "long.mdg"
+        doc.write_text(text)
+        argv = [command, str(doc)]
+    done = subprocess.run([sys.executable, "-m", "mdgkit.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == code
+    assert (done.stdout if code == 0 else done.stderr) == stream + "\n"
+    assert "Traceback" not in done.stderr
+
+
 def test_assoc_modulo_monomial_ideal(capsys):
     # the obstruction at (e1, e45, e2) survives modulo (x^2, y, z, w)
     code, out, _ = run(capsys, ["assoc", FA, "--triple", "e1,e45,e2",
@@ -475,6 +508,15 @@ def test_sym_refuses_a_differential_that_is_not_multihomogeneous(
     assert out == ""
     assert err.startswith("error: d(a) is not multihomogeneous")
     assert message in err
+
+
+def test_sym_refuses_a_differential_of_the_wrong_degree(tmp_path, capsys):
+    doc = tmp_path / "wrong_degree.mdg"
+    doc.write_text("ring x;\ncomplex F {\n  basis 1: a mdeg(1);\n"
+                   "  basis 2: b mdeg(1);\n  d a = x;\n  d b = a + x;\n}\n")
+    code, out, err = run(capsys, ["sym", str(doc)])
+    assert (code, out) == (2, "")
+    assert err == "error: d(b) has degrees [0, 1], expected 1"
 
 
 def test_transport_recovers_the_stored_table(capsys):

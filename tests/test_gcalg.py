@@ -187,6 +187,38 @@ def test_strict_product_reads_the_odd_generators_only(degrees, data):
     assert ctx.mono_mul_signed(a, b, strict=True) == expected
 
 
+def all_generator_mono_sign(ctx, a, b):
+    """The former `GCContext.mono_sign`, kept as the reference: one pass
+    over all n generators, testing each one's parity."""
+    par = 0
+    seen_odd_b = 0
+    for i in range(ctx.n):
+        if ctx.parity[i] and a[i] & 1 and seen_odd_b & 1:
+            par ^= 1
+        if ctx.parity[i] and b[i] & 1:
+            seen_odd_b ^= 1
+    return -1 if par else 1
+
+
+def all_generator_strictify(ctx, p):
+    """The former `GCPoly.strictify`, kept as the reference."""
+    return {m: c for m, c in p.terms.items()
+            if not any(ctx.parity[i] and m[i] > 1 for i in range(ctx.n))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=6).map(sorted),
+       st.data())
+def test_sign_and_strictify_read_the_odd_generators_only(degrees, data):
+    ctx = GCContext(R, [f"g{i}" for i in range(len(degrees))], degrees)
+    mono = st.tuples(*[st.integers(0, 3)] * ctx.n)
+    a, b = data.draw(mono), data.draw(mono)
+    assert ctx.mono_sign(a, b) == all_generator_mono_sign(ctx, a, b)
+    p = GCPoly(ctx, {m: laurent(R, k + 1) for k, m in
+                     enumerate(data.draw(st.lists(mono, max_size=6)))})
+    assert p.strictify().terms == all_generator_strictify(ctx, p)
+
+
 def test_gcpoly_arithmetic_and_lead():
     a, b, c = CTX.gen("a"), CTX.gen("b"), CTX.gen("c")
     assert (a * b + b * a).is_zero()          # odd*odd anticommute

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import test_gcalg
 from mdgkit import load_fixture
@@ -20,7 +21,7 @@ from mdgkit.complexes import UNIT, Element, FreeComplex
 from mdgkit.constructions import taylor_algebra
 from mdgkit.gcalg import GCPoly
 from mdgkit.mdg import ChainMap
-from mdgkit.ring import Ring, add_term, laurent
+from mdgkit.ring import Ring, add_term, laurent, laurent_term, mono_div
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +203,79 @@ def test_a_broken_differential_is_reported_as_by_the_laurent_check(
     problems = S.check()
     assert len(problems) == count
     assert problems == _laurent_check(S)
+
+
+def _random_breakages(name, count, seed):
+    """count copies of the fixture's complex, each with one entry of d set
+    to a random rational times the monomial of its multidegree: the target
+    lies in degree |gen| - 1 and its multidegree divides that of gen, so
+    degree and multidegree are kept."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        cx = load_fixture(name).algebra().complex
+        gen = rng.choice([n for n in cx.order if n != UNIT])
+        b = cx.basis[gen]
+        target = rng.choice([
+            n for n in cx.order
+            if (0 if n == UNIT else cx.basis[n].degree) == b.degree - 1
+            and all(x <= y for x, y in zip(cx.basis[n].mdeg, b.mdeg))])
+        coeffs = dict(cx.diff[gen].coeffs)
+        old = coeffs.get(target)
+        q = rng.choice([Fraction(k, 2) for k in (-4, -2, -1, 1, 2, 3, 6)
+                        if old is None or old.lead_coeff() != Fraction(k, 2)])
+        coeffs[target] = laurent_term(
+            cx.ring, q, mono_div(b.mdeg, cx.basis[target].mdeg))
+        cx.diff[gen] = Element(cx, coeffs)
+        yield f"{gen}: {q} on {target}", cx
+
+
+@pytest.mark.parametrize("name", ["fk", "fa", "fm"])
+def test_random_breakages_are_reported_as_by_the_laurent_check(name):
+    for what, cx in _random_breakages(name, 3, seed=name):
+        S = sg.build_sym(cx, 2)
+        assert S.check() == _laurent_check(S), what
+
+
+def all_pairs_leibniz(S, a, b):
+    """The body of the former all-pairs Leibniz loop of `check`, kept as
+    the reference: the defect of (e^a, e^b) through `SymDGAlgebra.mul`, and
+    None when the product is zero."""
+    prod = S.mul(S.mono_poly(a), S.mono_poly(b))
+    return S._leibniz_defect(a, b, prod) if prod.terms else None
+
+
+LEIBNIZ_ALGEBRAS = {
+    "fk": sg.build_sym(load_fixture("fk").sole_complex(), 3),
+    "fa": sg.build_sym(load_fixture("fa").sole_complex(), 3),
+    "T5": sg.build_sym(load_fixture("fk_split").complexes["T5"], 3),
+}
+LEIBNIZ_MONOMIALS = {name: S.monomials()
+                     for name, S in LEIBNIZ_ALGEBRAS.items()}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(LEIBNIZ_ALGEBRAS)), st.data())
+def test_leibniz_holds_on_every_pair_not_only_at_generators(name, data):
+    # the module docstring's induction, tested against the former loop on
+    # random pairs of monomials whose product fits in the truncation
+    S, monos = LEIBNIZ_ALGEBRAS[name], LEIBNIZ_MONOMIALS[name]
+    a = data.draw(st.sampled_from([m for m in monos if sum(m) < S.N]))
+    b = data.draw(st.sampled_from(
+        [m for m in monos if 0 < sum(m) <= S.N - sum(a)]))
+    assert not all_pairs_leibniz(S, a, b)
+
+
+def test_a_differential_of_the_wrong_degree_is_refused():
+    R = Ring(["x"])
+    cx = FreeComplex(R, "F")
+    cx.add_basis("a", 1, (1,))
+    cx.add_basis("b", 2, (1,))
+    cx.set_diff("a", cx.element({UNIT: R.var("x")}))
+    # multihomogeneous, but x on the unit lies in degree 0, not 1
+    cx.set_diff("b", cx.element({"a": R.one, UNIT: R.var("x")}))
+    with pytest.raises(sg.SymError,
+                       match=r"d\(b\) has degrees \[0, 1\], expected 1"):
+        sg.build_sym(cx, 2)
 
 
 def test_a_differential_that_is_not_multihomogeneous_is_refused():

@@ -18,7 +18,8 @@ tables are complete, so the certificate takes its linear route; the
 perturbed ones are not associative.  The scan cases run
 `associative_on_basis` on the Taylor-7 table (associative, so every triple
 is read) and `associator_submodule` on fm.  The symmetric-algebra cases run
-`SymDGAlgebra.check()` on fk truncated at total degree 3 and on fm at 2.
+`SymDGAlgebra.check()` on fk truncated at total degree 3, on fm at 2 and on
+fk_split's complex T5 at 3.
 The chain-layer cases run `MDGAlgebra.check()` on fk_split's table nu and
 on fm, `homology_dims()` on fm and on fk_split, and
 `quotient_homology_dims` on fm by its associator submodule (built before
@@ -120,10 +121,10 @@ def submodule(alg):
     return run
 
 
-def sym_check(alg, truncation):
+def sym_check(source, truncation):
     def run():
         start = time.perf_counter()
-        sym = build_sym(alg, truncation)
+        sym = build_sym(source, truncation)
         problems = sym.check()
         elapsed = time.perf_counter() - start
         return (f"{len(sym.monomials())} monomials, {len(problems)} problems",
@@ -196,6 +197,9 @@ def cases():
          "1340 monomials, 0 problems"),
         ("sym check fm @2", sym_check(fm, 2),
          "392 monomials, 0 problems"),
+        ("sym check fk_split T5 @3",
+         sym_check(load_fixture("fk_split").complexes["T5"], 3),
+         "5472 monomials, 0 problems"),
         ("check fk_split --mult nu", axiom_check(split_nu),
          "0 problems, 0 skipped"),
         ("check fm", axiom_check(fm), "0 problems, 0 skipped"),
