@@ -54,6 +54,25 @@ so the S-polynomial is u - v or u + v with no scaling pass; and in
 `normal_form` the quotient of a reduction step is +-c, c the coefficient
 it cancels, so the step makes one multiplication per reducer term.
 
+The lead index.  The engine's basis lists (`_LeadList`) group their leads
+by support mask (`ring.mono_mask`), and one lookup, the groups whose mask
+lies inside mono_mask(m), serves the three divisor searches: the reducer
+in `normal_form`, the element k of the chain criterion (a lead dividing
+lcm(a_i, a_j), whose mask is the OR of the two lead masks), and the leads
+that interreduction drops.  It is complete: if a | m then every generator
+in the support of a is in the support of m, so mono_mask(a) is a submask
+of mono_mask(m) and a sits in a visited group.  It keeps the first-divisor
+rule: `normal_form` takes the smallest index among the divisors, the
+element that a scan of the basis in order meets first.  The lookup yields
+the groups in ascending order of their first index, so that search ends at
+the first group that starts after the best index found.  A group is
+reached through the submasks of mono_mask(m) when there are at most as
+many of them as groups, and by a scan of the groups otherwise, so a lookup
+never probes more than the groups, and never more than the leads.  A
+squarefree lead in a visited group divides m without an exponent test:
+each of its exponents is 1, and m's is at least 1 wherever the lead's mask
+has a bit.
+
 The associativity certificate: complete {f_ij} to a Groebner basis; the table
 is associative exactly when no basis element has a lead monomial of total
 degree 1 (a single generator).  Those degree-1 elements are the obstruction
@@ -126,7 +145,6 @@ multidegree before any S-polynomial is formed.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import product
 
 from . import linalg
 from .complexes import UNIT, ComplexError, Element, FreeComplex
@@ -240,41 +258,86 @@ class ReductionTrace:
         return GCPoly(f.ctx, terms)
 
 
-def _leads(basis) -> list:
-    return [(*g.lead(), i) for i, g in enumerate(basis) if g.terms]
-
-
 class _LeadList(list):
-    """A basis list that keeps `_leads` of itself as it grows, so
-    `normal_form` does not gather the leads on every call.  It grows only
-    by `append`; the engine never writes a basis any other way."""
+    """A basis list that indexes its leads by support mask as it grows:
+    `groups` maps each lead mask to the (index, lead) pairs of the elements
+    with that mask, in index order.  The lead is None when it is
+    squarefree: then every monomial whose mask holds the lead's is a
+    multiple of it.  The list grows only by `append`; the engine never
+    writes a basis any other way."""
 
     def __init__(self, polys=()):
-        super().__init__(polys)
-        self.leads = _leads(self)
+        super().__init__()
+        self.groups = {}
+        for p in polys:
+            self.append(p)
 
     def append(self, poly: GCPoly):
         if poly.terms:
-            self.leads.append((*poly.lead(), len(self)))
+            lm, mask = poly.lead()
+            self.groups.setdefault(mask, []).append(
+                (len(self), lm if max(lm) > 1 else None))
         super().append(poly)
+
+    def within(self, mask: int):
+        """The groups whose mask lies inside mask, in ascending order of
+        their first index: the groups of mask's submasks, enumerated from
+        mask down to 0, when there are at most as many submasks as groups,
+        and a scan of the groups otherwise (the dict keeps them in the
+        order of their first index)."""
+        groups = self.groups
+        if 1 << mask.bit_count() > len(groups):
+            return (group for gmask, group in groups.items()
+                    if not gmask & ~mask)
+        found = []
+        sub = mask
+        while True:
+            group = groups.get(sub)
+            if group is not None:
+                found.append(group)
+            if not sub:
+                found.sort()
+                return found
+            sub = (sub - 1) & mask
+
+    def divisors(self, m: tuple, mask: int):
+        """The indices of the elements whose lead divides m; mask is
+        `mono_mask(m)`."""
+        return (i for group in self.within(mask) for i, lm in group
+                if lm is None or mono_divides(lm, m))
+
+    def first_divisor(self, m: tuple, mask: int):
+        """The smallest index among `divisors(m, mask)`, or None.  Each
+        group is read up to its first divisor, and the search ends at a
+        group that starts after the best index so far."""
+        best = None
+        for group in self.within(mask):
+            if best is not None and group[0][0] > best:
+                break
+            for i, lm in group:
+                if best is not None and i > best:
+                    break
+                if lm is None or mono_divides(lm, m):
+                    best = i
+                    break
+        return best
 
 
 def normal_form(f: GCPoly, basis):
     """(normal form, trace) of f under left reduction by the basis: no
     monomial of the normal form is divisible by a basis lead.  Reduces plain
     dicts and wraps the remainder once, so f and the basis are never mutated.
-    The first basis element whose lead divides wins; a lead whose support
-    mask has a bit outside the monomial's is skipped without a scan."""
+    The first basis element whose lead divides wins: the smallest index
+    among the divisors that the basis's lead index finds."""
     key = f.ctx.order_key
-    leads = basis.leads if isinstance(basis, _LeadList) else _leads(basis)
+    if not isinstance(basis, _LeadList):
+        basis = _LeadList(basis)
     trace = ReductionTrace()
     remainder = {}
     work = dict(f.terms)
     while work:
         m = max(work, key=key)
-        mm = mono_mask(m)
-        reducer = next((i for lm, lmask, i in leads
-                        if not lmask & ~mm and mono_divides(lm, m)), None)
+        reducer = basis.first_divisor(m, mono_mask(m))
         if reducer is None:
             remainder[m] = work.pop(m)
             continue
@@ -299,10 +362,11 @@ class PairLimitError(MDGError):
 # The counters `buchberger` keeps in `GBasis.stats`: pairs pushed on the
 # queue, pairs of single-term elements kept out of it, pairs kept out of it
 # by the product criterion, popped pairs skipped by the chain criterion,
-# S-polynomials that vanish, nonzero S-polynomials that reduce to zero, and
-# elements the completion added to the generators.
+# S-polynomials that vanish, nonzero S-polynomials that reduce to zero, the
+# steps of the normal forms of the S-polynomials, and elements the
+# completion added to the generators.
 STATS = ("pairs_queued", "monomial_skips", "product_skips", "chain_skips",
-         "zero_spolys", "zero_normal_forms", "derived")
+         "zero_spolys", "zero_normal_forms", "reduction_steps", "derived")
 
 
 class GBasis:
@@ -350,21 +414,21 @@ def buchberger(ctx: GCContext, generators, criteria: bool = True,
     pair: the reference run.  Raises PairLimitError after `max_pairs`
     pairs."""
     elements = _LeadList()
-    profiles = []   # (odd generator support, parity or None) per element
-    by_lead = {}    # lead monomial -> indices of the elements with that lead
+    profiles = []   # (lead mask, odd support mask, parity or None, single term)
     stats = dict.fromkeys(STATS, 0)
-
-    def profile(p: GCPoly):
-        ctx_ = p.ctx
-        odd = frozenset(i for mono in p.terms for i, e in enumerate(mono)
-                        if e and ctx_.parity[i])
-        parities = {ctx_.mono_degree(m) & 1 for m in p.terms}
-        return odd, (parities.pop() if len(parities) == 1 else None)
+    key = ctx.order_key
 
     def append(poly):
-        by_lead.setdefault(poly.lead_mono(), []).append(len(elements))
         elements.append(poly)
-        profiles.append(profile(poly))
+        odd = 0
+        for mono in poly.terms:
+            for i in ctx.odd:
+                if mono[i]:
+                    odd |= 1 << i
+        parities = {key(m)[0] & 1 for m in poly.terms}
+        profiles.append((poly.lead()[1], odd,
+                         parities.pop() if len(parities) == 1 else None,
+                         len(poly.terms) == 1))
 
     for g in generators:
         if not g.is_zero():
@@ -373,37 +437,29 @@ def buchberger(ctx: GCContext, generators, criteria: bool = True,
     pending = set()   # the pairs (i, j), i < j, on the queue
     counter = 0
 
-    def product_skip(i, j):
-        if elements[i].lead()[1] & elements[j].lead()[1]:
-            return False
-        (odd_i, par_i), (odd_j, par_j) = profiles[i], profiles[j]
-        return par_i is not None and par_j is not None and not (odd_i & odd_j)
-
     def chain_skip(i, j, lcm):
-        # look up each divisor of lcm, enumerated on its support, as a lead
-        support = [p for p, e in enumerate(lcm) if e]
-        divisor = list(lcm)
-        for exps in product(*(range(lcm[p] + 1) for p in support)):
-            for p, e in zip(support, exps):
-                divisor[p] = e
-            for k in by_lead.get(tuple(divisor), ()):
-                if (k != i and k != j
-                        and (min(i, k), max(i, k)) not in pending
-                        and (min(j, k), max(j, k)) not in pending):
-                    return True
+        mask = profiles[i][0] | profiles[j][0]      # mono_mask(lcm)
+        for k in elements.divisors(lcm, mask):
+            if (k != i and k != j
+                    and (min(i, k), max(i, k)) not in pending
+                    and (min(j, k), max(j, k)) not in pending):
+                return True
         return False
 
     def push_pairs(new_index):
         nonlocal counter
         lm_new = elements[new_index].lead_mono()
-        single = len(elements[new_index].terms) == 1
+        mask_n, odd_n, par_n, single_n = profiles[new_index]
         for i in range(new_index):
-            if criteria and single and len(elements[i].terms) == 1:
-                stats["monomial_skips"] += 1
-                continue
-            if criteria and product_skip(i, new_index):
-                stats["product_skips"] += 1
-                continue
+            if criteria:
+                mask_i, odd_i, par_i, single_i = profiles[i]
+                if single_n and single_i:
+                    stats["monomial_skips"] += 1
+                    continue
+                if (not mask_i & mask_n and par_i is not None
+                        and par_n is not None and not odd_i & odd_n):
+                    stats["product_skips"] += 1
+                    continue
             counter += 1
             heappush(queue, (_pair_key(ctx, elements[i].lead_mono(), lm_new),
                              counter, i, new_index))
@@ -429,7 +485,8 @@ def buchberger(ctx: GCContext, generators, criteria: bool = True,
         if s.is_zero():
             stats["zero_spolys"] += 1
             continue
-        nf, _ = normal_form(s, elements)
+        nf, trace = normal_form(s, elements)
+        stats["reduction_steps"] += len(trace.steps)
         if nf.is_zero():
             stats["zero_normal_forms"] += 1
             continue
@@ -441,15 +498,15 @@ def buchberger(ctx: GCContext, generators, criteria: bool = True,
     return GBasis(ctx, _interreduce(elements), stats)
 
 
-def _interreduce(elements):
-    # drop elements whose lead is divisible by another lead, then tail-reduce
-    leads = [e.lead() for e in elements]
+def _interreduce(elements: _LeadList):
+    # drop elements whose lead is divisible by another lead (the first of
+    # equal leads stays), then tail-reduce
     kept = []
-    for i, (lm, mask) in enumerate(leads):
-        if not any(j != i and not lmask & ~mask and mono_divides(lj, lm)
-                   and (lj != lm or j < i)
-                   for j, (lj, lmask) in enumerate(leads)):
-            kept.append(elements[i])
+    for i, e in enumerate(elements):
+        lm, mask = e.lead()
+        if all(j == i or (elements[j].lead_mono() == lm and j > i)
+               for j in elements.divisors(lm, mask)):
+            kept.append(e)
     # No kept lead divides another, and a lead divides no smaller monomial,
     # so reducing a tail by all of `kept` never picks the element itself.
     basis = _LeadList(kept)

@@ -401,8 +401,11 @@ class AxiomReport:
                     or self.mdeg_problems or self.leibniz_problems)
 
     def all_problems(self):
-        return (self.complex_problems + self.degree_problems
-                + self.mdeg_problems + self.leibniz_problems)
+        return self.complex_problems + self.table_problems()
+
+    def table_problems(self):
+        """The problems of the table itself, without its complex's."""
+        return self.degree_problems + self.mdeg_problems + self.leibniz_problems
 
     def summary(self) -> str:
         lines = []

@@ -42,7 +42,11 @@ def mono_mask(a: tuple) -> int:
     mono_mask(a) & ~mono_mask(b) == 0, so a mask test rejects most
     non-divisors before `mono_divides` (Bachmann & Schoenemann's short
     exponent vectors, ISSAC 1998)."""
-    return sum(1 << i for i, e in enumerate(a) if e)
+    mask = 0
+    for i, e in enumerate(a):
+        if e:
+            mask |= 1 << i
+    return mask
 
 
 def mono_div(b: tuple, a: tuple) -> tuple:

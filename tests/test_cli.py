@@ -179,12 +179,32 @@ def test_a_coefficient_with_a_denominator_at_the_right_multidegree_fails_check(
     problem = "d(c): (x)/(y) on a is not a polynomial"
     code, out, _ = run(capsys, ["check", str(bad)])
     assert code == 1
-    assert out.splitlines() == [f"L: {problem}", f"mu: {problem}"]
+    assert out.splitlines() == [f"L: {problem}"]
     for cmd in ("homology", "submodule", "quotient"):
         code, out, err = run(capsys, [cmd, str(bad)])
         assert code == 2
         assert out == ""
         assert err == f"error: not a complex: {problem}"
+
+
+def test_check_reports_a_complex_problem_once_for_all_its_tables(tmp_path,
+                                                                 capsys):
+    # two tables on the complex: its problem is printed once, under its own
+    # name, and each table adds only problems of its own
+    bad = tmp_path / "two_tables.mdg"
+    bad.write_text(LAURENT_COEFFICIENT + "\nmult nu on L {\n  a*b = c;\n}\n")
+    expected = ["L: d(c): (x)/(y) on a is not a polynomial",
+                "nu: a*b has multidegree (1, 0), expected (1, 1)"]
+    code, out, _ = run(capsys, ["check", str(bad)])
+    assert code == 1
+    assert out.splitlines()[:2] == expected
+    assert [line for line in out.splitlines() if line.startswith("mu:")] == []
+    code, out, _ = run(capsys, ["check", str(bad), "--json"])
+    payload = json.loads(out)
+    assert code == 1 and payload["status"] == "fail"
+    assert payload["problems"][:2] == expected
+    assert sum(p.startswith("nu: Leibniz fails") for p in payload["problems"]) == 1
+    assert len(payload["problems"]) == 3
 
 
 def test_homology_commands_refuse_a_map_with_nonzero_square(tmp_path, capsys):

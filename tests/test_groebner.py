@@ -5,6 +5,7 @@ resolution of (x^2, w^2, zw, xy, y^2z^2); reducing the S-polynomial of the
 two relations involving e1*e5 and e2*e5 must surface the associator
 [e1, e5, e2]."""
 
+import hashlib
 import random
 import re
 
@@ -26,7 +27,7 @@ from mdgkit.mdg import (MDGAlgebra, MDGError, Multiplication,
 from mdgkit.parser import parse_gcpoly
 from mdgkit.ring import (RationalFunction, Ring, add_term, laurent,
                          laurent_term, mono_div, mono_divides, mono_lcm,
-                         mono_mul)
+                         mono_mask, mono_mul)
 from mdgkit.symdg import _dict_rank
 
 R4 = Ring(["x", "y", "z", "w"])
@@ -327,6 +328,66 @@ def test_normal_form_matches_the_plain_scan_on_a_basis_that_is_not_monic():
         assert trace.steps == steps
 
 
+_leads6 = st.tuples(*[st.integers(0, 2)] * 6)
+_UNIT6 = (0,) * 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_leads6, min_size=1, max_size=10),
+       st.lists(st.integers(0, 11), max_size=40),
+       st.lists(_leads6, max_size=4))
+def test_the_mask_index_finds_the_divisors_of_the_plain_scan(pool, picks,
+                                                             queries):
+    # leads drawn from a small pool repeat; the unit lead (mask 0) is in the
+    # pool and a pick past its end is a zero element.  The full-support
+    # query has more submasks (64) than the list has groups, so its lookup
+    # scans the groups; the unit and single-generator queries enumerate
+    # submasks once the list has two groups.
+    ctx = GCContext(R4, [f"g{i}" for i in range(6)], [1, 1, 2, 2, 3, 3])
+    one = laurent(R4, 1)
+    pool = pool + [_UNIT6]
+    leads = [pool[k] if k < len(pool) else None for k in picks]
+    basis = [GCPoly(ctx, {} if lm is None else {lm: one}) for lm in leads]
+    index = groebner._LeadList(basis)
+    for m in queries + [_UNIT6, (0, 0, 1, 0, 0, 0), (2,) * 6]:
+        plain = [i for i, lm in enumerate(leads)
+                 if lm is not None and mono_divides(lm, m)]
+        assert sorted(index.divisors(m, mono_mask(m))) == plain
+        assert index.first_divisor(m, mono_mask(m)) == next(iter(plain), None)
+        nf, trace = normal_form(GCPoly(ctx, {m: one}), basis)
+        terms, steps = _plain_normal_form(GCPoly(ctx, {m: one}), basis)
+        assert nf.terms == terms and trace.steps == steps
+
+
+class _CountingGroups(dict):
+    """A lead index's groups that count the groups probed by `get`."""
+
+    probes = 0
+
+    def get(self, mask, default=None):
+        self.probes += 1
+        return super().get(mask, default)
+
+
+def test_a_wide_monomial_scans_the_groups_instead_of_its_submasks():
+    # the product of 17 fk generators has 2^17 submasks, against a few
+    # hundred groups; its lookup, and every lookup of its reduction, must
+    # probe no more groups than a scan visits
+    ctx, gens = mult_ideal(load_fixture("fk").algebra())
+    basis = buchberger(ctx, gens)
+    sign, m = ctx.word_mono(range(17))
+    index = basis.elements
+    index.groups = _CountingGroups(index.groups)
+    groups = len(index.groups)
+    assert mono_mask(m).bit_count() == 17 and 1 << 17 > groups
+    assert index.first_divisor(m, mono_mask(m)) is not None
+    assert index.groups.probes <= groups
+    index.groups.probes = 0
+    nf, trace = basis.reduce(GCPoly(ctx, {m: laurent(ctx.ring, sign)}))
+    assert nf.is_zero() and trace.steps       # one lookup per step
+    assert index.groups.probes <= groups * len(trace.steps)
+
+
 # -- the linear route for complete tables -------------------------------------
 
 TAYLOR4 = [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0)]
@@ -574,6 +635,84 @@ def test_the_chain_criterion_skips_pairs_on_fk():
     assert stats["derived"] == 2 == (
         stats["pairs_queued"] - stats["chain_skips"] - stats["zero_spolys"]
         - stats["zero_normal_forms"])
+
+
+# -- the frozen engine oracle ---------------------------------------------------
+
+# The first 16 hex digits of the sha256 of each completion's basis strings,
+# in order, then its counters; recorded with the linear lead scans that the
+# mask index replaced.  A changed criterion decision or reducer choice
+# changes a counter or the basis.  The criterion-free runs of ex55, fm,
+# fo_full, fk_split-nu and fo_presentation take 3-30 s each, so
+# `tools/check_criteria.py` checks them.
+ORACLE_COUNTERS = ("pairs_queued", "monomial_skips", "product_skips",
+                   "chain_skips", "zero_spolys", "zero_normal_forms",
+                   "reduction_steps", "derived")
+FROZEN_RUNS = {
+    ("ex55", True): "1058ddf6ea382b1c",
+    ("ex6", True): "be6ac996fbe020b3",
+    ("ex6", False): "04131249026a9b1f",
+    ("fa", True): "9e4610eee51c612c",
+    ("fa", False): "415cbdd1506cf720",
+    ("fk", True): "971ca05185f3106c",
+    ("fk", False): "110cbb19192fa8bc",
+    ("fk_split-mu", True): "971ca05185f3106c",
+    ("fk_split-mu", False): "110cbb19192fa8bc",
+    ("fk_split-nu", True): "8da8149d5746df0d",
+    ("fm", True): "b2c17460b71b5901",
+    ("fo_full", True): "0d718c3be5c09bcc",
+    ("fo_presentation", True): "b855ca0311fda3c3",
+    ("taylor_x2_xy", True): "2e4454c135de9073",
+    ("taylor_x2_xy", False): "96c1d89a481f9288",
+    ("ex55 presentation", True): "26bce68c96d2e4ff",
+    ("ex55 presentation", False): "80504037a985b187",
+    ("fk presentation", True): "a90ccc5d96e1be05",
+    ("fk presentation", False): "3a33ef17b903d684",
+    ("fa presentation", True): "970bb789bf586627",
+    ("fa presentation", False): "c2b9bb278f4e5de0",
+}
+
+
+def _fingerprint(basis):
+    lines = [str(e) for e in basis.elements]
+    lines.append(" ".join(f"{k}={basis.stats[k]}" for k in ORACLE_COUNTERS))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, criteria", list(FROZEN_RUNS),
+                         ids=[f"{n} criteria {'on' if c else 'off'}"
+                              for n, c in FROZEN_RUNS])
+def test_the_engine_matches_its_frozen_runs(name, criteria):
+    if name.endswith(" presentation"):
+        alg = _degree_one_presentation(name.split()[0])
+    else:
+        alg = _complete_table(name)
+    ctx, gens = mult_ideal(alg)
+    basis = buchberger(ctx, gens, criteria=criteria)
+    assert _fingerprint(basis) == FROZEN_RUNS[name, criteria]
+
+
+def test_reduction_steps_count_the_steps_of_the_spoly_normal_forms(
+        monkeypatch):
+    # the steps of the normal forms of S-polynomials, not of interreduction
+    ctx, gens = mult_ideal(_degree_one_presentation("fk"))
+    spolys, steps = [], []
+
+    def traced_spoly(f, g):
+        spolys.append(spoly(f, g))
+        return spolys[-1]
+
+    def traced_normal_form(f, basis):
+        nf, trace = normal_form(f, basis)
+        if spolys and f is spolys[-1]:
+            steps.append(len(trace.steps))
+        return nf, trace
+
+    monkeypatch.setattr(groebner, "spoly", traced_spoly)
+    monkeypatch.setattr(groebner, "normal_form", traced_normal_form)
+    stats = buchberger(ctx, gens).stats
+    assert len(steps) == len(spolys) - stats["zero_spolys"] > 0
+    assert stats["reduction_steps"] == sum(steps) > 0
 
 
 @pytest.mark.parametrize("make", [lambda: load_fixture("fk").algebra(),

@@ -1,13 +1,17 @@
 """Check the pair criteria of `buchberger` against a criterion-free run, and
 the linear route of `associativity_certificate` against `buchberger`.
 
-For the pair relations of the fixtures ex55, fm and fo_full and of the
-Taylor algebra of (x^2, w^2, zw, xy, yz), complete once with both criteria
-(the default) and once with `criteria=False`, which reduces every S-pair.
-The two bases must have the same monic term dicts in the same order.  The
-fast tables fk, fa, ex6 and the degree-1 presentations of fk and fa are
-checked the same way by the test suite; these cases take minutes, so they
-live here.
+For the pair relations of the fixture tables ex55, fm, fo_full,
+fk_split's nu and fo_presentation and of the Taylor algebra of (x^2, w^2,
+zw, xy, yz), complete once with both criteria (the default) and once with
+`criteria=False`, which reduces every S-pair.  The two bases must have the
+same monic term dicts in the same order.  On the fixture tables the
+criterion-free run must also match its frozen fingerprint: the first 16 hex
+digits of the sha256 of its basis strings, in order, then its counters, as
+`tests/test_groebner.py` computes them for the runs with criteria and the
+fast criterion-free runs.  The fast tables fk, fa, ex6 and the degree-1
+presentations of fk and fa are checked the same way by the test suite;
+these cases take minutes, so they live here.
 
 Then perturb the Taylor tables of (x^2, w^2, zw, xy, yz) and of (x^2, y^2,
 w^2, xy, yz, zw) by `mdg perturb`'s homotopy at seeds 1 and 2.  The tables
@@ -20,12 +24,15 @@ order.  Takes no options.  Run from anywhere:
     python3 tools/check_criteria.py
 
 Prints one line per case: for the criteria, name, basis size, the counters
-of the run with criteria, and the seconds of each run; for the linear
+of the run with criteria, the seconds of each run and, on a fixture table,
+whether the criterion-free run matches its fingerprint; for the linear
 route, name, basis size, witness count, the seconds of each route and
 whether the completion derived the witnesses in ascending lead order.
-Exits 0, or 1 when a pair of bases differs or a size or count is off.
+Exits 0, or 1 when a pair of bases differs, a fingerprint differs or a
+size or count is off.
 """
 
+import hashlib
 import os
 import sys
 import time
@@ -68,6 +75,24 @@ def perturbed(ideal, seed):
     return MDGAlgebra(alg.complex, mult)
 
 
+# (fixture, table, the criterion-free run's fingerprint)
+FIXTURE_TABLES = [
+    ("ex55", "mu", "2a32a5ec82e2811b"),
+    ("fm", "mu", "70c1ea1d7b0c4bc8"),
+    ("fo_full", "mu", "926ad342fbd4c0c5"),
+    ("fk_split", "nu", "c1bd061101b517d0"),
+    ("fo_presentation", "mu", "c885eb6985a4911d"),
+]
+COUNTERS = ("pairs_queued", "monomial_skips", "product_skips", "chain_skips",
+            "zero_spolys", "zero_normal_forms", "reduction_steps", "derived")
+
+
+def fingerprint(basis) -> str:
+    lines = [str(e) for e in basis.elements]
+    lines.append(" ".join(f"{k}={basis.stats[k]}" for k in COUNTERS))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
 def timed(alg, **kwargs):
     ctx, gens = mult_ideal(alg)
     start = time.perf_counter()
@@ -79,15 +104,19 @@ def terms(polys):
     return [p.terms for p in polys]
 
 
-def check_criteria(name, alg) -> bool:
+def check_criteria(name, alg, frozen=None) -> bool:
     fast, t_fast = timed(alg)
     slow, t_slow = timed(alg, criteria=False)
     same = terms(fast.elements) == terms(slow.elements)
     counters = ", ".join(f"{k} {v}" for k, v in fast.stats.items())
+    matches = frozen is None or fingerprint(slow) == frozen
+    verdict = "same basis" if same else "BASES DIFFER"
+    if frozen is not None:
+        verdict += ", fingerprint " + ("matches" if matches else "DIFFERS")
     print(f"{name}: basis {len(fast)}, {counters}; "
-          f"{t_fast:.2f} s with criteria, {t_slow:.2f} s without: "
-          f"{'same basis' if same else 'BASES DIFFER'}", flush=True)
-    return same
+          f"{t_fast:.2f} s with criteria, {t_slow:.2f} s without: {verdict}",
+          flush=True)
+    return same and matches
 
 
 def check_linear_route(name, alg, size, count) -> bool:
@@ -116,8 +145,9 @@ def check_linear_route(name, alg, size, count) -> bool:
 
 def main() -> int:
     ok = True
-    for name in ("ex55", "fm", "fo_full"):
-        ok = check_criteria(name, load_fixture(name).algebra()) and ok
+    for fixture, mult, frozen in FIXTURE_TABLES:
+        ok = check_criteria(f"{fixture} {mult}",
+                            load_fixture(fixture).algebra(mult), frozen) and ok
     ok = check_criteria("taylor5", taylor(TAYLOR5)) and ok
     for name, ideal, seed, size, count in PERTURBED:
         ok = check_linear_route(name, perturbed(ideal, seed), size,
