@@ -136,12 +136,14 @@ def cmd_check(args) -> int:
     doc = _load(args)
     if not doc.complexes:
         raise DocumentError("document has 0 complexes")
-    problems = []
+    problems, checked = [], {}
     for name, cx in doc.complexes.items():
-        problems += [f"{name}: {p}" for p in cx.check()]
+        checked[cx] = cx.check()
+        problems += [f"{name}: {p}" for p in checked[cx]]
     for name in doc.mults:
         # the table's complex is one of those just checked
-        rep = doc.algebra(name).check()
+        alg = doc.algebra(name)
+        rep = alg.table_check(checked[alg.complex])
         problems += [f"{name}: {p}" for p in rep.table_problems()]
     ok = not problems
     _emit(args, {"command": "check", "status": "ok" if ok else "fail",

@@ -340,35 +340,76 @@ class FreeComplex:
         return " ".join(chunks)
 
 
-def subquotient_homology(cx: FreeComplex, degrees, a_rows=None,
-                         b_rows=None) -> dict:
+def subquotient_homology(cx: FreeComplex, degrees, a=None, b=None) -> dict:
     """dict i -> dim H_i(A/B) for each i in `degrees`, summed over the
     multidegrees of `cx.mdeg_support()`, for subcomplexes B of A of cx.
 
-    a_rows(i, mdeg) and b_rows(i, mdeg) give rows spanning A and B in the
-    (i, mdeg) piece; A defaults to all of cx and B to 0.  Per multidegree
-    the count is dim A_i - dim B_i - r_i - r_{i+1}, where
+    A and B are `mdg.Submodule`s, read through their generators'
+    multidegrees and `span_rows`; A defaults to all of cx and B to 0.  Per
+    multidegree the count is dim A_i - dim B_i - r_i - r_{i+1}, where
     r_i = rank(d(A_i) + B_{i-1}) - rank(B_{i-1}) is the rank of the induced
     map A_i/B_i -> A_{i-1}/B_{i-1}.  Raises ComplexError when `cx.check()`
     finds a problem: the ranks of a map that is not a differential of
-    multidegree 0 are not homology."""
+    multidegree 0 are not homology.
+
+    Every matrix at multidegree m is read from rational constants: `d_rows`
+    from those of the basis elements whose multidegree divides m, and
+    `span_rows` from those of the generators whose multidegree divides m.
+    So the count at m is a function of that set of basis elements and
+    generators, its key, and it is computed once per key: at the key's
+    first multidegree in support order, and added for every multidegree
+    that shares it.  The first ComplexError is raised where a loop over
+    every multidegree would raise it."""
     cx.require_complex()
     dims = dict.fromkeys(degrees, 0)
     if not dims:
         return dims
     consts = cx.diff_constants()
     lo, hi = min(dims), max(dims)
-    for md in cx.mdeg_support():
-        b = {i: b_rows(i, md) if b_rows else [] for i in range(lo - 1, hi + 1)}
-        b_dim = {i: _rank(rows) for i, rows in b.items()}
-        a = {i: a_rows(i, md) if a_rows else _unit_rows(len(cx.piece_basis(i, md)))
-             for i in range(lo, hi + 2)}
-        r = {i: _rank(cx.d_rows(consts, rows, i, md) + b[i - 1]) - b_dim[i - 1]
-             if rows and i > 0 else 0 for i, rows in a.items()}
-        for i in range(lo, hi + 1):
-            a_dim = _rank(a[i]) if a_rows else len(a[i])
-            dims[i] += a_dim - b_dim[i] - r[i] - r[i + 1]
+    mdegs = [cx.basis[name].mdeg for name in cx.order]
+    for sub in (a, b):
+        if sub is not None:
+            mdegs += [m for _, _, _, m in sub.gens]
+    counts = {}
+    for md, key in _divisor_keys(cx, mdegs):
+        count = counts.get(key)
+        if count is None:
+            count = counts[key] = _piece_homology(cx, consts, lo, hi, a, b,
+                                                  md)
+        for i, n in count.items():
+            dims[i] += n
     return dims
+
+
+def _piece_homology(cx, consts, lo, hi, a, b, md) -> dict:
+    """dict i -> dim H_i(A/B) at multidegree md, for lo <= i <= hi."""
+    b_rows = {i: b.span_rows(i, md) if b is not None else []
+              for i in range(lo - 1, hi + 1)}
+    b_dim = {i: _rank(rows) for i, rows in b_rows.items()}
+    a_rows = {i: a.span_rows(i, md) if a is not None else
+              _unit_rows(len(cx.piece_basis(i, md)))
+              for i in range(lo, hi + 2)}
+    r = {i: _rank(cx.d_rows(consts, rows, i, md) + b_rows[i - 1])
+         - b_dim[i - 1] if rows and i > 0 else 0
+         for i, rows in a_rows.items()}
+    return {i: (_rank(a_rows[i]) if a is not None else len(a_rows[i]))
+            - b_dim[i] - r[i] - r[i + 1] for i in range(lo, hi + 1)}
+
+
+def _divisor_keys(cx: FreeComplex, mdegs):
+    """(md, key) for each md of `cx.mdeg_support()`, in its order, with key
+    the bitmask of the `mdegs` that divide md: the AND over the variables j
+    of the mask of the mdegs whose j-th exponent is at most md's, tabulated
+    once per variable and exponent."""
+    below = [[sum(1 << k for k, m in enumerate(mdegs) if m[j] <= t)
+              for t in range(top + 1)]
+             for j, top in enumerate(cx.mdeg_bound())]
+    full = (1 << len(mdegs)) - 1
+    for md in cx.mdeg_support():
+        key = full
+        for column, t in zip(below, md):
+            key &= column[t]
+        yield md, key
 
 
 def _rank(rows) -> int:

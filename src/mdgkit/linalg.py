@@ -1,36 +1,59 @@
-"""Exact Gaussian elimination over Q.
+"""Exact Gaussian elimination over Q, carried out over Z.
 
-Matrices are lists of row vectors (lists) of Fractions or ints.
+Matrices are lists of row vectors (lists) of Fractions or ints.  Each row is
+scaled to a primitive integer vector, so the elimination never forms a
+`Fraction`: a row is cleared below and above a pivot by integer
+cross-multiplication, pv * row - row[c] * pivot_row, and divided by the gcd
+of its entries (fraction-free elimination; Bareiss, Math. Comp. 22, 1968).
+Every step multiplies a row by a nonzero rational, so the row spaces are the
+ones Gauss-Jordan over Q would pass through, and the reduced row echelon
+form, which is unique, comes out the same once each pivot row is divided by
+its pivot.  `rank` never divides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+def _integral(row):
+    """The row as a primitive integer vector on the same line, or None for
+    a zero row."""
+    den = lcm(*(v.denominator for v in row))
+    out = [v.numerator * (den // v.denominator) for v in row]
+    g = gcd(*out)
+    if not g:
+        return None
+    return out if g == 1 else [v // g for v in out]
+
+
+def _echelon(rows):
+    """(integer rows, pivot columns): the rows of the reduced row echelon
+    form of `rows`, each scaled by a nonzero integer."""
+    rows = [r for r in map(_integral, rows) if r is not None]
     pivots = []
+    if not rows:
+        return rows, pivots
     r = 0
-    for c in range(ncols):
-        pivot = None
+    for c in range(len(rows[0])):
         for i in range(r, len(rows)):
             if rows[i][c]:
-                pivot = i
                 break
-        if pivot is None:
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        pv = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == r or not f:
+                continue
+            g = gcd(f, pv)
+            a, b = pv // g, f // g
+            new = [a * x - b * y for x, y in zip(row, top)]
+            g = gcd(*new)
+            rows[i] = new if g < 2 else [v // g for v in new]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -38,8 +61,15 @@ def rref(rows):
     return rows[:r], pivots
 
 
+def rref(rows):
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
+    red, pivots = _echelon(rows)
+    return ([[Fraction(v, row[c]) for v in row]
+             for row, c in zip(red, pivots)], pivots)
+
+
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(_echelon(rows)[1])
 
 
 def in_span(rows, vec) -> bool:

@@ -124,8 +124,6 @@ class Multiplication:
         `groebner.mult_ideal`: MDGError at the first stored product with a
         `degree_problem` or an `mdeg_problem` (multidegrees are exponent
         tuples, so a multihomogeneous coefficient is a single term)."""
-        cx = self.complex
-        out = {}
         for (left, right), value in self.table.items():
             problem = self.degree_problem(left, right, value)
             if problem:
@@ -134,6 +132,15 @@ class Multiplication:
             if problem:
                 raise MDGError(f"table is not multihomogeneous: product "
                                f"{problem}")
+        return self.unchecked_constants()
+
+    def unchecked_constants(self) -> dict:
+        """The `structure_constants()` without their checks: valid only
+        once every stored product has passed `degree_problem` and
+        `mdeg_problem`, as in `MDGAlgebra.check`."""
+        cx = self.complex
+        out = {}
+        for (left, right), value in self.table.items():
             consts = {d: coeff.lead_coeff()
                       for d, coeff in value.coeffs.items()}
             out[(left, right)] = consts
@@ -223,12 +230,18 @@ class MDGAlgebra:
 
         When the complex and every stored product pass, every term of the
         Leibniz defect of l*r lies at multidegree m_l + m_r, so it is read
-        from the `diff_constants()` and `structure_constants()` and becomes
-        an `Element` only in a failure message.  Otherwise the defect is
-        computed on `Element`s, the only route valid for such input."""
+        from the `diff_constants()` and the `structure_constants()`, read
+        without checking the products again, and becomes an `Element` only
+        in a failure message.  Otherwise the defect is computed on
+        `Element`s, the only route valid for such input."""
+        return self.table_check(self.complex.check())
+
+    def table_check(self, complex_problems) -> "AxiomReport":
+        """`check`, given the complex's `FreeComplex.check()` problems, so
+        that `mdg check` checks a complex once for all its tables."""
         report = AxiomReport()
         cx = self.complex
-        report.complex_problems = cx.check()
+        report.complex_problems = complex_problems
         pairs = []
         for (l, r), value in self.mult.table.items():
             problem = self.mult.degree_problem(l, r, value)
@@ -240,7 +253,7 @@ class MDGAlgebra:
                 report.mdeg_problems.append(problem)
             pairs.append((l, r))
         if report.ok():
-            dc, mc = cx.diff_constants(), self.mult.structure_constants()
+            dc, mc = cx.diff_constants(), self.mult.unchecked_constants()
 
             def defect(l, r):
                 v = self._q_leibniz(dc, mc, l, r)
@@ -541,7 +554,7 @@ class Submodule:
     def homology_dims(self) -> dict:
         degs = self.degrees()
         degrees = range(min(degs), max(degs) + 1) if degs else ()
-        return subquotient_homology(self.complex, degrees, a_rows=self.span_rows)
+        return subquotient_homology(self.complex, degrees, a=self)
 
     def homology_class_reps(self, degree: int, mdeg: tuple):
         """Representative Elements of a basis of H_degree at this multidegree.
@@ -615,8 +628,7 @@ def quotient_homology_dims(alg: MDGAlgebra, sub: Submodule) -> dict:
     the multidegree support.  Degree 0 (the cyclic module R/I) is excluded:
     it is not finite dimensional."""
     cx = alg.complex
-    return subquotient_homology(cx, range(1, cx.max_degree() + 1),
-                                b_rows=sub.span_rows)
+    return subquotient_homology(cx, range(1, cx.max_degree() + 1), b=sub)
 
 
 # -- chain maps and multiplicators --

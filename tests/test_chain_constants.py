@@ -9,7 +9,8 @@ import pytest
 
 from mdgkit import load_fixture
 from mdgkit.complexes import ComplexError, Element
-from mdgkit.mdg import MDGAlgebra, MissingProductError, Submodule
+from mdgkit.mdg import (MDGAlgebra, MissingProductError, Multiplication,
+                        Submodule)
 from mdgkit.ring import laurent_term, mono_div, mono_divides, mono_mul
 
 FIXTURES = ["ex55", "ex6", "fa", "fk", "fk_split", "fm", "fo_full",
@@ -169,3 +170,25 @@ def test_a_leibniz_failure_reads_as_before():
                              ("e1*e24", "-x*y*e12"), ("e2*e12", "w^2*e12"),
                              ("e2*e13", "z*w*e12"), ("e2*e14", "y*e12")]]
     assert broken.check().leibniz_problems == element_leibniz(broken)[0]
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_check_reads_each_stored_product_once(monkeypatch, name):
+    alg = ALGEBRAS[name]
+    expected = alg.mult.structure_constants()
+    calls = {"degree_problem": 0, "mdeg_problem": 0}
+
+    def counting(method):
+        original = getattr(Multiplication, method)
+
+        def counted(self, left, right, value):
+            calls[method] += 1
+            return original(self, left, right, value)
+        return counted
+
+    for method in calls:
+        monkeypatch.setattr(Multiplication, method, counting(method))
+    report = alg.check()
+    assert report.ok()
+    assert calls == dict.fromkeys(calls, len(alg.mult.table))
+    assert alg.mult.unchecked_constants() == expected

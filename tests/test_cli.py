@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ import mdgkit
 import mdgkit.cli as cli
 from mdgkit import fixture_path, load_fixture
 from mdgkit.cli import run_command
-from mdgkit.complexes import ComplexError
+from mdgkit.complexes import ComplexError, FreeComplex
 from mdgkit.groebner import STATS
 from mdgkit.parser import format_document, parse_document
 
@@ -205,6 +206,33 @@ def test_check_reports_a_complex_problem_once_for_all_its_tables(tmp_path,
     assert payload["problems"][:2] == expected
     assert sum(p.startswith("nu: Leibniz fails") for p in payload["problems"]) == 1
     assert len(payload["problems"]) == 3
+
+
+def test_check_checks_each_complex_once(tmp_path, capsys, monkeypatch):
+    # fk_split and the broken document each carry two tables on a complex
+    two_tables = tmp_path / "two_tables.mdg"
+    two_tables.write_text(LAURENT_COEFFICIENT
+                          + "\nmult nu on L {\n  a*b = c;\n}\n")
+    original = FreeComplex.check
+    calls = []
+
+    def counted(cx):
+        calls.append(cx.name)
+        return original(cx)
+
+    def both(path):
+        return [run(capsys, ["check", path, *flag])
+                for flag in ([], ["--json"])]
+
+    for path, code in [(SPLIT, 0), (FK, 0), (str(two_tables), 1)]:
+        outputs = both(path)
+        monkeypatch.setattr(FreeComplex, "check", counted)
+        calls.clear()
+        assert both(path) == outputs
+        monkeypatch.undo()
+        assert [c for c, _, _ in outputs] == [code, code]
+        names = list(parse_document(Path(path).read_text()).complexes)
+        assert calls == names + names
 
 
 def test_homology_commands_refuse_a_map_with_nonzero_square(tmp_path, capsys):

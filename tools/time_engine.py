@@ -21,9 +21,11 @@ is read) and `associator_submodule` on fm.  The symmetric-algebra cases run
 `SymDGAlgebra.check()` on fk truncated at total degree 3, on fm at 2 and on
 fk_split's complex T5 at 3.
 The chain-layer cases run `MDGAlgebra.check()` on fk_split's table nu and
-on fm, `homology_dims()` on fm and on fk_split, and
-`quotient_homology_dims` on fm by its associator submodule (built before
-the timing starts).
+on fm, `FreeComplex.homology_dims()` on fm, on fk_split and on ex6 (whose
+81 multidegrees share 16 divisor sets, the most sharing of the fixtures),
+`Submodule.homology_dims()` on fm's associator submodule, and
+`quotient_homology_dims` on fm by that submodule (built before the timing
+starts).
 Each run's basis size (for a certificate, also its witness count; for a
 scan, its verdict or generator count; for a symmetric-algebra check, its
 monomial and problem counts; for an axiom check, its problem and skipped
@@ -207,6 +209,11 @@ def cases():
          "H_0=13, H_1=0, H_2=0, H_3=0, H_4=0"),
         ("homology fk_split", homology(split_nu.complex.homology_dims),
          "H_0=15, H_1=0, H_2=0, H_3=0, H_4=0, H_5=0"),
+        ("homology ex6", homology(load_fixture("ex6").complexes["EX6"]
+                                  .homology_dims),
+         "H_0=66, H_1=0, H_2=0, H_3=0, H_4=0"),
+        ("submodule homology fm", homology(fm_sub.homology_dims),
+         "H_3=2, H_4=0"),
         ("quotient fm", homology(lambda: quotient_homology_dims(fm, fm_sub)),
          "H_1=0, H_2=0, H_3=0, H_4=2"),
     ]
@@ -233,7 +240,7 @@ def main() -> int:
             best = elapsed if best is None else min(best, elapsed)
         else:
             counters = "".join(f", {k} {v}" for k, v in stats.items())
-            print(f"{name}: {describe(size)}, best of {RUNS} {best:.2f} s"
+            print(f"{name}: {describe(size)}, best of {RUNS} {best:.4f} s"
                   f"{counters}")
     return 0 if ok else 1
 
