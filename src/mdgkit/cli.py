@@ -13,7 +13,6 @@ import functools
 import json
 import random
 import sys
-from fractions import Fraction
 
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .constructions import mapping_cone_extension, taylor_algebra
@@ -461,7 +460,7 @@ def _random_homotopy(alg: MDGAlgebra, seed: int, entries: int = 8) -> Homotopy:
         t = rng.choice(targets)
         mono = mono_div(mab, cx.basis[t].mdeg)
         value = cx.elem(t).scale(cx.ring.monomial(mono,
-                                                  Fraction(rng.randint(1, 3))))
+                                                  rng.randint(1, 3)))
         h.set_value(a, b, value)
         sign = 1 if (da * db) % 2 == 0 else -1
         if a != b:

@@ -122,6 +122,7 @@ class FreeComplex:
         self.name = name
         self.basis: dict[str, BasisElement] = {}
         self.order: list[str] = []
+        self._in_degree: dict[int, list[str]] = {}     # degree -> names
         self.diff: dict[str, Element] = {}
         self.add_basis(UNIT, 0, ring.zero_mono)
         self.zero = Element(self, {})
@@ -135,6 +136,7 @@ class FreeComplex:
             raise ComplexError("negative homological degree")
         self.basis[name] = BasisElement(name, degree, mdeg)
         self.order.append(name)
+        self._in_degree.setdefault(degree, []).append(name)
 
     def set_diff(self, name: str, value: Element):
         if name not in self.basis:
@@ -166,7 +168,10 @@ class FreeComplex:
         return max(b.degree for b in self.basis.values())
 
     def names_in_degree(self, degree: int):
-        return [n for n in self.order if self.basis[n].degree == degree]
+        """The basis names of the degree, in declaration order: a list kept
+        by `add_basis`, the one writer of `basis` and `order`, which the
+        caller must not write."""
+        return self._in_degree.get(degree, [])
 
     # -- differential --
 
@@ -250,7 +255,7 @@ class FreeComplex:
         if piece is None:
             piece = self.piece_basis(degree, mdeg)
         index = {p: i for i, p in enumerate(piece)}
-        vec = [Fraction(0)] * len(piece)
+        vec = [0] * len(piece)
         for name, coeff in x.coeffs.items():
             b = self.basis[name]
             if b.degree != degree:
@@ -282,13 +287,13 @@ class FreeComplex:
 
     def diff_constants(self) -> dict:
         """{n: {k: q_nk}} over the basis, with d(e_n) = sum_k q_nk *
-        x^(m_n - m_k) * e_k and each q_nk a Fraction; {} where d is zero or
-        undefined.  Reads no coefficient beyond its constant, so its one
-        precondition is `require_complex`: once d is polynomial of
-        multidegree 0, each coefficient is the single term q_nk *
-        x^(m_n - m_k), and m_k divides m_n.  In every (degree, mdeg) piece
-        the matrix of d is then (q_nk), restricted to the basis elements
-        whose multidegree divides mdeg."""
+        x^(m_n - m_k) * e_k and each q_nk a rational (an int when integral,
+        else a Fraction); {} where d is zero or undefined.  Reads no
+        coefficient beyond its constant, so its one precondition is
+        `require_complex`: once d is polynomial of multidegree 0, each
+        coefficient is the single term q_nk * x^(m_n - m_k), and m_k divides
+        m_n.  In every (degree, mdeg) piece the matrix of d is then (q_nk),
+        restricted to the basis elements whose multidegree divides mdeg."""
         return {name: {k: v.lead_coeff() for k, v in
                        self.diff.get(name, self.zero).coeffs.items()}
                 for name in self.order}
@@ -302,7 +307,7 @@ class FreeComplex:
                   enumerate(self.piece_basis(degree - 1, mdeg))}
         out = []
         for r in rows:
-            vec = [Fraction(0)] * len(target)
+            vec = [0] * len(target)
             for (name, _), c in zip(piece, r):
                 if c:
                     for k, q in consts[name].items():
@@ -417,7 +422,7 @@ def _rank(rows) -> int:
 
 
 def _unit_rows(n: int):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _format_term(coeff, name: str, first: bool) -> str:

@@ -144,6 +144,7 @@ multidegree before any S-polynomial is formed.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heappop, heappush
 
 from . import linalg
@@ -626,7 +627,7 @@ def _echelon(rows, vectors, columns):
         if not v:
             continue
         scale = v[min(v)]
-        key = frozenset((k, q / scale) for k, q in v.items())
+        key = frozenset((k, Fraction(q, scale)) for k, q in v.items())
         if key not in seen:
             seen.add(key)
             dense.append([v.get(c, 0) for c in columns])

@@ -1,14 +1,16 @@
 """Exact Gaussian elimination over Q, carried out over Z.
 
-Matrices are lists of row vectors (lists) of Fractions or ints.  Each row is
-scaled to a primitive integer vector, so the elimination never forms a
-`Fraction`: a row is cleared below and above a pivot by integer
-cross-multiplication, pv * row - row[c] * pivot_row, and divided by the gcd
-of its entries (fraction-free elimination; Bareiss, Math. Comp. 22, 1968).
-Every step multiplies a row by a nonzero rational, so the row spaces are the
-ones Gauss-Jordan over Q would pass through, and the reduced row echelon
-form, which is unique, comes out the same once each pivot row is divided by
-its pivot.  `rank` never divides.
+Matrices are lists of row vectors (lists) of rationals, each an int or a
+`Fraction` (the rule of `ring`).  Each row is scaled to a primitive integer
+vector, so the elimination never forms a `Fraction`: a row is cleared below
+and above a pivot by integer cross-multiplication, pv * row - row[c] *
+pivot_row, and divided by the gcd of its entries (fraction-free
+elimination; Bareiss, Math. Comp. 22, 1968).  Every step multiplies a row by
+a nonzero rational, so the row spaces are the ones Gauss-Jordan over Q would
+pass through, and the reduced row echelon form, which is unique, comes out
+the same once each pivot row is divided by its pivot.  `rank` and `in_span`
+never divide; `rref` returns `Fraction` entries, and `solve` and
+`nullspace` fill the coordinates it leaves open with the ints 0 and 1.
 """
 
 from __future__ import annotations
@@ -28,6 +30,18 @@ def _integral(row):
     return out if g == 1 else [v // g for v in out]
 
 
+def _clear(row, top, c):
+    """The primitive integer vector on the line of pv * row - row[c] * top,
+    pv = top[c] != 0, with both factors divided by gcd(pv, row[c]): row with
+    column c cleared against the pivot row top."""
+    f, pv = row[c], top[c]
+    g = gcd(f, pv)
+    a, b = pv // g, f // g
+    new = [a * x - b * y for x, y in zip(row, top)]
+    g = gcd(*new)
+    return new if g < 2 else [v // g for v in new]
+
+
 def _echelon(rows):
     """(integer rows, pivot columns): the rows of the reduced row echelon
     form of `rows`, each scaled by a nonzero integer."""
@@ -44,16 +58,9 @@ def _echelon(rows):
             continue
         rows[r], rows[i] = rows[i], rows[r]
         top = rows[r]
-        pv = top[c]
         for i, row in enumerate(rows):
-            f = row[c]
-            if i == r or not f:
-                continue
-            g = gcd(f, pv)
-            a, b = pv // g, f // g
-            new = [a * x - b * y for x, y in zip(row, top)]
-            g = gcd(*new)
-            rows[i] = new if g < 2 else [v // g for v in new]
+            if i != r and row[c]:
+                rows[i] = _clear(row, top, c)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -73,13 +80,19 @@ def rank(rows) -> int:
 
 
 def in_span(rows, vec) -> bool:
-    """Is `vec` in the row span of `rows`?"""
+    """Is `vec` in the row span of `rows`?  `rows` is eliminated once, and
+    `vec` is reduced against its echelon rows by the same integer
+    cross-multiplication: each reduced row is zero at the other rows'
+    pivots, so `vec` is in the span exactly when it ends at zero."""
     if not any(vec):
         return True
     if not rows:
         return False
-    base = rank(rows)
-    return rank(list(rows) + [list(vec)]) == base
+    v = _integral(vec)
+    for row, c in zip(*_echelon(rows)):
+        if v[c]:
+            v = _clear(v, row, c)
+    return not any(v)
 
 
 def solve(rows, rhs):
@@ -92,7 +105,7 @@ def solve(rows, rhs):
     red, pivots = rref(aug)
     if n in pivots:
         return None
-    u = [Fraction(0)] * n
+    u = [0] * n
     for r, c in zip(red, pivots):
         u[c] = r[-1]
     return u
@@ -105,8 +118,8 @@ def nullspace(rows, ncols):
     free = [c for c in range(ncols) if c not in pivset]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = 1
         for r, pc in zip(red, pivots):
             v[pc] = -r[fc]
         basis.append(v)

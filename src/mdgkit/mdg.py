@@ -14,7 +14,6 @@ perturbation of multiplications.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 
 from . import linalg
@@ -119,11 +118,12 @@ class Multiplication:
     def structure_constants(self) -> dict:
         """{(a, b): {d: c_abd}} over every ordered pair of non-unit basis
         elements whose product is defined, with a*b = sum_d c_abd *
-        x^(m_a + m_b - m_d) * d and each c_abd a Fraction; odd squares map
-        to {}.  The one precondition check of the scans over Q and of
-        `groebner.mult_ideal`: MDGError at the first stored product with a
-        `degree_problem` or an `mdeg_problem` (multidegrees are exponent
-        tuples, so a multihomogeneous coefficient is a single term)."""
+        x^(m_a + m_b - m_d) * d and each c_abd a rational (an int when
+        integral, else a Fraction); odd squares map to {}.  The one
+        precondition check of the scans over Q and of `groebner.mult_ideal`:
+        MDGError at the first stored product with a `degree_problem` or an
+        `mdeg_problem` (multidegrees are exponent tuples, so a
+        multihomogeneous coefficient is a single term)."""
         for (left, right), value in self.table.items():
             problem = self.degree_problem(left, right, value)
             if problem:
@@ -481,7 +481,7 @@ class Submodule:
         for (_, _, d, m), consts in zip(self.gens, self._consts):
             if d != degree or not mono_divides(m, mdeg):
                 continue
-            row = [Fraction(0)] * len(piece)
+            row = [0] * len(piece)
             for k, q in consts.items():
                 if k not in index:
                     coeff = laurent_term(cx.ring, q,
@@ -613,7 +613,7 @@ def _transpose(rows):
 
 def _combine(combo, rows):
     n = len(rows[0])
-    out = [Fraction(0)] * n
+    out = [0] * n
     for c, row in zip(combo, rows):
         if c:
             for j in range(n):

@@ -1,7 +1,14 @@
 """Exact multivariate polynomial and Laurent-polynomial arithmetic over Q.
 
 Monomials are exponent tuples over a fixed variable list; polynomials are
-sparse dicts monomial -> Fraction.  Everything is exact: no floats anywhere.
+sparse dicts monomial -> rational.  Everything is exact: no floats anywhere.
+
+A rational is stored as an `int` when it is integral and as a `Fraction`
+otherwise.  Both are exact and compare and hash equal, so the choice never
+changes an answer; it keeps the common, integral case off `Fraction`'s pure
+Python arithmetic (small integers inline, as in FLINT's fmpz).  The one
+hazard is `/` between two ints, which returns a float: every division of
+two rationals goes through `Fraction`.
 
 Coefficients of multigraded objects are homogeneous in the fine Z^n grading,
 and a homogeneous element of the fraction field is a rational times a Laurent
@@ -66,6 +73,16 @@ def mono_deg(a: tuple) -> int:
     return sum(a)
 
 
+def rational(q):
+    """The rational q (an int, a Fraction, or anything `Fraction` reads) as
+    a coefficient: an int when integral, a Fraction otherwise."""
+    if type(q) is int:
+        return q
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
 def add_term(terms: dict, key, value) -> None:
     """Add the ring element `value` into terms[key] in place; drop the key
     when the sum is zero.  Every sparse ring-valued combination uses this."""
@@ -89,18 +106,18 @@ class Ring:
         self.zero_mono = (0,) * self.nvars
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         self.zero = Polynomial(self, {})
-        self.one = Polynomial(self, {self.zero_mono: Fraction(1)})
+        self.one = Polynomial(self, {self.zero_mono: 1})
 
     def var(self, name: str) -> "Polynomial":
         i = self._var_index[name]
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {mono: Fraction(1)})
+        return Polynomial(self, {mono: 1})
 
     def monomial(self, expts: tuple, coeff=1) -> "Polynomial":
         if len(expts) != self.nvars:
             raise ValueError("wrong exponent length")
-        c = Fraction(coeff)
-        if c == 0:
+        c = rational(coeff)
+        if not c:
             return self.zero
         return Polynomial(self, {tuple(expts): c})
 
@@ -118,7 +135,8 @@ class Ring:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with rational (`int` or `Fraction`)
+    coefficients."""
 
     __slots__ = ("ring", "terms", "_hash")
 
@@ -150,10 +168,10 @@ class Polynomial:
     def exponents(self) -> list:
         return list(self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant")
-        return self.terms.get(self.ring.zero_mono, Fraction(0))
+        return self.terms.get(self.ring.zero_mono, 0)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -166,7 +184,7 @@ class Polynomial:
             raise ValueError("zero polynomial has no lead monomial")
         return max(self.terms)
 
-    def lead_coeff(self) -> Fraction:
+    def lead_coeff(self):
         return self.terms[self.lead_mono()]
 
     def multidegree(self):
@@ -257,8 +275,8 @@ class Polynomial:
         return NotImplemented
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
+        c = rational(c)
+        if not c:
             return self.ring.zero
         return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
 
@@ -320,7 +338,7 @@ def format_mono(ring: Ring, mono: tuple) -> str:
     return "*".join(parts)
 
 
-def format_coeff(c: Fraction) -> str:
+def format_coeff(c) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
@@ -372,7 +390,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if not (f.is_monomial() or g.is_monomial()):
         raise ValueError(f"gcd of two non-monomials ({f}, {g}) is not supported")
     common = mono_gcd(mono_gcd_of_support(f), mono_gcd_of_support(g))
-    return Polynomial(f.ring, {common: Fraction(1)})
+    return Polynomial(f.ring, {common: 1})
 
 
 class RationalFunction:
@@ -416,7 +434,7 @@ class RationalFunction:
     def is_monomial(self) -> bool:
         return self.num.is_monomial()
 
-    def lead_coeff(self) -> Fraction:
+    def lead_coeff(self):
         return self.num.lead_coeff()
 
     def exponents(self) -> list:
@@ -536,9 +554,9 @@ def _rf_normalize(num: Polynomial, den: Polynomial):
         raise ValueError(f"not a Laurent polynomial: denominator {den} "
                          "is not a monomial")
     if den.is_constant():
-        return num.scale(1 / den.constant_value()), num.ring.one
+        return num.scale(Fraction(1, den.constant_value())), num.ring.one
     (dm, dc), = den.terms.items()
     (gm, _), = poly_gcd(num, den).terms.items()
-    num = Polynomial(num.ring, {mono_div(m, gm): c / dc
+    num = Polynomial(num.ring, {mono_div(m, gm): rational(Fraction(c, dc))
                                 for m, c in num.terms.items()})
     return num, num.ring.monomial(mono_div(dm, gm))

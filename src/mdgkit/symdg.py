@@ -26,7 +26,8 @@ times x^(M(a) - M(b)); the strict product e^a e^b = +-e^(a+b) preserves M.
 Hence every value `check` compares at a monomial e^c is a rational times
 the single Laurent monomial x^(M - M(c)) fixed by its source, and an axiom
 holds exactly when its rational parts do.  `check` therefore reads d from
-one table, memoised per monomial, of {monomial: Fraction} dicts, and the
+one table, memoised per monomial, of {monomial: rational} dicts (each an
+int when integral, else a Fraction, as `ring` stores them), and the
 GCPoly methods `d`, `d_keep` and `d_drop` read the same table and rebuild
 each coefficient as a Laurent monomial.
 
@@ -357,13 +358,13 @@ def _dict_rank(rows) -> int:
     so the matrix is diag(x^D_row) Q diag(x^-D_col) and has the rank of its
     rational parts Q.  Raises SymError on an entry that is not a monomial."""
     cols = sorted({k for r in rows for k in r})
-    return linalg.rank([[_rational_part(r[k]) if k in r else Fraction(0)
+    return linalg.rank([[_rational_part(r[k]) if k in r else 0
                          for k in cols] for r in rows])
 
 
-def _rational_part(c) -> Fraction:
+def _rational_part(c):
     if c.is_zero():
-        return Fraction(0)
+        return 0
     if not c.is_monomial():
         raise SymError(f"entry {c} is not a monomial: the row is not "
                        "multihomogeneous")

@@ -99,3 +99,21 @@ def test_format_element():
     assert str(cx.d(cx.elem("e12"))) == "-y*e1 + x*e2"
     assert str(cx.zero) == "0"
     assert str(cx.element({UNIT: R.var("x") ** 2})) == "x^2"
+
+
+@pytest.mark.parametrize("name", ["ex55", "ex6", "fa", "fk", "fk_split", "fm",
+                                  "fo_full", "fo_presentation",
+                                  "taylor_x2_xy"])
+def test_names_in_degree_keeps_the_declaration_order(name):
+    """`add_basis` keeps each degree's names; the parser's inferred
+    multidegrees move no name to another degree."""
+    from mdgkit import load_fixture
+    from mdgkit.constructions import mapping_cone_extension
+    doc = load_fixture(name)
+    complexes = list(doc.complexes.values())
+    alg = doc.algebra(next(iter(doc.mults)))
+    complexes.append(mapping_cone_extension(alg, doc.ring.var("x")).complex)
+    for cx in complexes:
+        for degree in range(-1, cx.max_degree() + 2):
+            assert cx.names_in_degree(degree) == [
+                n for n in cx.order if cx.basis[n].degree == degree]

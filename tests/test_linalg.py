@@ -110,3 +110,32 @@ def test_a_worked_example_with_denominators():
     assert pivots == [0, 1]
     assert reduced == [[1, 0, Fraction(15)], [0, 1, Fraction(45, 2)]]
     assert linalg.solve(rows, [1, -1]) == [-6, Fraction(-45, 4), 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(min_rows=1, min_cols=1), st.data())
+def test_in_span_finds_combinations_of_the_rows(rows, data):
+    """A combination of the rows, with int and Fraction coefficients, is in
+    the span; moved off it by a unit vector, it is in the span exactly when
+    the reference says so."""
+    ncols = len(rows[0])
+    coeffs = data.draw(st.lists(st.one_of(st.integers(-3, 3), ENTRY),
+                                min_size=len(rows), max_size=len(rows)))
+    vec = [sum(c * row[j] for c, row in zip(coeffs, rows))
+           for j in range(ncols)]
+    assert linalg.in_span(rows, vec)
+    vec[data.draw(st.integers(0, ncols - 1))] += 1
+    expected = len(gauss_jordan(rows + [vec])[1]) == len(gauss_jordan(rows)[1])
+    assert linalg.in_span(rows, vec) == expected
+
+
+def test_in_span_eliminates_the_rows_once(monkeypatch):
+    calls = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda rows: calls.append(len(rows)) or echelon(rows))
+    monkeypatch.setattr(linalg, "rank", None)
+    rows = [[1, 2, 0], [0, Fraction(1, 2), 3]]
+    assert linalg.in_span(rows, [2, 5, 6])
+    assert not linalg.in_span(rows, [0, 0, 1])
+    assert calls == [2, 2]

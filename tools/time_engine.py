@@ -26,6 +26,9 @@ on fm, `FreeComplex.homology_dims()` on fm, on fk_split and on ex6 (whose
 `Submodule.homology_dims()` on fm's associator submodule, and
 `quotient_homology_dims` on fm by that submodule (built before the timing
 starts).
+Two cases run on fm with every differential divided by 2, so that its
+constants are `Fraction`s rather than ints: `homology_dims()` and
+`SymDGAlgebra.check()` at 2.  Their goldens are fm's.
 Each run's basis size (for a certificate, also its witness count; for a
 scan, its verdict or generator count; for a symmetric-algebra check, its
 monomial and problem counts; for an axiom check, its problem and skipped
@@ -43,6 +46,7 @@ The run takes a few minutes.
 """
 
 import os
+import re
 import sys
 import time
 
@@ -168,6 +172,12 @@ def presentation(name):
 TAYLOR7 = TAYLOR6 + [(1, 0, 1, 0)]
 
 
+def halved(name):
+    """The fixture's document with every differential divided by 2."""
+    return parse_document(re.sub(r"^(\s*d \w+ = )(.*);$", r"\1(\2)/2;",
+                                 fixture_path(name).read_text(), flags=re.M))
+
+
 def cases():
     """(name, run, golden size).  A Taylor table of k monomials is
     associative and complete, so its basis is exactly its n(n+1)/2 pair
@@ -176,6 +186,7 @@ def cases():
     fm = load_fixture("fm").algebra()
     split_nu = load_fixture("fk_split").algebra("nu")
     fm_sub = fm.associator_submodule()
+    fm_half = halved("fm").complexes["FM"]
     taylor7 = taylor(TAYLOR7)
     return [
         ("parse 9 fixtures", parse_fixtures(), "2294 entries"),
@@ -199,6 +210,8 @@ def cases():
          "1340 monomials, 0 problems"),
         ("sym check fm @2", sym_check(fm, 2),
          "392 monomials, 0 problems"),
+        ("sym check fm d/2 @2", sym_check(fm_half, 2),
+         "392 monomials, 0 problems"),
         ("sym check fk_split T5 @3",
          sym_check(load_fixture("fk_split").complexes["T5"], 3),
          "5472 monomials, 0 problems"),
@@ -206,6 +219,8 @@ def cases():
          "0 problems, 0 skipped"),
         ("check fm", axiom_check(fm), "0 problems, 0 skipped"),
         ("homology fm", homology(fm.complex.homology_dims),
+         "H_0=13, H_1=0, H_2=0, H_3=0, H_4=0"),
+        ("homology fm d/2", homology(fm_half.homology_dims),
          "H_0=13, H_1=0, H_2=0, H_3=0, H_4=0"),
         ("homology fk_split", homology(split_nu.complex.homology_dims),
          "H_0=15, H_1=0, H_2=0, H_3=0, H_4=0, H_5=0"),
