@@ -16,7 +16,8 @@ import sys
 
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .constructions import mapping_cone_extension, taylor_algebra
-from .groebner import associativity_certificate, buchberger, mult_ideal
+from .groebner import (associativity_certificate, complete_relations,
+                       mult_ideal)
 from .mdg import (Homotopy, MDGAlgebra, MDGError, perturb_multiplication,
                   quotient_homology_dims)
 from .parser import (Document, DocumentError, format_document, is_name,
@@ -261,10 +262,11 @@ def cmd_reduce(args) -> int:
         raise CLIError("reduce needs --expr")
     doc = _load(args)
     alg = _algebra(doc, args)
-    ctx, gens = mult_ideal(alg)
+    consts = alg.mult.structure_constants()
+    ctx, gens = mult_ideal(alg, consts=consts)
     f = parse_gcpoly(args.expr, ctx)
     _require_multihomogeneous(alg.complex, f, args.expr)
-    basis = buchberger(ctx, gens)
+    basis, _, _ = complete_relations(alg, ctx, gens, consts)
     nf, _ = basis.reduce(f)
     _emit(args, {"command": "reduce", "expr": args.expr,
                  "normal_form": str(nf), "stats": basis.stats}, str(nf))

@@ -19,7 +19,10 @@ larger exponent at the first difference wins.
 
 A `GCPoly` is never written after construction: every operation builds a
 fresh term dict and wraps it once.  That invariant makes `GCPoly.lead()` sound:
-it caches the lead monomial and its support mask on first use.
+it caches the lead monomial and its support mask on first use.  A caller that
+knows the lead passes it to the constructor as `lead`, (monomial, support
+mask); it is trusted, not checked, and `scale` (so `monic`) keeps it, since a
+nonzero scalar moves no term.
 """
 
 from __future__ import annotations
@@ -45,7 +48,10 @@ class GCContext:
         self.zero_mono = (0,) * self.n
         self._keys = {}
         self.zero = GCPoly(self, {})
-        self.one = GCPoly(self, {self.zero_mono: laurent(ring, 1)})
+        # the coefficient 1; coefficients are never written, so one object
+        # serves every term that has it
+        self.coeff_one = laurent(ring, 1)
+        self.one = GCPoly(self, {self.zero_mono: self.coeff_one})
 
     def index(self, name: str) -> int:
         return self._index[name]
@@ -127,14 +133,15 @@ class GCContext:
 
 class GCPoly:
     """Element of K[e]: dict monomial -> Laurent coefficient (`ring.laurent`)
-    over the base ring."""
+    over the base ring.  `lead`, when given, is the (lead monomial, support
+    mask) that `lead()` would compute; the constructor trusts it."""
 
     __slots__ = ("ctx", "terms", "_lead")
 
-    def __init__(self, ctx: GCContext, terms: dict):
+    def __init__(self, ctx: GCContext, terms: dict, lead: tuple = None):
         self.ctx = ctx
         self.terms = terms
-        self._lead = None
+        self._lead = lead
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -159,7 +166,8 @@ class GCPoly:
         c = laurent(self.ctx.ring, c)
         if c.is_zero():
             return self.ctx.zero
-        return GCPoly(self.ctx, {m: c * v for m, v in self.terms.items()})
+        return GCPoly(self.ctx, {m: c * v for m, v in self.terms.items()},
+                      self._lead)
 
     def term_mul_left(self, coeff, mono: tuple) -> "GCPoly":
         """Left-multiply by the single term coeff * e^mono.  In the free

@@ -126,10 +126,28 @@ and then the monic f_ab are their own basis.  No product is undefined:
 every pair monomial is a lead of G or divisible by a pivot, so its normal
 form is linear.
 The route reads the basis associators from `MDGAlgebra.basis_associators`,
-whose docstring proves its two skips sound: triples above the top of the
-complex, which needs every product a*b in degree |a| + |b| (checked by
-`Multiplication.structure_constants` before any triple is read), and
-triples with c before a.
+whose docstring proves its skips sound.  It reads triples with a at or
+before c only.  On a complete table it reads only the candidates of the
+structure constants: [a,b,c] = sum_d c_abd d*c - sum_e c_bce a*e (up to
+monomial factors), so a triple can have a nonzero associator only if some
+d in the support of a*b has d*c != 0 or some e in the support of b*c has
+a*e != 0.  Both skips need every product a*b in degree |a| + |b|, checked
+by `Multiplication.structure_constants` before any triple is read; the
+certificate computes those constants once and hands them to `mult_ideal`
+and to the span.
+
+The pair leads.  The route needs the lead of every f_ab to be its pair
+monomial e_a e_b.  When every generator has positive degree this holds,
+and `pair_relation` records it instead of reading the term order over
+n-entry exponent tuples.  The order compares homological degree first, and
+e_a e_b and every term e_d of a*b have degree |a| + |b|.  Then it compares
+exponent tuples from the left.  |d| = |a| + |b| exceeds |a| and |b|, and
+the generators are sorted by degree, so d's index comes after a's and b's.
+At the smaller of those two indices e_a e_b has a positive exponent and
+e_d has 0, and every index before it is 0 in both, so e_a e_b is larger.
+With a generator of degree 0 the leads are read, and the route is taken
+only when each is quadratic and no product has the unit in its support
+(the echelon form of the span is over the generators, not the unit).
 
 `buchberger` returns a `GBasis` whose elements are plain monic `GCPoly`s,
 interreduced: no lead monomial divides another, and whose `stats` count the
@@ -155,10 +173,10 @@ from .ring import (add_term, laurent, mono_div, mono_divides, mono_lcm,
                    mono_mask)
 
 __all__ = [
-    "GBasis", "PairLimitError", "ReductionTrace", "STATS",
-    "associativity_certificate", "buchberger", "context_for",
-    "element_to_gc", "gc_to_element", "mult_ideal", "normal_form",
-    "pair_relation", "spoly",
+    "GBasis", "LINEAR_STATS", "PairLimitError", "ReductionTrace", "STATS",
+    "associativity_certificate", "buchberger", "complete_relations",
+    "context_for", "element_to_gc", "gc_to_element", "mult_ideal",
+    "normal_form", "pair_relation", "spoly",
 ]
 
 
@@ -179,7 +197,7 @@ def element_to_gc(ctx: GCContext, x: Element) -> GCPoly:
             mono = ctx.zero_mono
         else:
             i = ctx.index(name)
-            mono = tuple(1 if j == i else 0 for j in range(ctx.n))
+            mono = ctx.zero_mono[:i] + (1,) + ctx.zero_mono[i + 1:]
         terms[mono] = laurent(ctx.ring, coeff)
     return GCPoly(ctx, terms)
 
@@ -201,23 +219,37 @@ def gc_to_element(cx: FreeComplex, p: GCPoly) -> Element:
 
 
 def pair_relation(ctx: GCContext, alg: MDGAlgebra, a: str, b: str) -> GCPoly:
-    """The relation (word e_a e_b) - (table product a*b) in K[e]."""
-    sign, mono = ctx.word_mono([ctx.index(a), ctx.index(b)])
-    lead = GCPoly(ctx, {mono: laurent(ctx.ring, sign)})
-    return lead - element_to_gc(ctx, alg.mult.product(a, b))
+    """The relation (word e_a e_b) - (table product a*b) in K[e].  When
+    every generator has positive degree and every term of a*b has degree
+    |a| + |b|, its lead is the pair monomial (the module docstring proves
+    it), and it is recorded with the relation, so that no term order is
+    read; otherwise `lead()` computes it on first use."""
+    i, j = ctx.index(a), ctx.index(b)
+    sign, mono = ctx.word_mono([i, j])
+    product = alg.mult.product(a, b)
+    terms = {mono: ctx.coeff_one if sign == 1 else -ctx.coeff_one}
+    for m, c in element_to_gc(ctx, product).terms.items():
+        terms[m] = -c       # linear, so never the pair monomial
+    basis, degree = alg.complex.basis, ctx.degrees[i] + ctx.degrees[j]
+    if ctx.degrees[0] > 0 and all(basis[d].degree == degree
+                                  for d in product.coeffs):
+        return GCPoly(ctx, terms, (mono, 1 << i | 1 << j))
+    return GCPoly(ctx, terms)
 
 
-def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None):
+def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None, *, consts=None):
     """(context, generators): f_ij = e_i e_j - e_i*e_j for every pair i <= j
     the table defines (odd squares are implied zero, so f_ii = e_i^2 there).
     Pairs with no stored product are skipped (partial-table exploration).
 
-    Raises the MDGError of `Multiplication.structure_constants` on a table
-    that is not homogeneous (the triple scan relies on it) or not
+    consts is the table's `structure_constants()`, computed here when the
+    caller has not.  Computing them raises the MDGError of a table that is
+    not homogeneous (the triple scan and the pair leads rely on it) or not
     multihomogeneous (the engine's Laurent coefficients rely on it)."""
     if ctx is None:
         ctx = context_for(alg.complex)
-    consts = alg.mult.structure_constants()
+    if consts is None:
+        consts = alg.mult.structure_constants()
     return ctx, [pair_relation(ctx, alg, a, b)
                  for i, a in enumerate(ctx.names) for b in ctx.names[i:]
                  if (a, b) in consts]
@@ -259,6 +291,17 @@ class ReductionTrace:
         return GCPoly(f.ctx, terms)
 
 
+def _has_square(mono: tuple, mask: int) -> bool:
+    """Whether some exponent of mono exceeds 1; mask is `mono_mask(mono)`,
+    so only the generators in the support are read."""
+    while mask:
+        low = mask & -mask
+        if mono[low.bit_length() - 1] > 1:
+            return True
+        mask ^= low
+    return False
+
+
 class _LeadList(list):
     """A basis list that indexes its leads by support mask as it grows:
     `groups` maps each lead mask to the (index, lead) pairs of the elements
@@ -277,7 +320,7 @@ class _LeadList(list):
         if poly.terms:
             lm, mask = poly.lead()
             self.groups.setdefault(mask, []).append(
-                (len(self), lm if max(lm) > 1 else None))
+                (len(self), lm if _has_square(lm, mask) else None))
         super().append(poly)
 
     def within(self, mask: int):
@@ -372,7 +415,8 @@ STATS = ("pairs_queued", "monomial_skips", "product_skips", "chain_skips",
 
 class GBasis:
     """Confluent, interreduced basis: a list of monic GCPolys, and the
-    counters of the completion that made it (empty when none ran)."""
+    counters of the route that made it: `STATS` for `buchberger`,
+    `LINEAR_STATS` for the linear route, empty when none is given."""
 
     def __init__(self, ctx: GCContext, elements, stats=None):
         self.ctx = ctx
@@ -549,70 +593,116 @@ def associativity_certificate(alg: MDGAlgebra) -> CertificateReport:
     monomials that stay irreducible mark products the table leaves undefined
     (reported separately, not as non-associativity).
 
+    The structure constants are computed and checked once, for the pair
+    relations and for the linear route.  `complete_relations` chooses the
+    route."""
+    consts = alg.mult.structure_constants()
+    ctx, gens = mult_ideal(alg, consts=consts)
+    basis, witnesses, route = complete_relations(alg, ctx, gens, consts)
+    undefined = []
+    if route == "buchberger":
+        for i, a in enumerate(ctx.names):
+            for b in ctx.names[i:]:
+                sign, mono = ctx.word_mono([ctx.index(a), ctx.index(b)])
+                nf, _ = basis.reduce(GCPoly(ctx, {mono: laurent(ctx.ring, 1)}))
+                if any(ctx.mono_total(m) > 1 for m in nf.terms):
+                    undefined.append((a, b))
+    return CertificateReport(not witnesses, witnesses, undefined, basis, route)
+
+
+def complete_relations(alg: MDGAlgebra, ctx: GCContext, gens, consts):
+    """(basis, witnesses, route): the reduced Groebner basis of the table's
+    pair relations `mult_ideal(alg, consts=consts)`, its elements with a
+    single-generator lead, and the route that built it.
+
     A table that defines every product takes the linear route (see the
     module docstring): its basis comes from the span of the basis
-    associators over Q, without running Buchberger.  A partial table is
+    associators over Q, without running Buchberger.  The route needs one
+    relation per quadratic monomial, each with a quadratic lead.  When
+    every generator has positive degree, `pair_relation` has recorded
+    those leads and no product reaches the unit.  Otherwise the leads are
+    read, and a product with the unit in its support also sends the table
+    to `buchberger`: the unit would enter the associator span, whose
+    echelon form is over the generators only.  Any other table is
     completed by `buchberger`."""
-    ctx, gens = mult_ideal(alg)
     n = ctx.n
-    if (len(gens) == n * (n + 1) // 2
-            and all(ctx.mono_total(g.lead_mono()) == 2 for g in gens)):
-        return _linear_certificate(alg, ctx, gens)
+    if len(gens) == n * (n + 1) // 2 and (
+            min(ctx.degrees, default=1) > 0
+            or (all(ctx.mono_total(g.lead_mono()) == 2 for g in gens)
+                and not any(UNIT in row for row in consts.values()))):
+        return (*_linear_basis(alg, ctx, gens, consts), "linear")
     basis = buchberger(ctx, gens)
-    witnesses = basis.linear_elements()
-    undefined = []
-    for i, a in enumerate(ctx.names):
-        for b in ctx.names[i:]:
-            sign, mono = ctx.word_mono([ctx.index(a), ctx.index(b)])
-            nf, _ = basis.reduce(GCPoly(ctx, {mono: laurent(ctx.ring, 1)}))
-            if any(ctx.mono_total(m) > 1 for m in nf.terms):
-                undefined.append((a, b))
-    return CertificateReport(not witnesses, witnesses, undefined, basis,
-                             "buchberger")
+    return basis, basis.linear_elements(), "buchberger"
 
 
-def _linear_certificate(alg: MDGAlgebra, ctx: GCContext, gens):
-    """The reduced basis of a complete table's pair relations: the monic
-    f_ab of the non-pivot pairs, their tails reduced by the witnesses, then
-    the witnesses in ascending lead order (the module docstring proves it)."""
-    columns, rows, pivots = _associator_span(alg, ctx)
+def _linear_basis(alg: MDGAlgebra, ctx: GCContext, gens, consts):
+    """(basis, witnesses): the reduced basis of a complete table's pair
+    relations, the monic f_ab of the non-pivot pairs, their tails reduced
+    by the witnesses, then the witnesses in ascending lead order (the
+    module docstring proves it).  Each relation keeps its lead through
+    `monic` and the tail reduction.  The basis's `stats` are the route's
+    `LINEAR_STATS`."""
+    columns, rows, pivots, stats = _associator_span(alg, ctx, consts)
     witnesses = [element_to_gc(ctx, alg.q_element(
         [columns[pc]], {b: q for b, q in zip(columns, row) if q}))
         for row, pc in zip(reversed(rows), reversed(pivots))]
-    pivot_index = [ctx.index(columns[pc]) for pc in pivots]
+    pivot_mask = 0
+    for pc in pivots:
+        pivot_mask |= 1 << ctx.index(columns[pc])
     lead_list = _LeadList(witnesses)
     pairs = []
     for g in gens:
-        lm = g.lead_mono()
-        if any(lm[i] for i in pivot_index):
+        lead = g.lead()
+        if lead[1] & pivot_mask:
             continue
         g = g.monic()
         if witnesses:
+            lm = lead[0]
             tail, _ = normal_form(GCPoly(ctx, {m: c for m, c in g.terms.items()
                                                if m != lm}), lead_list)
-            g = GCPoly(ctx, {lm: g.terms[lm], **tail.terms})
+            g = GCPoly(ctx, {lm: g.terms[lm], **tail.terms}, lead)
         pairs.append(g)
-    return CertificateReport(not witnesses, witnesses, [],
-                             GBasis(ctx, pairs + witnesses), "linear")
+    return GBasis(ctx, pairs + witnesses, stats), witnesses
 
 
-def _associator_span(alg: MDGAlgebra, ctx: GCContext):
-    """(columns, rows, pivots): S', the span over Q of the basis associators
-    closed under left multiplication by each generator, in reduced echelon
-    form over the generators from the largest in the term order down, so
-    that each pivot is the largest generator of its row."""
-    consts = alg.mult.structure_constants()
-    columns = sorted(ctx.names, reverse=True,
-                     key=lambda nm: ctx.order_key(ctx.gen(nm).lead_mono()))
-    rows, pivots = _echelon([], (v for _, _, _, v in
-                                 alg.basis_associators(consts)), columns)
+# The counters of the linear route in `GBasis.stats`: the basis triples
+# whose associator was read, the dimension of S', and the passes of left
+# multiplication by the generators that closed the span, the last of
+# which adds nothing.
+LINEAR_STATS = ("triples_read", "span_rank", "closure_rounds")
+
+
+def _associator_span(alg: MDGAlgebra, ctx: GCContext, consts):
+    """(columns, rows, pivots, stats): S', the span over Q of the basis
+    associators closed under left multiplication by each generator, in
+    reduced echelon form over the generators from the largest in the term
+    order down, so that each pivot is the largest generator of its row;
+    and the `LINEAR_STATS` of the computation.  consts is the table's
+    `structure_constants()`.  The generators are sorted by degree, so a
+    stable sort by descending degree lists them in descending term order:
+    on equal degree, the exponent tuple with its 1 further left is the
+    larger."""
+    columns = sorted(ctx.names, key=lambda nm: -ctx.degrees[ctx.index(nm)])
+    triples = 0
+
+    def associators():
+        nonlocal triples
+        for _, _, _, v in alg.basis_associators(consts):
+            triples += 1
+            yield v
+
+    rows, pivots = _echelon([], associators(), columns)
+    rounds = 0
     while True:
+        rounds += 1
         sparse = [{c: q for c, q in zip(columns, row) if q} for row in rows]
         grown, pivots = _echelon(rows, [alg.mult.q_mul(consts, {a: 1}, v)
                                         for a in ctx.names for v in sparse],
                                  columns)
         if len(grown) == len(rows):
-            return columns, rows, pivots
+            return columns, rows, pivots, {
+                "triples_read": triples, "span_rank": len(rows),
+                "closure_rounds": rounds}
         rows = grown
 
 

@@ -145,9 +145,10 @@ class Multiplication:
                       for d, coeff in value.coeffs.items()}
             out[(left, right)] = consts
             if left != right:
-                sign = (-1) ** (cx.basis[left].degree * cx.basis[right].degree)
-                out[(right, left)] = (consts if sign == 1 else
-                                      {d: -c for d, c in consts.items()})
+                if consts and (cx.basis[left].degree
+                               * cx.basis[right].degree) % 2:
+                    consts = {d: -c for d, c in consts.items()}
+                out[(right, left)] = consts
         for name in cx.order:
             if name != UNIT and cx.basis[name].degree % 2 == 1:
                 out[(name, name)] = {}
@@ -328,19 +329,47 @@ class MDGAlgebra:
                             for d, q in vec.items()})
 
     def basis_associators(self, consts: dict):
-        """Yield (a, b, c, {d: q}), the `_q_associator` of the basis triples
-        in lexicographic order with c at or after a.
+        """Yield (a, b, c, {d: q}), the `_q_associator` of basis triples in
+        lexicographic order with c at or after a: every triple whose
+        associator can be nonzero, and every triple whose products a
+        partial table may lack.  consts is `structure_constants()`.
 
-        Triples whose total degree exceeds the top of the complex are
-        skipped; their associator vanishes for degree reasons when every
+        [c,b,a] reads the same stored products as [a,b,c] and, once they
+        are defined, equals -(-1)^{|a||b|+|b||c|+|c||a|} [a,b,c].  So the
+        first nonzero associator or missing product of the full
+        lexicographic scan always has a at or before c, and both scans span
+        the same lines.
+
+        A partial table (consts lacks a pair) is scanned in full, so that
+        the first MissingProductError is the one the full scan meets; only
+        triples whose total degree exceeds the top of the complex are
+        skipped.  Their associator vanishes for degree reasons when every
         product lies in degree |a| + |b|, as `structure_constants` checks.
-        The basis need not be declared in degree order.  [c,b,a] reads the
-        same stored products as [a,b,c] and, once they are defined, equals
-        -(-1)^{|a||b|+|b||c|+|c||a|} [a,b,c].  So the first nonzero
-        associator or missing product of the full lexicographic scan always
-        has a at or before c, and both scans span the same lines."""
-        maxdeg = self.complex.max_degree()
+        The basis need not be declared in degree order.
+
+        A complete table yields only the candidates of `_candidates`,
+        which are found from the nonzero rows of consts.  Write a*b =
+        sum_d c_abd x^(..) d, so that [a,b,c] = sum_d c_abd x^(..) d*c -
+        sum_e c_bce x^(..) a*e.  If every d in the support of a*b has
+        d*c = 0 and every e in the support of b*c has a*e = 0, both sums
+        vanish.  So a triple with a nonzero associator has some such
+        d*c != 0 or a*e != 0, and is a candidate.  A candidate lies in the
+        full scan too: d*c != 0 with |d| = |a| + |b| (or a*e != 0 with
+        |e| = |b| + |c|) puts |a| + |b| + |c| at or below the top.  Both
+        enumerations follow the same order, so they yield the same nonzero
+        associators in the same order."""
         names = self.basis_names()
+        if len(consts) == len(names) ** 2:
+            triples = self._candidates(consts, names)
+        else:
+            triples = self._all_triples(names)
+        for a, b, c in triples:
+            yield a, b, c, self._q_associator(consts, a, b, c)
+
+    def _all_triples(self, names):
+        """The triples (a, b, c), c at or after a, in lexicographic order
+        up to the top degree of the complex."""
+        maxdeg = self.complex.max_degree()
         degs = [self.complex.basis[n].degree for n in names]
         for i, (a, da) in enumerate(zip(names, degs)):
             for b, db in zip(names, degs):
@@ -348,7 +377,41 @@ class MDGAlgebra:
                     continue
                 for c, dc in zip(names[i:], degs[i:]):
                     if da + db + dc <= maxdeg:
-                        yield a, b, c, self._q_associator(consts, a, b, c)
+                        yield a, b, c
+
+    def _candidates(self, consts: dict, names):
+        """The triples (a, b, c), c at or after a, in lexicographic order,
+        with d*c != 0 for some d in the support of a*b or a*e != 0 for some
+        e in the support of b*c; consts holds every pair of names.  The
+        unit multiplies every element to a nonzero one.  The triples of one
+        a are found only when the scan reaches a, so a caller that stops at
+        the first witness reads no further."""
+        n = len(names)
+        pos = {nm: i for i, nm in enumerate(names)}
+        # right[d]: the positions of the c with d*c != 0; pairs[e]: the
+        # codes j*n + k of the pairs with e in the support of
+        # names[j]*names[k]
+        right = {d: [] for d in names}
+        pairs = {}
+        for (b, c), row in consts.items():
+            if row:
+                k = pos[c]
+                right[b].append(k)
+                code = pos[b] * n + k
+                for e in row:
+                    pairs.setdefault(e, []).append(code)
+        right[UNIT] = range(n)
+        for i, a in enumerate(names):
+            found = set()
+            for j in right[a]:
+                for d in consts[a, names[j]]:
+                    found.update(j * n + k for k in right[d] if k >= i)
+            for e in (*(names[k] for k in right[a]), UNIT):
+                found.update(code for code in pairs.get(e, ())
+                             if code % n >= i)
+            for code in sorted(found):
+                j, k = divmod(code, n)
+                yield a, names[j], names[k]
 
     def associative_on_basis(self):
         """The first nonzero `basis_associators` entry, or None."""

@@ -75,9 +75,14 @@ def mono_deg(a: tuple) -> int:
 
 def rational(q):
     """The rational q (an int, a Fraction, or anything `Fraction` reads) as
-    a coefficient: an int when integral, a Fraction otherwise."""
+    a coefficient: an int when integral, a Fraction otherwise.  A float is
+    refused with a TypeError: its binary expansion is not the rational it
+    was meant to be (0.1 would become 3602879701896397/36028797018963968)."""
     if type(q) is int:
         return q
+    if isinstance(q, float):
+        raise TypeError(f"a coefficient must be an exact rational, not the "
+                        f"float {q!r}")
     if type(q) is not Fraction:
         q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
@@ -495,6 +500,8 @@ class RationalFunction:
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return other / self
 
     def inverse(self):

@@ -15,7 +15,7 @@ import mdgkit.cli as cli
 from mdgkit import fixture_path, load_fixture
 from mdgkit.cli import run_command
 from mdgkit.complexes import ComplexError, FreeComplex
-from mdgkit.groebner import STATS
+from mdgkit.groebner import LINEAR_STATS, STATS
 from mdgkit.parser import format_document, parse_document
 
 FK = str(fixture_path("fk"))
@@ -442,14 +442,16 @@ def test_gb_json_reports_the_route(capsys, name, route):
 @pytest.mark.parametrize("command", ["gb", "reduce"])
 @pytest.mark.parametrize("name", ["fk", "ex6"])
 def test_json_reports_the_completion_stats(capsys, command, name):
-    # gb takes the linear route on the complete fk table: no completion ran
+    # the complete fk table takes the linear route, which reports the
+    # triples it read; the partial ex6 is completed by buchberger
     argv = [command, str(fixture_path(name)), "--json"]
     if command == "reduce":
         argv += ["--expr", "e1*e2"]
     _, out, _ = run(capsys, argv)
     stats = json.loads(out)["stats"]
-    if (command, name) == ("gb", "fk"):
-        assert stats == {}
+    if name == "fk":
+        assert set(stats) == set(LINEAR_STATS) and stats["triples_read"] > 0
+        assert stats["span_rank"] == 2      # fk has two witnesses
     else:
         assert set(stats) == set(STATS) and stats["monomial_skips"] > 0
 

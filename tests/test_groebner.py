@@ -18,10 +18,10 @@ from mdgkit.cli import _random_homotopy
 from mdgkit.complexes import UNIT, Element, FreeComplex
 from mdgkit.constructions import taylor_algebra
 from mdgkit.gcalg import GCContext, GCPoly
-from mdgkit.groebner import (PairLimitError, associativity_certificate,
-                             buchberger, context_for, element_to_gc,
-                             gc_to_element, mult_ideal, normal_form,
-                             pair_relation, spoly)
+from mdgkit.groebner import (LINEAR_STATS, PairLimitError,
+                             associativity_certificate, buchberger,
+                             context_for, element_to_gc, gc_to_element,
+                             mult_ideal, normal_form, pair_relation, spoly)
 from mdgkit.mdg import (MDGAlgebra, MDGError, Multiplication,
                         perturb_multiplication)
 from mdgkit.parser import parse_gcpoly
@@ -425,7 +425,12 @@ def test_an_associative_complete_table_is_its_own_basis(name, monkeypatch):
     assert report.associative and report.route == "linear"
     assert report.witnesses == [] and report.undefined_pairs == []
     assert _terms(report.basis.elements) == _terms(oracle.elements)
-    assert report.basis.stats == {} and oracle.stats["pairs_queued"] > 0
+    assert oracle.stats["pairs_queued"] > 0
+    stats = report.basis.stats
+    assert set(stats) == set(LINEAR_STATS)
+    assert stats["span_rank"] == 0 and stats["closure_rounds"] == 1
+    # taylor_x2_xy has no triple within its top degree 2
+    assert (stats["triples_read"] > 0) == (name != "taylor_x2_xy")
     # every pair monomial has a linear normal form under the linear basis
     fast = report.basis
     for i in range(fast.ctx.n):
@@ -485,7 +490,9 @@ def test_the_linear_route_matches_buchberger(name, monkeypatch):
     assert report.associative == (name == "fo_full")
     assert _terms(report.basis.elements) == _terms(oracle.elements)
     assert _terms(report.witnesses) == _terms(oracle.linear_elements())
-    assert report.basis.stats == {}
+    stats = report.basis.stats
+    assert set(stats) == set(LINEAR_STATS) and stats["triples_read"] > 0
+    assert stats["span_rank"] == len(report.witnesses)
 
 
 @pytest.mark.parametrize("name, rank", [("fk", 2), ("fa", 2), ("fm", 2),

@@ -173,6 +173,24 @@ def test_the_coefficient_rule():
     assert type(R.zero.constant_value()) is int
 
 
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, -3.0])
+def test_a_float_is_refused_as_a_coefficient(value):
+    # 0.1 would otherwise be stored as 3602879701896397/36028797018963968;
+    # even a float with an exact value (0.5, 2.0) is refused
+    for make in (lambda: rational(value),
+                 lambda: R.monomial((1, 0, 0), value),
+                 lambda: R.const(value),
+                 lambda: X.scale(value)):
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            make()
+    f = RationalFunction(X + 1, X)
+    for make in (lambda: f * value, lambda: value * f, lambda: f + value,
+                 lambda: f - value, lambda: f / value, lambda: value / f,
+                 lambda: X * value, lambda: X + value):
+        with pytest.raises(TypeError):
+            make()
+
+
 def test_proportional_vectors_are_told_apart_exactly():
     """`groebner._echelon` reads each vector once up to a scalar, keyed by
     its entries over its first one: two int vectors that a float quotient

@@ -11,11 +11,13 @@ ex55 and fo_full, of the Taylor algebra of (x^2, w^2, zw, xy, yz), and of
 the degree-1 presentations of ex55, fk and fa (each table cut down to the
 products of two degree-1 basis elements, as in perfbench's certify-growth
 workload).  The certificate cases run `associativity_certificate` on
-fo_full, on the Taylor algebras of (x^2, y^2, w^2, xy, yz, zw) and of the
-same ideal plus xz, and on the perturbed Taylor tables of
-`tools/check_criteria.py`.  These
-tables are complete, so the certificate takes its linear route; the
-perturbed ones are not associative.  The scan cases run
+fo_full, on the Taylor algebras of (x^2, y^2, w^2, xy, yz, zw) (Taylor-6),
+of the same ideal plus xz (Taylor-7), plus z^2 (Taylor-8, 255 generators)
+and plus yw (Taylor-9, 511 generators), and on the perturbed Taylor tables
+of `tools/check_criteria.py`.  These tables are complete, so the
+certificate takes its linear route; the perturbed ones are not
+associative.  The peak resident set size of the process (`ru_maxrss`) is
+printed after the Taylor-9 case, the largest.  The scan cases run
 `associative_on_basis` on the Taylor-7 table (associative, so every triple
 is read) and `associator_submodule` on fm.  The symmetric-algebra cases run
 `SymDGAlgebra.check()` on fk truncated at total degree 3, on fm at 2 and on
@@ -39,14 +41,15 @@ count) is checked against its golden value before its time counts.  Takes no opt
 
 Prints one line per case: name, golden counts and the best wall time in
 seconds (`time.perf_counter`), then the `GBasis.stats` counters of the
-completion (none for a certificate, which takes the linear route, for a
-scan, for a symmetric-algebra check or for a chain-layer case).  Exits 0, or 1 when a golden count
-differs.
-The run takes a few minutes.
+completion or of the certificate's linear route (none for a scan, for a
+symmetric-algebra check or for a chain-layer case).  Exits 0, or 1 when a
+golden count differs.
+The run takes a few minutes and about 800 MB.
 """
 
 import os
 import re
+import resource
 import sys
 import time
 
@@ -170,6 +173,8 @@ def presentation(name):
 
 
 TAYLOR7 = TAYLOR6 + [(1, 0, 1, 0)]
+TAYLOR8 = TAYLOR7 + [(0, 0, 2, 0)]
+TAYLOR9 = TAYLOR8 + [(0, 1, 0, 1)]
 
 
 def halved(name):
@@ -201,6 +206,8 @@ def cases():
         ("certificate fo_full", certificate(fo_full), (630, 0)),
         ("certificate taylor6", certificate(taylor(TAYLOR6)), (2016, 0)),
         ("certificate taylor7", certificate(taylor7), (8128, 0)),
+        ("certificate taylor8", certificate(taylor(TAYLOR8)), (32640, 0)),
+        ("certificate taylor9", certificate(taylor(TAYLOR9)), (130816, 0)),
     ] + [(f"certificate perturbed {name}",
           certificate(perturbed(ideal, seed)), (size, count))
          for name, ideal, seed, size, count in PERTURBED] + [
@@ -257,6 +264,9 @@ def main() -> int:
             counters = "".join(f", {k} {v}" for k, v in stats.items())
             print(f"{name}: {describe(size)}, best of {RUNS} {best:.4f} s"
                   f"{counters}")
+        if name == "certificate taylor9":
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print(f"peak RSS after {name}: {peak // 1024} MB")
     return 0 if ok else 1
 
 
