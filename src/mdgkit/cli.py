@@ -17,7 +17,7 @@ import sys
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .constructions import mapping_cone_extension, taylor_algebra
 from .groebner import (associativity_certificate, complete_relations,
-                       mult_ideal)
+                       context_for, mult_ideal)
 from .mdg import (Homotopy, MDGAlgebra, MDGError, perturb_multiplication,
                   quotient_homology_dims)
 from .parser import (Document, DocumentError, format_document, is_name,
@@ -61,13 +61,17 @@ def _load(args) -> Document:
     return parse_document(text)
 
 
-def _algebra(doc: Document, args) -> MDGAlgebra:
-    name = getattr(args, "mult", None)
-    return doc.algebra(name)
+def _complex(doc: Document, args) -> FreeComplex:
+    """The complex of the table named by --mult; without it, that of the
+    document's first table, or its sole complex when it has no table."""
+    if args.mult is None and not doc.mults:
+        return doc.sole_complex()
+    return doc.algebra(next(iter(doc.mults)) if args.mult is None
+                       else args.mult).complex
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     else:
         print(text)
@@ -136,11 +140,15 @@ def cmd_check(args) -> int:
     doc = _load(args)
     if not doc.complexes:
         raise DocumentError("document has 0 complexes")
+    # --mult checks the named table and its complex; otherwise all of them
+    tables = list(doc.mults) if args.mult is None else [args.mult]
+    wanted = {doc.algebra(name).complex for name in tables}
     problems, checked = [], {}
     for name, cx in doc.complexes.items():
-        checked[cx] = cx.check()
-        problems += [f"{name}: {p}" for p in checked[cx]]
-    for name in doc.mults:
+        if args.mult is None or cx in wanted:
+            checked[cx] = cx.check()
+            problems += [f"{name}: {p}" for p in checked[cx]]
+    for name in tables:
         # the table's complex is one of those just checked
         alg = doc.algebra(name)
         rep = alg.table_check(checked[alg.complex])
@@ -154,7 +162,7 @@ def cmd_check(args) -> int:
 
 def cmd_assoc(args) -> int:
     doc = _load(args)
-    alg = _algebra(doc, args)
+    alg = doc.algebra(args.mult)
     if args.triple:
         names = [s.strip() for s in args.triple.split(",")]
         if len(names) != 3:
@@ -186,7 +194,7 @@ def cmd_assoc(args) -> int:
 
 def cmd_alt(args) -> int:
     doc = _load(args)
-    alg = _algebra(doc, args)
+    alg = doc.algebra(args.mult)
     hit = alg.alternative_on_basis()
     if hit is None:
         _emit(args, {"command": "alt", "status": "alternative"},
@@ -201,7 +209,7 @@ def cmd_alt(args) -> int:
 
 def cmd_submodule(args) -> int:
     doc = _load(args)
-    alg = _algebra(doc, args)
+    alg = doc.algebra(args.mult)
     sub = alg.associator_submodule()
     dims = sub.homology_dims()
     payload = {"command": "submodule", "generators": len(sub.gens),
@@ -218,11 +226,7 @@ def cmd_submodule(args) -> int:
 
 def cmd_homology(args) -> int:
     doc = _load(args)
-    if doc.mults:
-        cx = doc.algebra(next(iter(doc.mults))).complex
-    else:
-        cx = doc.sole_complex()
-    dims = cx.homology_dims()
+    dims = _complex(doc, args).homology_dims()
     _emit(args, {"command": "homology",
                  "dims": {str(i): d for i, d in dims.items()}},
           _dims_str(dims))
@@ -231,7 +235,7 @@ def cmd_homology(args) -> int:
 
 def cmd_quotient(args) -> int:
     doc = _load(args)
-    alg = _algebra(doc, args)
+    alg = doc.algebra(args.mult)
     sub = alg.associator_submodule()
     dims = quotient_homology_dims(alg, sub)
     _emit(args, {"command": "quotient",
@@ -242,7 +246,7 @@ def cmd_quotient(args) -> int:
 
 def cmd_gb(args) -> int:
     doc = _load(args)
-    alg = _algebra(doc, args)
+    alg = doc.algebra(args.mult)
     if args.emit_script:
         print(_export_script(alg))
         return EXIT_OK
@@ -261,12 +265,12 @@ def cmd_reduce(args) -> int:
     if not args.expr:
         raise CLIError("reduce needs --expr")
     doc = _load(args)
-    alg = _algebra(doc, args)
+    alg = doc.algebra(args.mult)
     consts = alg.mult.structure_constants()
-    ctx, gens = mult_ideal(alg, consts=consts)
+    ctx = context_for(alg.complex)
     f = parse_gcpoly(args.expr, ctx)
     _require_multihomogeneous(alg.complex, f, args.expr)
-    basis, _, _ = complete_relations(alg, ctx, gens, consts)
+    basis, _, _ = complete_relations(alg, ctx, consts)
     nf, _ = basis.reduce(f)
     _emit(args, {"command": "reduce", "expr": args.expr,
                  "normal_form": str(nf), "stats": basis.stats}, str(nf))
@@ -328,7 +332,7 @@ def cmd_cone(args) -> int:
     if not _is_name(args.prefix):
         raise CLIError(f"--prefix {args.prefix!r} is not a name")
     doc = _load(args)
-    alg = _algebra(doc, args)
+    alg = doc.algebra(args.mult)
     r = _parse_scalar(doc.ring, args.expr)
     cone = mapping_cone_extension(alg, r, prefix=args.prefix)
     if any(v in cone.complex.basis for v in doc.ring.variables):
@@ -347,11 +351,7 @@ def cmd_cone(args) -> int:
 
 def cmd_sym(args) -> int:
     doc = _load(args)
-    if doc.mults:
-        cx = doc.algebra(next(iter(doc.mults))).complex
-    else:
-        cx = doc.sole_complex()
-    S = build_sym(cx, args.truncate)
+    S = build_sym(_complex(doc, args), args.truncate)
     problems = S.check()
     dims = S.dims()
     lines = [f"S_{i}^{m}: dim {d}" for (i, m), d in sorted(dims.items())]
@@ -413,7 +413,7 @@ def _find_splitting(doc: Document):
 
 def cmd_perturb(args) -> int:
     doc = _load(args)
-    alg = _algebra(doc, args)
+    alg = doc.algebra(args.mult)
     h = _random_homotopy(alg, args.seed)
     mult = perturb_multiplication(alg, h)
     algh = MDGAlgebra(alg.complex, mult)
@@ -511,13 +511,16 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_doc=True, help=None):
+    def add(name, func, help=None, document=True, json=True, mult=True):
+        """A subcommand with only the flags it reads."""
         p = sub.add_parser(name, help=help)
-        if needs_doc:
+        if document:
             p.add_argument("document", help=".mdg input file")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable report")
-        p.add_argument("--mult", help="multiplication block to use")
+        if json:
+            p.add_argument("--json", action="store_true",
+                           help="machine-readable report")
+        if mult:
+            p.add_argument("--mult", help="multiplication block to use")
         p.set_defaults(func=func)
         return p
 
@@ -538,18 +541,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("reduce", cmd_reduce, help="normal form against the completed "
             "pair relations")
     p.add_argument("--expr", help="expression in the generators")
-    p = add("taylor", cmd_taylor, needs_doc=False,
+    p = add("taylor", cmd_taylor, document=False, json=False, mult=False,
             help="emit the Taylor algebra of a monomial ideal")
     p.add_argument("--ring", help="comma-separated variable names")
     p.add_argument("--ideal", help="comma-separated monomial generators")
-    p = add("cone", cmd_cone, help="adjoin an exterior generator e, d(e)=r")
+    p = add("cone", cmd_cone, json=False,
+            help="adjoin an exterior generator e, d(e)=r")
     p.add_argument("--expr", help="the ring element r")
     p.add_argument("--prefix", default="E",
                    help="name prefix for the adjoined part")
     p = add("sym", cmd_sym, help="the truncated symmetric DG algebra")
     p.add_argument("--truncate", type=int, default=4,
                    help="total-degree truncation (default 4)")
-    add("transport", cmd_transport,
+    add("transport", cmd_transport, mult=False,
         help="pull a multiplication along a splitting in the document")
     p = add("perturb", cmd_perturb, help="perturb the table by a random "
             "homotopy and re-check the axioms")

@@ -19,10 +19,11 @@ larger exponent at the first difference wins.
 
 A `GCPoly` is never written after construction: every operation builds a
 fresh term dict and wraps it once.  That invariant makes `GCPoly.lead()` sound:
-it caches the lead monomial and its support mask on first use.  A caller that
-knows the lead passes it to the constructor as `lead`, (monomial, support
-mask); it is trusted, not checked, and `scale` (so `monic`) keeps it, since a
-nonzero scalar moves no term.
+it caches the lead monomial and its support mask on first use.  The linear
+route of `groebner`, which knows the lead of every element it builds, passes
+it to the constructor as `lead`, (monomial, support mask); it is trusted,
+not checked, and `scale` (so `monic`) keeps it, since a nonzero scalar moves
+no term.
 """
 
 from __future__ import annotations

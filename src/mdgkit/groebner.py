@@ -133,21 +133,26 @@ monomial factors), so a triple can have a nonzero associator only if some
 d in the support of a*b has d*c != 0 or some e in the support of b*c has
 a*e != 0.  Both skips need every product a*b in degree |a| + |b|, checked
 by `Multiplication.structure_constants` before any triple is read; the
-certificate computes those constants once and hands them to `mult_ideal`
-and to the span.
+certificate computes those constants once, and the route reads its whole
+basis from them: the span, the pair relations and their reduced tails.
 
-The pair leads.  The route needs the lead of every f_ab to be its pair
-monomial e_a e_b.  When every generator has positive degree this holds,
-and `pair_relation` records it instead of reading the term order over
-n-entry exponent tuples.  The order compares homological degree first, and
-e_a e_b and every term e_d of a*b have degree |a| + |b|.  Then it compares
-exponent tuples from the left.  |d| = |a| + |b| exceeds |a| and |b|, and
-the generators are sorted by degree, so d's index comes after a's and b's.
-At the smaller of those two indices e_a e_b has a positive exponent and
-e_d has 0, and every index before it is 0 in both, so e_a e_b is larger.
-With a generator of degree 0 the leads are read, and the route is taken
-only when each is quadratic and no product has the unit in its support
-(the echelon form of the span is over the generators, not the unit).
+The route rule.  The route needs the lead of every f_ab, a <= b in
+`context_for` order, to be its pair monomial e_a e_b, and an echelon form
+of S' over the generators alone.  `complete_relations` reads both from the
+structure constants: every pair a <= b is defined, and every d in the
+support of a*b is a generator (not the unit) whose index is at least a's.
+That is exactly the condition.  `structure_constants` has checked that
+e_a e_b and every e_d have the degree |a| + |b|, so the order compares
+exponent tuples from the left.  If index(d) < index(a), e_d has a 1 where
+e_a e_b has 0, with 0 in both before it, and e_d leads.  Otherwise e_a e_b
+has a positive exponent at a, where e_d has 0 unless d = a; when d = a, the
+exponent 2 at a (for b = a) or the 1 at b, where e_d has 0, decides.  So
+e_a e_b leads, and the route records each pair lead itself, as (e_a e_b,
+bit a | bit b), reading no term order.  When every generator has positive
+degree, |d| exceeds |a| and |b|, so d comes after a and b and the rule
+always holds.  The unit can only occur with degree-0 generators; it is
+kept out because it would enter S', whose echelon form is over the
+generators only.
 
 `buchberger` returns a `GBasis` whose elements are plain monic `GCPoly`s,
 interreduced: no lead monomial divides another, and whose `stats` count the
@@ -169,8 +174,8 @@ from . import linalg
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .gcalg import GCContext, GCPoly
 from .mdg import MDGAlgebra, MDGError
-from .ring import (add_term, laurent, mono_div, mono_divides, mono_lcm,
-                   mono_mask)
+from .ring import (add_term, laurent, laurent_term, mono_div, mono_divides,
+                   mono_lcm, mono_mask, mono_mul)
 
 __all__ = [
     "GBasis", "LINEAR_STATS", "PairLimitError", "ReductionTrace", "STATS",
@@ -219,21 +224,11 @@ def gc_to_element(cx: FreeComplex, p: GCPoly) -> Element:
 
 
 def pair_relation(ctx: GCContext, alg: MDGAlgebra, a: str, b: str) -> GCPoly:
-    """The relation (word e_a e_b) - (table product a*b) in K[e].  When
-    every generator has positive degree and every term of a*b has degree
-    |a| + |b|, its lead is the pair monomial (the module docstring proves
-    it), and it is recorded with the relation, so that no term order is
-    read; otherwise `lead()` computes it on first use."""
-    i, j = ctx.index(a), ctx.index(b)
-    sign, mono = ctx.word_mono([i, j])
-    product = alg.mult.product(a, b)
+    """The relation (word e_a e_b) - (table product a*b) in K[e]."""
+    sign, mono = ctx.word_mono([ctx.index(a), ctx.index(b)])
     terms = {mono: ctx.coeff_one if sign == 1 else -ctx.coeff_one}
-    for m, c in element_to_gc(ctx, product).terms.items():
+    for m, c in element_to_gc(ctx, alg.mult.product(a, b)).terms.items():
         terms[m] = -c       # linear, so never the pair monomial
-    basis, degree = alg.complex.basis, ctx.degrees[i] + ctx.degrees[j]
-    if ctx.degrees[0] > 0 and all(basis[d].degree == degree
-                                  for d in product.coeffs):
-        return GCPoly(ctx, terms, (mono, 1 << i | 1 << j))
     return GCPoly(ctx, terms)
 
 
@@ -244,7 +239,7 @@ def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None, *, consts=None):
 
     consts is the table's `structure_constants()`, computed here when the
     caller has not.  Computing them raises the MDGError of a table that is
-    not homogeneous (the triple scan and the pair leads rely on it) or not
+    not homogeneous (the triple scan and the route rule rely on it) or not
     multihomogeneous (the engine's Laurent coefficients rely on it)."""
     if ctx is None:
         ctx = context_for(alg.complex)
@@ -593,12 +588,12 @@ def associativity_certificate(alg: MDGAlgebra) -> CertificateReport:
     monomials that stay irreducible mark products the table leaves undefined
     (reported separately, not as non-associativity).
 
-    The structure constants are computed and checked once, for the pair
-    relations and for the linear route.  `complete_relations` chooses the
-    route."""
+    The structure constants are computed and checked once; the route and
+    the linear route's basis are read from them.  `complete_relations`
+    chooses the route."""
     consts = alg.mult.structure_constants()
-    ctx, gens = mult_ideal(alg, consts=consts)
-    basis, witnesses, route = complete_relations(alg, ctx, gens, consts)
+    ctx = context_for(alg.complex)
+    basis, witnesses, route = complete_relations(alg, ctx, consts)
     undefined = []
     if route == "buchberger":
         for i, a in enumerate(ctx.names):
@@ -610,58 +605,68 @@ def associativity_certificate(alg: MDGAlgebra) -> CertificateReport:
     return CertificateReport(not witnesses, witnesses, undefined, basis, route)
 
 
-def complete_relations(alg: MDGAlgebra, ctx: GCContext, gens, consts):
+def complete_relations(alg: MDGAlgebra, ctx: GCContext, consts):
     """(basis, witnesses, route): the reduced Groebner basis of the table's
-    pair relations `mult_ideal(alg, consts=consts)`, its elements with a
-    single-generator lead, and the route that built it.
+    pair relations `mult_ideal(alg, ctx, consts=consts)`, its elements with
+    a single-generator lead, and the route that built it.
 
-    A table that defines every product takes the linear route (see the
-    module docstring): its basis comes from the span of the basis
-    associators over Q, without running Buchberger.  The route needs one
-    relation per quadratic monomial, each with a quadratic lead.  When
-    every generator has positive degree, `pair_relation` has recorded
-    those leads and no product reaches the unit.  Otherwise the leads are
-    read, and a product with the unit in its support also sends the table
-    to `buchberger`: the unit would enter the associator span, whose
-    echelon form is over the generators only.  Any other table is
-    completed by `buchberger`."""
-    n = ctx.n
-    if len(gens) == n * (n + 1) // 2 and (
-            min(ctx.degrees, default=1) > 0
-            or (all(ctx.mono_total(g.lead_mono()) == 2 for g in gens)
-                and not any(UNIT in row for row in consts.values()))):
-        return (*_linear_basis(alg, ctx, gens, consts), "linear")
+    The route rule, proved in the module docstring, reads the structure
+    constants consts: a table whose every pair a <= b is defined, with
+    every d in the support of a*b a generator at or after a, takes the
+    linear route, which builds its basis from consts without running
+    Buchberger.  Any other table is completed by `buchberger`."""
+    names, index = ctx.names, ctx.index
+    if all((a, b) in consts and all(d != UNIT and index(d) >= i
+                                    for d in consts[a, b])
+           for i, a in enumerate(names) for b in names[i:]):
+        return (*_linear_basis(alg, ctx, consts), "linear")
+    _, gens = mult_ideal(alg, ctx, consts=consts)
     basis = buchberger(ctx, gens)
     return basis, basis.linear_elements(), "buchberger"
 
 
-def _linear_basis(alg: MDGAlgebra, ctx: GCContext, gens, consts):
+def _linear_basis(alg: MDGAlgebra, ctx: GCContext, consts):
     """(basis, witnesses): the reduced basis of a complete table's pair
-    relations, the monic f_ab of the non-pivot pairs, their tails reduced
-    by the witnesses, then the witnesses in ascending lead order (the
-    module docstring proves it).  Each relation keeps its lead through
-    `monic` and the tail reduction.  The basis's `stats` are the route's
+    relations, read from its structure constants consts (the module
+    docstring proves it): the f_ab of the non-pivot pairs a <= b, in
+    `mult_ideal` order, then the witnesses in ascending lead order.
+
+    f_ab = e_a e_b - sum_d c_abd x^(m_a+m_b-m_d) e_d is monic, its lead
+    e_a e_b recorded with it.  Its tail is reduced by the witnesses by
+    substitution on its rational vector t: t' = t - sum_p t_p r_p over the
+    pivots p, r_p the echelon row of p.  The rows are in reduced echelon
+    form, so r_p holds no other pivot and one pass suffices.  Each term is
+    built by `ring.laurent_term`.  The basis's `stats` are the route's
     `LINEAR_STATS`."""
     columns, rows, pivots, stats = _associator_span(alg, ctx, consts)
-    witnesses = [element_to_gc(ctx, alg.q_element(
-        [columns[pc]], {b: q for b, q in zip(columns, row) if q}))
-        for row, pc in zip(reversed(rows), reversed(pivots))]
-    pivot_mask = 0
-    for pc in pivots:
-        pivot_mask |= 1 << ctx.index(columns[pc])
-    lead_list = _LeadList(witnesses)
-    pairs = []
-    for g in gens:
-        lead = g.lead()
-        if lead[1] & pivot_mask:
-            continue
-        g = g.monic()
-        if witnesses:
-            lm = lead[0]
-            tail, _ = normal_form(GCPoly(ctx, {m: c for m, c in g.terms.items()
-                                               if m != lm}), lead_list)
-            g = GCPoly(ctx, {lm: g.terms[lm], **tail.terms}, lead)
-        pairs.append(g)
+    ring, basis = ctx.ring, alg.complex.basis
+    units = {nm: ctx.zero_mono[:i] + (1,) + ctx.zero_mono[i + 1:]
+             for i, nm in enumerate(ctx.names)}
+
+    def terms(vec, top):
+        """{e_d: q_d x^(top - m_d)} for the rational vector {d: q_d}."""
+        return {units[d]: laurent_term(ring, q, mono_div(top, basis[d].mdeg))
+                for d, q in vec.items() if q}
+
+    reducers, witnesses, pairs = {}, [], []
+    for row, pc in zip(reversed(rows), reversed(pivots)):
+        p = columns[pc]
+        vec = {b: q for b, q in zip(columns, row) if q}
+        witnesses.append(GCPoly(ctx, terms(vec, basis[p].mdeg),
+                                (units[p], 1 << ctx.index(p))))
+        reducers[p] = {b: q for b, q in vec.items() if b != p}
+    free = [(i, a) for i, a in enumerate(ctx.names) if a not in reducers]
+    for k, (i, a) in enumerate(free):
+        for j, b in free[k:]:
+            tail = {d: -c for d, c in consts[a, b].items()}
+            for p in [d for d in tail if d in reducers]:
+                tp = tail.pop(p)
+                for d, q in reducers[p].items():
+                    tail[d] = tail.get(d, 0) - tp * q
+            _, mono = ctx.word_mono([i, j])     # i <= j: no sign
+            pairs.append(GCPoly(ctx, {mono: ctx.coeff_one, **terms(
+                tail, mono_mul(basis[a].mdeg, basis[b].mdeg))},
+                (mono, 1 << i | 1 << j)))
     return GBasis(ctx, pairs + witnesses, stats), witnesses
 
 

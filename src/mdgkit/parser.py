@@ -309,11 +309,6 @@ def _element_evaluator(cx: FreeComplex):
     return lambda node: Element(cx, terms) if (terms := ev(node)) else cx.zero
 
 
-def eval_element(node, cx: FreeComplex) -> Element:
-    """An element of cx; scalars live on UNIT."""
-    return _element_evaluator(cx)(node)
-
-
 def _parse_value(text: str, evaluate):
     """The value of the expression text, by evaluate(AST)."""
     toks = tokenize(text)

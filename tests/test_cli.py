@@ -569,6 +569,64 @@ def test_sym_refuses_a_differential_of_the_wrong_degree(tmp_path, capsys):
     assert err == "error: d(b) has degrees [0, 1], expected 1"
 
 
+def test_mult_names_the_complex_of_homology_and_sym(capsys):
+    # fk_split holds T5 with the table nu first, then FK with mu (= fk)
+    for argv in (["homology"], ["sym", "--truncate", "2"]):
+        cmd, *flags = argv
+        fk = run(capsys, [cmd, FK, *flags])
+        assert run(capsys, [cmd, SPLIT, "--mult", "mu", *flags]) == fk
+        t5 = run(capsys, [cmd, SPLIT, "--mult", "nu", *flags])
+        assert t5 != fk
+        # without --mult, the complex of the document's first table
+        assert run(capsys, [cmd, SPLIT, *flags]) == t5
+    assert "H_5=0" not in run(capsys, ["homology", SPLIT, "--mult", "mu"])[1]
+    assert "S_2^1: dim 8" in run(capsys, ["sym", SPLIT, "--mult", "mu",
+                                          "--truncate", "2"])[1]
+
+
+def test_check_with_mult_checks_that_table_and_its_complex(
+        capsys, monkeypatch, tmp_path):
+    text = Path(SPLIT).read_text()
+    assert "  e1*e2 = e12;\n  e1*e3 = e13;\n  e1*e4 = x*e14;" in text
+    broken = tmp_path / "broken_nu.mdg"
+    broken.write_text(text.replace("e1*e4 = x*e14;", "e1*e4 = e14;", 1))
+    original = FreeComplex.check
+    calls = []
+
+    def counted(cx):
+        calls.append(cx.name)
+        return original(cx)
+
+    monkeypatch.setattr(FreeComplex, "check", counted)
+    for mult, complex_, code in [("mu", "FK", 0), ("nu", "T5", 1)]:
+        calls.clear()
+        got, out, _ = run(capsys, ["check", str(broken), "--mult", mult])
+        assert (got, calls) == (code, [complex_])
+        lines = out.splitlines()
+        assert (lines == ["all checks passed"] if mult == "mu"
+                else all(line.startswith("nu: ") for line in lines))
+    assert run(capsys, ["check", str(broken)])[0] == 1
+
+
+@pytest.mark.parametrize("cmd", ["check", "homology", "sym", "assoc", "gb"])
+def test_an_unknown_mult_is_an_input_error(capsys, cmd):
+    code, out, err = run(capsys, [cmd, SPLIT, "--mult", "nosuch"])
+    assert (code, out) == (2, "")
+    assert err == "error: no mult block named 'nosuch'"
+
+
+@pytest.mark.parametrize("argv", [
+    ["taylor", "--ring", "x,y", "--ideal", "x,y", "--json"],
+    ["taylor", "--ring", "x,y", "--ideal", "x,y", "--mult", "mu"],
+    ["cone", TAYLOR, "--expr", "y", "--json"],
+    ["transport", SPLIT, "--mult", "mu"],
+])
+def test_a_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
 def test_transport_recovers_the_stored_table(capsys):
     code, out, _ = run(capsys, ["transport", SPLIT])
     assert code == 0

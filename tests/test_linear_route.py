@@ -2,10 +2,11 @@
 
 Three shortcuts are checked against independent oracles: the sparse triple
 enumeration of `MDGAlgebra.basis_associators` against a test-local scan of
-every triple, the pair-relation leads that `pair_relation` records against
-the term order, and the one computation of the structure constants per
-certificate.  Partial tables and complexes with a degree-0 generator keep
-the full scan and the computed leads."""
+every triple, the route rule and the pair leads that the route reads from
+the structure constants against the leads of the term order, and the one
+computation of the structure constants per certificate.  Partial tables
+keep the full scan, and the route rule sends them, and complexes whose
+degree-0 generators break it, to `buchberger`."""
 
 import json
 from fractions import Fraction
@@ -13,11 +14,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import mdgkit.cli as cli
 import mdgkit.groebner as groebner
 from mdgkit import fixture_path, load_fixture
 from mdgkit.cli import _random_homotopy, run_command
 from mdgkit.complexes import UNIT, FreeComplex
 from mdgkit.constructions import taylor_algebra
+from mdgkit.gcalg import GCPoly
 from mdgkit.groebner import (LINEAR_STATS, _associator_span,
                              associativity_certificate, buchberger,
                              mult_ideal)
@@ -73,6 +76,14 @@ def _degree_zero_table(order, unit_square=False):
     return MDGAlgebra(cx, mult)
 
 
+def _degree_zero_tables():
+    for order in ("wuv", "uvw"):
+        for unit_square in (False, True):
+            yield pytest.param(
+                lambda o=order, q=unit_square: _degree_zero_table(o, q),
+                id=f"degree-0-{order}{'-unit' if unit_square else ''}")
+
+
 def _complete_tables():
     for name in FIXTURES:
         doc = load_fixture(name)
@@ -85,11 +96,7 @@ def _complete_tables():
         for seed in (1, 2):
             yield pytest.param(lambda i=ideal, s=seed: _perturbed(i, s),
                                id=f"perturbed-{label}-{seed}")
-    for order in ("wuv", "uvw"):
-        for unit_square in (False, True):
-            yield pytest.param(
-                lambda o=order, q=unit_square: _degree_zero_table(o, q),
-                id=f"degree-0-{order}{'-unit' if unit_square else ''}")
+    yield from _degree_zero_tables()
 
 
 def _full_scan(alg, consts):
@@ -194,27 +201,68 @@ def test_the_sparse_scan_agrees_on_random_perturbed_taylor_tables(alg):
     _same_spans(alg)
 
 
-# -- lever 2: each pair relation's lead is read from its pair ------------------
+# -- lever 2: the route rule and the pair leads are read from the constants ---
 
 def _every_table():
     for name in FIXTURES:
         doc = load_fixture(name)
         for mult in doc.mults:
-            yield pytest.param(name, mult, id=f"{name}-{mult}")
+            yield pytest.param(lambda d=doc, m=mult: d.algebra(m),
+                               id=f"{name}-{mult}")
+    yield from _degree_zero_tables()
 
 
-@pytest.mark.parametrize("name, mult", _every_table())
-def test_a_pair_relation_records_the_lead_of_the_term_order(name, mult):
-    # every fixture has only positive degrees besides the unit, so every
-    # relation, of a complete or of a partial table, records its lead
-    ctx, gens = mult_ideal(load_fixture(name).algebra(mult))
-    assert ctx.degrees[0] > 0 and gens
-    for g in gens:
-        recorded = g._lead
-        assert recorded is not None
+def _route_by_the_leads(alg):
+    """The route as the term order decides it: linear exactly when every
+    pair is defined, every pair relation's lead, read by `lead()`, is
+    quadratic and no product has the unit in its support."""
+    ctx, gens = mult_ideal(alg)
+    consts = alg.mult.structure_constants()
+    linear = (len(gens) == ctx.n * (ctx.n + 1) // 2
+              and all(ctx.mono_total(g.lead_mono()) == 2 for g in gens)
+              and not any(UNIT in row for row in consts.values()))
+    return "linear" if linear else "buchberger"
+
+
+def _same_route(alg):
+    report = associativity_certificate(alg)
+    assert report.route == _route_by_the_leads(alg)
+    return report
+
+
+def _leads_of_the_term_order(report):
+    ctx = report.basis.ctx
+    witnesses = {id(w) for w in report.witnesses}
+    for g in report.basis.elements:
         lead = max(g.terms, key=ctx.order_key)
-        assert recorded == (lead, mono_mask(lead))
-        assert ctx.mono_total(lead) == 2
+        assert g.lead() == (lead, mono_mask(lead))
+        assert ctx.mono_total(lead) == (1 if id(g) in witnesses else 2)
+
+
+@pytest.mark.parametrize("make", _every_table())
+def test_the_route_rule_picks_the_route_of_the_term_order(make):
+    _same_route(make())
+
+
+# the complete tables that the route rule sends to `buchberger`
+FALLBACK = {"degree-0-wuv", "degree-0-wuv-unit", "degree-0-uvw-unit"}
+
+
+@pytest.mark.parametrize("make", [p for p in _complete_tables()
+                                  if p.id not in FALLBACK])
+def test_the_linear_route_records_the_leads_of_the_term_order(make):
+    # every pair element's lead is quadratic, every witness's linear
+    report = associativity_certificate(make())
+    assert report.route == "linear"
+    _leads_of_the_term_order(report)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_perturbed_taylor_tables())
+def test_the_route_rule_and_the_leads_hold_on_random_perturbed_tables(alg):
+    report = _same_route(alg)
+    assert report.route == "linear"
+    _leads_of_the_term_order(report)
 
 
 @pytest.mark.parametrize("order, unit_square, route", [
@@ -229,7 +277,7 @@ def test_a_degree_zero_generator_takes_the_fallback(order, unit_square,
     assert alg.defined_everywhere()
     ctx, gens = mult_ideal(alg)
     assert ctx.degrees[0] == 0
-    # no lead is recorded; today's test reads them and picks the route
+    # a pair relation records no lead: the term order decides it
     assert all(g._lead is None for g in gens)
     linear_leads = [g for g in gens if ctx.mono_total(g.lead_mono()) == 1]
     assert bool(linear_leads) == (order == "wuv")
@@ -319,6 +367,44 @@ def test_a_certificate_computes_the_structure_constants_once(monkeypatch):
         calls.clear()
         associativity_certificate(load_fixture(name).algebra())
         assert len(calls) == 1
+
+
+def _counting(monkeypatch):
+    """Count the calls of `mult_ideal`, `normal_form` and `GCPoly.monic`,
+    wherever the library reads them."""
+    calls = {"mult_ideal": 0, "normal_form": 0, "monic": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for module in (groebner, cli):
+        monkeypatch.setattr(module, "mult_ideal",
+                            counted("mult_ideal", groebner.mult_ideal))
+    monkeypatch.setattr(groebner, "normal_form",
+                        counted("normal_form", groebner.normal_form))
+    monkeypatch.setattr(GCPoly, "monic", counted("monic", GCPoly.monic))
+    return calls
+
+
+@pytest.mark.parametrize("name, mult, expr", [
+    ("fk", None, "e1*e5*e2"), ("fa", None, "e1*e2*e5"),
+    ("fo_full", None, "e1*e2*e3"), ("fk_split", "nu", "e1*e2"),
+    ("taylor_x2_xy", None, "e1*e2"),
+])
+def test_the_linear_route_builds_its_basis_without_the_engine(
+        monkeypatch, capsys, name, mult, expr):
+    alg = load_fixture(name).algebra(mult)
+    calls = _counting(monkeypatch)
+    assert associativity_certificate(alg).route == "linear"
+    assert calls == {"mult_ideal": 0, "normal_form": 0, "monic": 0}
+    # reduce: one normal form, of the expression, and nothing else
+    argv = ["reduce", str(fixture_path(name)), "--expr", expr]
+    assert run_command(argv + (["--mult", mult] if mult else [])) == 0
+    capsys.readouterr()
+    assert calls == {"mult_ideal": 0, "normal_form": 1, "monic": 0}
 
 
 def _no_completion(*args, **kwargs):

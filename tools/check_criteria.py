@@ -13,13 +13,16 @@ fast criterion-free runs.  The fast tables fk, fa, ex6 and the degree-1
 presentations of fk and fa are checked the same way by the test suite;
 these cases take minutes, so they live here.
 
-Then perturb the Taylor tables of (x^2, w^2, zw, xy, yz) and of (x^2, y^2,
-w^2, xy, yz, zw) by `mdg perturb`'s homotopy at seeds 1 and 2.  The tables
-are complete and not associative, so the certificate takes its linear
-route.  Its basis must have the golden size and witness count, and the term
-dicts of `buchberger`'s basis in the same order once the witnesses, which
-the completion lists as it derives them, are sorted into ascending lead
-order.  Takes no options.  Run from anywhere:
+Then check the linear route of the certificate against `buchberger` on
+every complete fixture table (fk, fa, fm, fo_full, fk_split's mu and nu,
+taylor_x2_xy) and on the Taylor tables of (x^2, w^2, zw, xy, yz) and of
+(x^2, y^2, w^2, xy, yz, zw) perturbed by `mdg perturb`'s homotopy at seeds
+1 and 2, which are not associative.  The route reads its basis from the
+structure constants.  It must be taken, its basis must have the golden
+size and witness count, and it must have the term dicts of `buchberger`'s
+basis in the same order once the witnesses, which the completion lists as
+it derives them, are sorted into ascending lead order.  Takes no options.
+Run from anywhere:
 
     python3 tools/check_criteria.py
 
@@ -74,6 +77,17 @@ def perturbed(ideal, seed):
     mult = perturb_multiplication(alg, _random_homotopy(alg, seed))
     return MDGAlgebra(alg.complex, mult)
 
+
+# (fixture, table, golden basis size, golden witness count)
+COMPLETE_TABLES = [
+    ("fk", "mu", 155, 2),
+    ("fa", "mu", 122, 2),
+    ("fm", "mu", 327, 2),
+    ("fo_full", "mu", 630, 0),
+    ("fk_split", "mu", 155, 2),
+    ("fk_split", "nu", 496, 0),
+    ("taylor_x2_xy", "mu", 6, 0),
+]
 
 # (fixture, table, the criterion-free run's fingerprint)
 FIXTURE_TABLES = [
@@ -149,6 +163,10 @@ def main() -> int:
         ok = check_criteria(f"{fixture} {mult}",
                             load_fixture(fixture).algebra(mult), frozen) and ok
     ok = check_criteria("taylor5", taylor(TAYLOR5)) and ok
+    for fixture, mult, size, count in COMPLETE_TABLES:
+        ok = check_linear_route(f"{fixture} {mult}",
+                                load_fixture(fixture).algebra(mult), size,
+                                count) and ok
     for name, ideal, seed, size, count in PERTURBED:
         ok = check_linear_route(name, perturbed(ideal, seed), size,
                                 count) and ok
