@@ -28,6 +28,8 @@ no term.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .ring import SCALARS, Ring, add_term, laurent, mono_mask, mono_mul
 
 
@@ -65,7 +67,7 @@ class GCContext:
     # -- monomial helpers --
 
     def mono_degree(self, mono: tuple) -> int:
-        return sum(e * d for e, d in zip(mono, self.degrees))
+        return sum(map(mul, mono, self.degrees))
 
     def mono_total(self, mono: tuple) -> int:
         """Number of generator factors (ignoring homological degree)."""

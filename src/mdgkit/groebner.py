@@ -71,7 +71,10 @@ many of them as groups, and by a scan of the groups otherwise, so a lookup
 never probes more than the groups, and never more than the leads.  A
 squarefree lead in a visited group divides m without an exponent test:
 each of its exponents is 1, and m's is at least 1 wherever the lead's mask
-has a bit.
+has a bit.  The list remembers the groups that each mask's lookup found,
+and forgets them all at its next `append`, the one write that can add a
+group or an element to one: between two appends the same masks come back
+to every reduction and chain test, and the answer is read once.
 
 The associativity certificate: complete {f_ij} to a Groebner basis; the table
 is associative exactly when no basis element has a lead monomial of total
@@ -250,21 +253,40 @@ def mult_ideal(alg: MDGAlgebra, ctx: GCContext = None, *, consts=None):
                  if (a, b) in consts]
 
 
-def spoly(f: GCPoly, g: GCPoly) -> GCPoly:
+def spoly(f: GCPoly, g: GCPoly, lcm: tuple = None) -> GCPoly:
     """Left S-polynomial: cofactor monomials lift both leads to their lcm and
-    the scalar is chosen so the lead terms cancel exactly.  When the lifted
-    leads agree up to sign, as they do for monic f and g (see the module
-    docstring), the scalar is +-1 and nothing is scaled."""
+    the scalar is chosen so the lead terms cancel exactly.  lcm is the lcm
+    of the two leads; `buchberger` passes the one its queue entry holds,
+    and it is computed when not given.  When the lifted leads agree up to
+    sign, as they do for monic f and g (see the module docstring), the
+    scalar is +-1: the result is u - v or u + v, summed into one dict that
+    never forms the lead term, which cancels by construction."""
     a, b = f.lead_mono(), g.lead_mono()
-    gamma = mono_lcm(a, b)
-    u = f.term_mul_left(1, mono_div(gamma, a))
-    v = g.term_mul_left(1, mono_div(gamma, b))
-    cu, cv = u.terms[gamma], v.terms[gamma]
+    if lcm is None:
+        lcm = mono_lcm(a, b)
+    u = f.term_mul_left(1, mono_div(lcm, a))
+    v = g.term_mul_left(1, mono_div(lcm, b))
+    cu, cv = u.terms[lcm], v.terms[lcm]
     if cu == cv:
-        return u - v
-    if cu == -cv:
-        return u + v
-    return u - v.scale(cu * cv.inverse())
+        minus = True
+    elif cu == -cv:
+        minus = False
+    else:
+        return u - v.scale(cu * cv.inverse())
+    terms = dict(u.terms)
+    del terms[lcm]
+    for m, c in v.terms.items():
+        prev = terms.get(m)
+        if prev is None:
+            if m != lcm:
+                terms[m] = -c if minus else c
+            continue
+        c = prev - c if minus else prev + c
+        if c.is_zero():
+            del terms[m]
+        else:
+            terms[m] = c
+    return GCPoly(f.ctx, terms)
 
 
 class ReductionTrace:
@@ -286,6 +308,16 @@ class ReductionTrace:
         return GCPoly(f.ctx, terms)
 
 
+def _bit_indices(mask: int) -> list:
+    """The positions of the set bits of mask, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _has_square(mono: tuple, mask: int) -> bool:
     """Whether some exponent of mono exceeds 1; mask is `mono_mask(mono)`,
     so only the generators in the support are read."""
@@ -303,11 +335,13 @@ class _LeadList(list):
     with that mask, in index order.  The lead is None when it is
     squarefree: then every monomial whose mask holds the lead's is a
     multiple of it.  The list grows only by `append`; the engine never
-    writes a basis any other way."""
+    writes a basis any other way.  `within` remembers its answer per mask
+    until the next `append`."""
 
     def __init__(self, polys=()):
         super().__init__()
         self.groups = {}
+        self._within = {}
         for p in polys:
             self.append(p)
 
@@ -316,18 +350,26 @@ class _LeadList(list):
             lm, mask = poly.lead()
             self.groups.setdefault(mask, []).append(
                 (len(self), lm if _has_square(lm, mask) else None))
+            self._within.clear()
         super().append(poly)
 
-    def within(self, mask: int):
+    def within(self, mask: int) -> list:
         """The groups whose mask lies inside mask, in ascending order of
-        their first index: the groups of mask's submasks, enumerated from
+        their first index, remembered until the next `append`."""
+        found = self._within.get(mask)
+        if found is None:
+            found = self._within[mask] = self._lookup(mask)
+        return found
+
+    def _lookup(self, mask: int) -> list:
+        """`within` computed: the groups of mask's submasks, enumerated from
         mask down to 0, when there are at most as many submasks as groups,
         and a scan of the groups otherwise (the dict keeps them in the
         order of their first index)."""
         groups = self.groups
         if 1 << mask.bit_count() > len(groups):
-            return (group for gmask, group in groups.items()
-                    if not gmask & ~mask)
+            return [group for gmask, group in groups.items()
+                    if not gmask & ~mask]
         found = []
         sub = mask
         while True:
@@ -452,23 +494,44 @@ def buchberger(ctx: GCContext, generators, criteria: bool = True,
     lcm(a_i, a_j) and neither (i, k) nor (j, k) is still pending; a pair
     kept out of the queue is never pending.  `criteria=False` reduces every
     pair: the reference run.  Raises PairLimitError after `max_pairs`
-    pairs."""
+    pairs.
+
+    The monomial and product criteria are read from bitsets over the
+    element indices, kept per generator g (the elements whose lead holds
+    g, and those whose odd support holds g) and for the whole list (the
+    single-term and the parity-homogeneous elements).  A new element's
+    skips are a few ANDs and ORs of these, and the pairs that remain are
+    queued in ascending order of the older element, as a loop over the
+    older elements would queue them."""
     elements = _LeadList()
-    profiles = []   # (lead mask, odd support mask, parity or None, single term)
+    # the lead and odd-support masks of each element, and the bitsets of
+    # the criteria (see the docstring)
+    masks, odds = [], []
+    lead_holds, odd_holds = [0] * ctx.n, [0] * ctx.n
+    single = homogeneous = 0
+    odd_gens = sum(1 << i for i in ctx.odd)
     stats = dict.fromkeys(STATS, 0)
     key = ctx.order_key
 
     def append(poly):
+        nonlocal single, homogeneous
+        bit = 1 << len(elements)
         elements.append(poly)
+        mask = poly.lead()[1]
         odd = 0
         for mono in poly.terms:
-            for i in ctx.odd:
-                if mono[i]:
-                    odd |= 1 << i
-        parities = {key(m)[0] & 1 for m in poly.terms}
-        profiles.append((poly.lead()[1], odd,
-                         parities.pop() if len(parities) == 1 else None,
-                         len(poly.terms) == 1))
+            odd |= mono_mask(mono)
+        odd &= odd_gens
+        masks.append(mask)
+        odds.append(odd)
+        for g in _bit_indices(mask):
+            lead_holds[g] |= bit
+        for g in _bit_indices(odd):
+            odd_holds[g] |= bit
+        if len(poly.terms) == 1:
+            single |= bit
+        if len({key(m)[0] & 1 for m in poly.terms}) == 1:
+            homogeneous |= bit
 
     for g in generators:
         if not g.is_zero():
@@ -478,7 +541,7 @@ def buchberger(ctx: GCContext, generators, criteria: bool = True,
     counter = 0
 
     def chain_skip(i, j, lcm):
-        mask = profiles[i][0] | profiles[j][0]      # mono_mask(lcm)
+        mask = masks[i] | masks[j]      # mono_mask(lcm)
         for k in elements.divisors(lcm, mask):
             if (k != i and k != j
                     and (min(i, k), max(i, k)) not in pending
@@ -487,19 +550,31 @@ def buchberger(ctx: GCContext, generators, criteria: bool = True,
         return False
 
     def push_pairs(new_index):
+        """Queue the pairs (i, new_index), i < new_index, in ascending i,
+        less the criteria's skips, read from the bitsets: every earlier
+        single-term element when the new one has a single term; then every
+        earlier parity-homogeneous element whose lead shares no generator
+        with the new lead and whose odd support meets the new one's
+        nowhere, when the new one is parity-homogeneous."""
         nonlocal counter
+        bit = 1 << new_index
+        todo = bit - 1
+        if criteria:
+            if single & bit:
+                skip = single & todo
+                stats["monomial_skips"] += skip.bit_count()
+                todo &= ~skip
+            if homogeneous & bit:
+                clash = 0
+                for g in _bit_indices(masks[new_index]):
+                    clash |= lead_holds[g]
+                for g in _bit_indices(odds[new_index]):
+                    clash |= odd_holds[g]
+                skip = todo & homogeneous & ~clash
+                stats["product_skips"] += skip.bit_count()
+                todo &= ~skip
         lm_new = elements[new_index].lead_mono()
-        mask_n, odd_n, par_n, single_n = profiles[new_index]
-        for i in range(new_index):
-            if criteria:
-                mask_i, odd_i, par_i, single_i = profiles[i]
-                if single_n and single_i:
-                    stats["monomial_skips"] += 1
-                    continue
-                if (not mask_i & mask_n and par_i is not None
-                        and par_n is not None and not odd_i & odd_n):
-                    stats["product_skips"] += 1
-                    continue
+        for i in _bit_indices(todo):
             counter += 1
             heappush(queue, (_pair_key(ctx, elements[i].lead_mono(), lm_new),
                              counter, i, new_index))
@@ -521,7 +596,7 @@ def buchberger(ctx: GCContext, generators, criteria: bool = True,
         if criteria and chain_skip(i, j, lcm):
             stats["chain_skips"] += 1
             continue
-        s = spoly(elements[i], elements[j])
+        s = spoly(elements[i], elements[j], lcm)
         if s.is_zero():
             stats["zero_spolys"] += 1
             continue

@@ -25,6 +25,7 @@ scalar with `laurent`, or build a Laurent monomial with `laurent_term`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd as int_gcd
 from operator import add, le, sub
 from typing import Iterable
@@ -44,16 +45,19 @@ def mono_divides(a: tuple, b: tuple) -> bool:
     return all(map(le, a, b))
 
 
+# bit i of a support mask, for tuples of up to 1024 entries
+_BITS = tuple(1 << i for i in range(1024))
+
+
 def mono_mask(a: tuple) -> int:
-    """Support bitmask: bit i is set when a[i] > 0.  If a divides b then
-    mono_mask(a) & ~mono_mask(b) == 0, so a mask test rejects most
+    """Support bitmask: bit i is set when a[i] is nonzero.  If a divides b
+    then mono_mask(a) & ~mono_mask(b) == 0, so a mask test rejects most
     non-divisors before `mono_divides` (Bachmann & Schoenemann's short
-    exponent vectors, ISSAC 1998)."""
-    mask = 0
-    for i, e in enumerate(a):
-        if e:
-            mask |= 1 << i
-    return mask
+    exponent vectors, ISSAC 1998).  The bits of the nonzero entries are
+    distinct, so their sum is their OR, and `compress` picks them in C."""
+    if len(a) > len(_BITS):
+        return sum(1 << i for i, e in enumerate(a) if e)
+    return sum(compress(_BITS, a))
 
 
 def mono_div(b: tuple, a: tuple) -> tuple:
@@ -271,6 +275,8 @@ class Polynomial:
         return result
 
     def _coerce(self, other):
+        if type(other) is Polynomial and other.ring is self.ring:
+            return other
         if isinstance(other, Polynomial):
             if other.ring != self.ring:
                 return NotImplemented
@@ -552,7 +558,14 @@ def laurent_term(ring: Ring, c, expts: tuple) -> RationalFunction:
 
 
 def _rf_normalize(num: Polynomial, den: Polynomial):
-    """Cancel the common monomial factor and make the denominator monic."""
+    """Cancel the common monomial factor and make the denominator monic.
+
+    The common factor is `poly_gcd(num, den)`, the monomial gcd of the
+    supports.  Each numerator term is divided by it and by the
+    denominator's coefficient dc.  A monic denominator (dc == 1, as in
+    every product or sum of two normalised Laurent polynomials) leaves the
+    numerator's coefficients as they are; only another dc divides them,
+    through `Fraction`."""
     if num.is_zero():
         return num, num.ring.one
     if den.is_one():
@@ -564,6 +577,9 @@ def _rf_normalize(num: Polynomial, den: Polynomial):
         return num.scale(Fraction(1, den.constant_value())), num.ring.one
     (dm, dc), = den.terms.items()
     (gm, _), = poly_gcd(num, den).terms.items()
-    num = Polynomial(num.ring, {mono_div(m, gm): rational(Fraction(c, dc))
-                                for m, c in num.terms.items()})
-    return num, num.ring.monomial(mono_div(dm, gm))
+    if dc == 1:
+        terms = {mono_div(m, gm): c for m, c in num.terms.items()}
+    else:
+        terms = {mono_div(m, gm): rational(Fraction(c, dc))
+                 for m, c in num.terms.items()}
+    return Polynomial(num.ring, terms), num.ring.monomial(mono_div(dm, gm))

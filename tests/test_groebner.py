@@ -388,6 +388,67 @@ def test_a_wide_monomial_scans_the_groups_instead_of_its_submasks():
     assert index.groups.probes <= groups * len(trace.steps)
 
 
+_INDEX_CONTEXTS = {name: context_for(load_fixture(name).algebra().complex)
+                   for name in ("fk", "fa", "ex55")}
+
+
+@st.composite
+def _index_script(draw):
+    """A fixture context and a script of steps on a lead index: ("append",
+    lead or None for a zero element) and ("query", monomial).  Leads have
+    at most three generators, queries up to twelve, so that a query has
+    divisors and its lookup both enumerates submasks and scans groups."""
+    ctx = _INDEX_CONTEXTS[draw(st.sampled_from(sorted(_INDEX_CONTEXTS)))]
+
+    def monomial(size):
+        expts = draw(st.dictionaries(st.integers(0, ctx.n - 1),
+                                     st.integers(1, 2), max_size=size))
+        return tuple(expts.get(i, 0) for i in range(ctx.n))
+
+    steps = []
+    for _ in range(draw(st.integers(1, 25))):
+        if draw(st.booleans()):
+            steps.append(("append", None if draw(st.integers(0, 9)) == 0
+                          else monomial(3)))
+        else:
+            steps.append(("query", monomial(12)))
+    return ctx, steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(_index_script())
+def test_the_cached_lead_index_answers_as_a_scan_of_the_basis(script):
+    # `within` remembers its groups per mask until the next append.  Each
+    # appended lead is also queried just before and just after its append:
+    # when it opens a new mask group, the answer remembered before the
+    # append misses it, and only a cleared cache finds it after.
+    ctx, steps = script
+    one = ctx.coeff_one
+    index, leads = groebner._LeadList(), []
+
+    def check(m):
+        mask = mono_mask(m)
+        scan = [i for i, lm in enumerate(leads)
+                if lm is not None and mono_divides(lm, m)]
+        assert sorted(index.divisors(m, mask)) == scan
+        assert index.first_divisor(m, mask) == next(iter(scan), None)
+
+    for step, m in steps:
+        if step == "query":
+            check(m)
+            continue
+        if m is not None:
+            check(m)
+        new_group = m is not None and mono_mask(m) not in index.groups
+        index.append(GCPoly(ctx, {} if m is None else {m: one}))
+        leads.append(m)
+        if m is not None:
+            check(m)
+            assert len(leads) - 1 in index.divisors(m, mono_mask(m))
+            assert not new_group or index.groups[mono_mask(m)] == [
+                (len(leads) - 1, m if any(e > 1 for e in m) else None)]
+
+
 # -- the linear route for complete tables -------------------------------------
 
 TAYLOR4 = [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0)]
@@ -690,13 +751,51 @@ def _fingerprint(basis):
                          ids=[f"{n} criteria {'on' if c else 'off'}"
                               for n, c in FROZEN_RUNS])
 def test_the_engine_matches_its_frozen_runs(name, criteria):
-    if name.endswith(" presentation"):
-        alg = _degree_one_presentation(name.split()[0])
-    else:
-        alg = _complete_table(name)
-    ctx, gens = mult_ideal(alg)
+    ctx, gens = mult_ideal(_frozen_table(name))
     basis = buchberger(ctx, gens, criteria=criteria)
     assert _fingerprint(basis) == FROZEN_RUNS[name, criteria]
+
+
+def _frozen_table(name):
+    if name.endswith(" presentation"):
+        return _degree_one_presentation(name.split()[0])
+    return _complete_table(name)
+
+
+def _assert_every_pair_is_queued_or_kept_out(ctx, gens,
+                                             runs=(True, False)):
+    """The completions with and without criteria (as listed in runs)
+    account for every pair of their N = inputs + derived elements: it is
+    queued or kept out of the queue by the monomial or the product
+    criterion, and the criterion-free run queues all N(N-1)/2."""
+    inputs = sum(1 for g in gens if not g.is_zero())
+    for criteria in runs:
+        stats = buchberger(ctx, gens, criteria=criteria).stats
+        n = inputs + stats["derived"]
+        kept_out = stats["monomial_skips"] + stats["product_skips"]
+        assert stats["pairs_queued"] + kept_out == n * (n - 1) // 2
+        assert criteria or kept_out == 0
+
+
+@pytest.mark.parametrize("name, criteria", list(FROZEN_RUNS),
+                         ids=[f"{n} criteria {'on' if c else 'off'}"
+                              for n, c in FROZEN_RUNS])
+def test_every_pair_is_queued_or_kept_out_by_a_criterion(name, criteria):
+    _assert_every_pair_is_queued_or_kept_out(
+        *mult_ideal(_frozen_table(name)), [criteria])
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(_monomial, min_size=3, max_size=6, unique=True)
+       .map(_minimal_generators).filter(lambda ideal: len(ideal) >= 3),
+       st.integers(0, 10 ** 6))
+def test_every_pair_is_queued_or_kept_out_on_perturbed_taylor_tables(
+        ideal, seed):
+    alg = taylor_algebra(R4, [R4.monomial(m) for m in ideal])
+    h = _random_homotopy(alg, seed)
+    assume(h.table)
+    algh = MDGAlgebra(alg.complex, perturb_multiplication(alg, h))
+    _assert_every_pair_is_queued_or_kept_out(*mult_ideal(algh))
 
 
 def test_reduction_steps_count_the_steps_of_the_spoly_normal_forms(
@@ -705,8 +804,8 @@ def test_reduction_steps_count_the_steps_of_the_spoly_normal_forms(
     ctx, gens = mult_ideal(_degree_one_presentation("fk"))
     spolys, steps = [], []
 
-    def traced_spoly(f, g):
-        spolys.append(spoly(f, g))
+    def traced_spoly(f, g, *rest):
+        spolys.append(spoly(f, g, *rest))
         return spolys[-1]
 
     def traced_normal_form(f, basis):

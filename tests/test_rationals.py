@@ -22,7 +22,7 @@ from mdgkit.gcalg import GCPoly
 from mdgkit.groebner import _echelon, associativity_certificate
 from mdgkit.linalg import nullspace, rref, solve
 from mdgkit.parser import parse_document
-from mdgkit.ring import Polynomial, RationalFunction, Ring, rational
+from mdgkit.ring import Polynomial, RationalFunction, Ring, mono_mask, rational
 from mdgkit.symdg import build_sym
 
 R = Ring(["x", "y", "z"])
@@ -159,6 +159,67 @@ def test_division_by_a_non_monic_monomial_gives_fractions():
     # an integral quotient comes back as an int
     assert (RationalFunction(X.scale(4)) / RationalFunction(X.scale(2))
             ).num.terms == {(0, 0, 0): 2}
+
+
+def assert_normalised(p):
+    """p's denominator is a monic monomial that shares no variable with
+    every numerator term."""
+    (dm, dc), = p.den.terms.items()
+    assert dc == 1
+    assert all(not e or any(not m[i] for m in p.num.terms)
+               for i, e in enumerate(dm))
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurents(), laurents(), monos, st.sampled_from([1, -1, 2, -3]))
+def test_laurent_normalisation_equals_the_fraction_reference(f, g, m, c):
+    # a product or sum of Laurent polynomials, or a division by a monic
+    # monomial, normalises over a denominator with coefficient 1, which
+    # divides no coefficient; the inverse of c*x^m and a division by 2*x
+    # divide by a coefficient other than 1 (for c != 1)
+    neg = tuple(-e for e in m)
+    cases = [
+        (f * g, ref_mul(ref(f), ref(g))),
+        (f + g, ref_add(ref(f), ref(g))),
+        (RationalFunction(R.monomial(m, c)).inverse(), {neg: Fraction(1, c)}),
+        (f / RationalFunction(X.scale(2)),
+         ref_mul(ref(f), {(-1, 0, 0): Fraction(1, 2)})),
+        (f * RationalFunction(R.one, R.monomial(m)),
+         ref_mul(ref(f), {neg: Fraction(1)})),
+    ]
+    for got, want in cases:
+        assert_exact(got)
+        assert_normalised(got)
+        assert ref(got) == want
+    # a monic denominator moves exponents only: the coefficient objects,
+    # int or Fraction, come through as they were
+    shifted = cases[-1][0]
+    assert (sorted(map(repr, shifted.num.terms.values()))
+            == sorted(map(repr, f.num.terms.values())))
+
+
+def mono_mask_loop(a):
+    """The support mask as a loop over the entries: bit i for a[i] != 0."""
+    mask = 0
+    for i, e in enumerate(a):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2, 2), max_size=200).map(tuple))
+def test_mono_mask_equals_the_loop(a):
+    # negative entries (the exponents of a Laurent quotient) count as
+    # support, and tuples run past 64 entries, a machine word
+    assert mono_mask(a) == mono_mask_loop(a)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1023, 1024, 1025, 1100])
+def test_mono_mask_equals_the_loop_at_every_length(n):
+    # around a machine word and around the end of the precomputed bits
+    for a in [(1,) * n, (-1, 0) * (n // 2), (0,) * (n - 1) + (2,) * (n > 0)]:
+        assert mono_mask(a) == mono_mask_loop(a)
 
 
 def test_the_coefficient_rule():

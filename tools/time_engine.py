@@ -7,10 +7,13 @@ fixtures; its golden count is the number of stored products, chain-map
 images and differentials over all of them.
 
 The engine cases are `buchberger` on the pair relations of the fixtures fk,
-ex55 and fo_full, of the Taylor algebra of (x^2, w^2, zw, xy, yz), and of
-the degree-1 presentations of ex55, fk and fa (each table cut down to the
+fa, ex55 and fo_full, of the Taylor algebra of (x^2, w^2, zw, xy, yz), and
+of the degree-1 presentations of ex55, fk and fa (each table cut down to the
 products of two degree-1 basis elements, as in perfbench's certify-growth
-workload).  The certificate cases run `associativity_certificate` on
+workload), and `presentation_check` on fa, which completes fa's pair
+relations and compares the linear part of their ideal with the associator
+submodule degree by degree (with `buchberger fa`, the work of perfbench's
+certify-closed tail job).  The certificate cases run `associativity_certificate` on
 fo_full, on the Taylor algebras of (x^2, y^2, w^2, xy, yz, zw) (Taylor-6),
 of the same ideal plus xz (Taylor-7), plus z^2 (Taylor-8, 255 generators)
 and plus yw (Taylor-9, 511 generators), and on the perturbed Taylor tables
@@ -34,14 +37,16 @@ constants are `Fraction`s rather than ints: `homology_dims()` and
 Each run's basis size (for a certificate, also its witness count; for a
 scan, its verdict or generator count; for a symmetric-algebra check, its
 monomial and problem counts; for an axiom check, its problem and skipped
-counts; for a homology case, its dimensions; for the parse case, its entry
+counts; for a homology case, its dimensions; for the presentation check,
+its (ideal, span) dimensions per degree; for the parse case, its entry
 count) is checked against its golden value before its time counts.  Takes no options.  Run from anywhere:
 
     python3 tools/time_engine.py
 
 Prints one line per case: name, golden counts and the best wall time in
 seconds (`time.perf_counter`), then the `GBasis.stats` counters of the
-completion or of the certificate's linear route (none for a scan, for a
+completion (the presentation check's included) or of the certificate's
+linear route (none for a scan, for a
 symmetric-algebra check or for a chain-layer case).  Exits 0, or 1 when a
 golden count differs.
 The run takes a few minutes and about 800 MB.
@@ -61,7 +66,7 @@ from mdgkit import fixture_path, load_fixture
 from mdgkit.groebner import associativity_certificate, buchberger, mult_ideal
 from mdgkit.mdg import MDGAlgebra, Multiplication, quotient_homology_dims
 from mdgkit.parser import parse_document
-from mdgkit.symdg import build_sym
+from mdgkit.symdg import build_sym, presentation_check
 
 RUNS = 3
 
@@ -130,6 +135,15 @@ def submodule(alg):
     return run
 
 
+def presentation_components(alg):
+    def run():
+        start = time.perf_counter()
+        report = presentation_check(alg)
+        return (report.components, time.perf_counter() - start,
+                report.basis.stats)
+    return run
+
+
 def sym_check(source, truncation):
     def run():
         start = time.perf_counter()
@@ -188,6 +202,7 @@ def cases():
     associative and complete, so its basis is exactly its n(n+1)/2 pair
     relations, n = 2^k - 1, with no witness."""
     fo_full = load_fixture("fo_full").algebra()
+    fa = load_fixture("fa").algebra()
     fm = load_fixture("fm").algebra()
     split_nu = load_fixture("fk_split").algebra("nu")
     fm_sub = fm.associator_submodule()
@@ -196,6 +211,7 @@ def cases():
     return [
         ("parse 9 fixtures", parse_fixtures(), "2294 entries"),
         ("buchberger fk", completion(load_fixture("fk").algebra()), 155),
+        ("buchberger fa", completion(fa), 122),
         ("buchberger ex55", completion(load_fixture("ex55").algebra()), 231),
         ("buchberger fo_full", completion(fo_full), 630),
         ("buchberger taylor5", completion(taylor(TAYLOR5)), 496),
@@ -203,6 +219,8 @@ def cases():
          119),
         ("buchberger presentation fk", completion(presentation("fk")), 92),
         ("buchberger presentation fa", completion(presentation("fa")), 79),
+        ("presentation_check fa", presentation_components(fa),
+         {3: (1, 1), 4: (1, 1)}),
         ("certificate fo_full", certificate(fo_full), (630, 0)),
         ("certificate taylor6", certificate(taylor(TAYLOR6)), (2016, 0)),
         ("certificate taylor7", certificate(taylor7), (8128, 0)),
@@ -246,6 +264,9 @@ def describe(size) -> str:
         return size
     if isinstance(size, tuple):
         return f"basis {size[0]}, {size[1]} witnesses"
+    if isinstance(size, dict):
+        return "components " + ", ".join(
+            f"degree {i} {pair}" for i, pair in size.items())
     return f"basis {size}"
 
 
