@@ -116,11 +116,6 @@ class GCContext:
             key = self._keys[mono] = (self.mono_degree(mono), mono)
         return key
 
-    def compare(self, a: tuple, b: tuple) -> int:
-        """-1, 0, 1 for a < b, a == b, a > b in the term order."""
-        ka, kb = self.order_key(a), self.order_key(b)
-        return (ka > kb) - (ka < kb)
-
     def format_mono(self, mono: tuple) -> str:
         parts = []
         for nm, e in zip(self.names, mono):
@@ -207,13 +202,6 @@ class GCPoly:
         if isinstance(other, SCALARS):
             return self.scale(other)
         return NotImplemented
-
-    def strictify(self) -> "GCPoly":
-        """Drop monomials containing an odd square."""
-        ctx = self.ctx
-        terms = {m: c for m, c in self.terms.items()
-                 if not any(m[i] > 1 for i in ctx.odd)}
-        return GCPoly(ctx, terms)
 
     def lead(self) -> tuple:
         """(lead monomial, support mask), computed on first use and cached."""

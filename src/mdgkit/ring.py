@@ -8,13 +8,16 @@ otherwise.  Both are exact and compare and hash equal, so the choice never
 changes an answer; it keeps the common, integral case off `Fraction`'s pure
 Python arithmetic (small integers inline, as in FLINT's fmpz).  The one
 hazard is `/` between two ints, which returns a float: every division of
-two rationals goes through `Fraction`.
+two rationals goes through `Fraction`.  A sum or product that is not of two
+ints goes through `rational`, since two Fractions can make an integral one.
 
 Coefficients of multigraded objects are homogeneous in the fine Z^n grading,
 and a homogeneous element of the fraction field is a rational times a Laurent
 monomial.  So the only quotients kept here are Laurent polynomials: a
 polynomial over a monic monomial denominator.  Dividing by anything else
-raises ValueError.
+raises ValueError.  The one gcd computed here, `poly_gcd`, is that of a
+nonzero numerator and its monomial denominator: the monomial gcd of their
+supports, which normalisation cancels.
 
 Only this module tells a `Polynomial` coefficient from a `RationalFunction`:
 other modules ask the questions both answer (`is_polynomial`,
@@ -25,8 +28,8 @@ scalar with `laurent`, or build a Laurent monomial with `laurent_term`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
-from math import gcd as int_gcd
+from functools import reduce
+from itertools import chain, compress
 from operator import add, le, sub
 from typing import Iterable
 
@@ -71,10 +74,6 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
 
 def mono_gcd(a: tuple, b: tuple) -> tuple:
     return tuple(map(min, a, b))
-
-
-def mono_deg(a: tuple) -> int:
-    return sum(a)
 
 
 def rational(q):
@@ -182,11 +181,6 @@ class Polynomial:
             raise ValueError("not a constant")
         return self.terms.get(self.ring.zero_mono, 0)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(mono_deg(m) for m in self.terms)
-
     def lead_mono(self) -> tuple:
         """Leading monomial w.r.t. lex (first variable dominant)."""
         if not self.terms:
@@ -195,16 +189,6 @@ class Polynomial:
 
     def lead_coeff(self):
         return self.terms[self.lead_mono()]
-
-    def multidegree(self):
-        """The common exponent tuple if every term has it; None if inhomogeneous.
-
-        A polynomial of a single term is always multihomogeneous; used for
-        multigraded sanity checks."""
-        monos = set(self.terms)
-        if len(monos) == 1:
-            return next(iter(monos))
-        return None
 
     # -- arithmetic --
 
@@ -216,7 +200,7 @@ class Polynomial:
         for m, c in other.terms.items():
             s = terms.get(m, 0) + c
             if s:
-                terms[m] = s
+                terms[m] = s if type(s) is int else rational(s)
             elif m in terms:
                 del terms[m]
         return Polynomial(self.ring, terms)
@@ -241,11 +225,14 @@ class Polynomial:
             return NotImplemented
         if not self.terms or not other.terms:
             return self.ring.zero
-        # fast path: monomial factor
+        # fast path: monomial factor.  A product of two ints is an int; any
+        # other product (two Fractions can make an integral one) goes
+        # through `rational`, here and below.
         if len(self.terms) == 1:
             (m1, c1), = self.terms.items()
-            return Polynomial(self.ring, {mono_mul(m1, m2): c1 * c2
-                                          for m2, c2 in other.terms.items()})
+            return Polynomial(self.ring, {
+                mono_mul(m1, m2): p if type(p := c1 * c2) is int else rational(p)
+                for m2, c2 in other.terms.items()})
         if len(other.terms) == 1:
             return other * self
         terms: dict = {}
@@ -254,7 +241,7 @@ class Polynomial:
                 m = mono_mul(m1, m2)
                 s = terms.get(m, 0) + c1 * c2
                 if s:
-                    terms[m] = s
+                    terms[m] = s if type(s) is int else rational(s)
                 elif m in terms:
                     del terms[m]
         return Polynomial(self.ring, terms)
@@ -289,7 +276,9 @@ class Polynomial:
         c = rational(c)
         if not c:
             return self.ring.zero
-        return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
+        return Polynomial(self.ring, {
+            m: p if type(p := c * v) is int else rational(p)
+            for m, v in self.terms.items()})
 
     # -- comparisons / hashing --
 
@@ -316,27 +305,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<poly {self}>"
-
-    # -- content / primitive part --
-
-    def rational_content(self) -> Fraction:
-        """Positive rational c with self/c integer-primitive; sign follows lead."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = int_gcd(num, c.numerator)
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        content = Fraction(num, den)
-        if self.lead_coeff() < 0:
-            content = -content
-        return content
-
-    def primitive(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.rational_content())
 
 
 def format_mono(ring: Ring, mono: tuple) -> str:
@@ -378,30 +346,18 @@ def format_polynomial(p: Polynomial) -> str:
 
 # ---------- monomial gcd ----------
 
-def mono_gcd_of_support(p: Polynomial) -> tuple:
-    it = iter(p.terms)
-    acc = next(it)
-    for m in it:
-        acc = mono_gcd(acc, m)
-    return acc
-
-
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Gcd of two polynomials at least one of which is a monomial: the monic
-    monomial gcd of their supports.  With one argument zero, the primitive
-    part of the other.
+    """Gcd of a nonzero polynomial f and a monomial g, the one gcd the
+    library computes (`_rf_normalize` cancels a Laurent polynomial's
+    monomial denominator with it): the monic monomial gcd of the two
+    supports.
 
     Coefficients are Laurent polynomials (see `RationalFunction`), so no
     caller needs the gcd of two polynomials that both have several terms;
     that case raises ValueError."""
-    if f.is_zero():
-        return g.primitive()
-    if g.is_zero():
-        return f.primitive()
     if not (f.is_monomial() or g.is_monomial()):
         raise ValueError(f"gcd of two non-monomials ({f}, {g}) is not supported")
-    common = mono_gcd(mono_gcd_of_support(f), mono_gcd_of_support(g))
-    return Polynomial(f.ring, {common: 1})
+    return Polynomial(f.ring, {reduce(mono_gcd, chain(f.terms, g.terms)): 1})
 
 
 class RationalFunction:
@@ -560,7 +516,10 @@ def laurent_term(ring: Ring, c, expts: tuple) -> RationalFunction:
 def _rf_normalize(num: Polynomial, den: Polynomial):
     """Cancel the common monomial factor and make the denominator monic.
 
-    The common factor is `poly_gcd(num, den)`, the monomial gcd of the
+    A zero numerator, a denominator of 1 and a constant denominator return
+    before any gcd, and a denominator that is not a monomial raises; so the
+    common factor `poly_gcd(num, den)` is always taken of a nonzero
+    polynomial and a non-constant monomial, the monomial gcd of their
     supports.  Each numerator term is divided by it and by the
     denominator's coefficient dc.  A monic denominator (dc == 1, as in
     every product or sum of two normalised Laurent polynomials) leaves the

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mdgkit.groebner as groebner
-from mdgkit import load_fixture
+from mdgkit import linalg, load_fixture
 from mdgkit.cli import _random_homotopy
 from mdgkit.complexes import UNIT, Element, FreeComplex
 from mdgkit.constructions import taylor_algebra
 from mdgkit.gcalg import GCContext, GCPoly
-from mdgkit.groebner import (LINEAR_STATS, PairLimitError,
+from mdgkit.groebner import (LINEAR_STATS, PairLimitError, _associator_span,
                              associativity_certificate, buchberger,
                              context_for, element_to_gc, gc_to_element,
                              mult_ideal, normal_form, pair_relation, spoly)
@@ -455,6 +455,9 @@ TAYLOR4 = [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0)]
 # (y^2w, yzw, x^2y, xzw) with its variables permuted
 TAYLOR4_SEEDED = [tuple(m[p] for p in (2, 0, 3, 1)) for m in
                   [(0, 2, 0, 1), (0, 1, 1, 1), (2, 1, 0, 0), (1, 0, 1, 1)]]
+# the Taylor-5 ideal of tools/check_criteria.py
+TAYLOR5 = [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0),
+           (0, 1, 1, 0)]
 
 
 def _terms(polys):
@@ -468,6 +471,12 @@ def _complete_table(name):
     if name.startswith("taylor4"):
         ideal = TAYLOR4 if name == "taylor4" else TAYLOR4_SEEDED
         return taylor_algebra(R4, [R4.monomial(m) for m in ideal])
+    if name.startswith("perturbed-taylor5-"):
+        # `mdg perturb`'s homotopy at the seed, as tools/check_criteria.py
+        alg = taylor_algebra(R4, [R4.monomial(m) for m in TAYLOR5])
+        seed = int(name[len("perturbed-taylor5-"):])
+        return MDGAlgebra(alg.complex, perturb_multiplication(
+            alg, _random_homotopy(alg, seed)))
     return load_fixture(name).algebra()
 
 
@@ -558,13 +567,30 @@ def test_the_linear_route_matches_buchberger(name, monkeypatch):
 
 @pytest.mark.parametrize("name, rank", [("fk", 2), ("fa", 2), ("fm", 2),
                                         ("fk_split-mu", 2),
-                                        ("fk_split-nu", 0)])
+                                        ("fk_split-nu", 0), ("fo_full", 0),
+                                        ("taylor_x2_xy", 0),
+                                        ("perturbed-taylor5-1", 4),
+                                        ("perturbed-taylor5-2", 6)])
 def test_the_associator_submodule_has_rank_dim_s_prime(name, rank):
-    # the K-rank of the submodule's generators is dim S', one witness each
+    # the paper's two perspectives agree.  The first saturates the basis
+    # associators into a submodule; the second closes their span S' under
+    # left multiplication.  Each generator of the submodule is an
+    # associator or a left product of one, and a monomial shift keeps its
+    # rational vector, so the Q-span of the generators' constants is S'.
+    # Its dimension is the K-rank of the generators, one witness each
     alg = _complete_table(name)
-    rows = [v.coeffs for _, v, _, _ in alg.associator_submodule().gens]
-    assert _dict_rank(rows) == rank
-    assert len(associativity_certificate(alg).witnesses) == rank
+    sub = alg.associator_submodule()
+    assert _dict_rank([v.coeffs for _, v, _, _ in sub.gens]) == rank
+    ctx, _ = mult_ideal(alg)
+    columns, span, _, _ = _associator_span(
+        alg, ctx, alg.mult.structure_constants())
+    assert all(set(c) <= set(columns) for c in sub._consts)
+    gens = [[c.get(k, 0) for k in columns] for c in sub._consts]
+    assert linalg.rank(gens) == linalg.rank(span) == linalg.rank(
+        gens + span) == rank
+    report = associativity_certificate(alg)
+    assert report.route == "linear"
+    assert report.basis.stats["span_rank"] == len(report.witnesses) == rank
 
 
 def _declared_top_degree_first(alg):

@@ -130,7 +130,7 @@ def test_gc_expression_evaluation():
     # graded commutation: e2*e1 = -e1*e2 for odd generators
     assert (q + parse_gcpoly("e1*e2", ctx)).is_zero()
     assert parse_gcpoly("2*e1^2", ctx).is_zero() is False  # non-strict square
-    assert parse_gcpoly("(1/2)*x^2*e12", ctx).lead_coeff().num.total_degree() == 2
+    assert str(parse_gcpoly("(1/2)*x^2*e12", ctx).lead_coeff()) == "1/2*x^2"
     assert parse_gcpoly("e1^2", ctx) == parse_gcpoly("e1*e1", ctx)
     assert parse_gcpoly("e1^0", ctx) == parse_gcpoly("1", ctx)
     assert parse_gcpoly("(x*e1)^2", ctx) == parse_gcpoly("x^2*e1*e1", ctx)

@@ -60,16 +60,18 @@ def test_ring_axioms_match_sympy(f, g, h):
 
 
 @settings(max_examples=40, deadline=None)
-@given(polys(max_terms=3), monomials, monomials)
+@given(polys(max_terms=3).filter(lambda p: not p.is_zero()), monomials,
+       monomials)
 def test_gcd_against_sympy(f, g, h):
+    # the arguments `_rf_normalize` passes: a nonzero polynomial and a
+    # monomial, here sharing the factor h
     f, g = f * h, g * h
     ours = poly_gcd(f, g)
     theirs = from_sympy(sympy.gcd(to_sympy(f), to_sympy(g), *SYM))
-    if theirs.is_zero():
-        assert ours.is_zero()
-        return
-    # both are primitive with positive lead, so they must agree on the nose
-    assert ours == theirs.primitive()
+    # the gcd with a monomial is a monomial; ours is the monic one
+    assert theirs.is_monomial()
+    assert ours == R.monomial(theirs.lead_mono())
+    assert poly_gcd(g, f) == ours
 
 
 def test_gcd_examples():
@@ -79,7 +81,7 @@ def test_gcd_examples():
         poly_gcd(f, g)
     assert poly_gcd(X * Y * Z, X * X * Z) == X * Z
     assert poly_gcd(f, Y * Z) == Y
-    assert poly_gcd(R.zero, f) == (X - Y) * Y  # primitive part of f itself
+    assert poly_gcd(f, Y.scale(-3)) == Y      # monic, whatever the coefficients
     assert poly_gcd(R.const(4), R.const(6)) == 1
 
 
@@ -155,10 +157,11 @@ def test_printing_canonical():
     assert str(X * X * W.scale(3)) == "3*x^2*w"
 
 
-def test_lead_and_degree():
-    p = X * Y + Y ** 3
+def test_lead_is_the_lex_maximum():
+    p = X * Y + Y.scale(2) ** 3
     assert p.lead_mono() == (1, 1, 0, 0)
-    assert p.total_degree() == 3
+    assert p.lead_coeff() == 1
+    assert (Y.scale(2) ** 3 + Z).lead_coeff() == 8
 
 
 @settings(max_examples=50, deadline=None)
