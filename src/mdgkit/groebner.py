@@ -138,6 +138,12 @@ a*e != 0.  Both skips need every product a*b in degree |a| + |b|, checked
 by `Multiplication.structure_constants` before any triple is read; the
 certificate computes those constants once, and the route reads its whole
 basis from them: the span, the pair relations and their reduced tails.
+The verdict, the witnesses and the basis size need only the span: G has
+one pair relation per pair a <= b of the n non-pivot generators, so it has
+n(n+1)/2 + w elements for w witnesses.  So the route builds the witnesses
+with the span and the pair relations only when the basis's elements are
+first read (`_LinearBasis`): `mdg reduce` builds them, the certificate
+and `mdg gb` do not.
 
 The route rule.  The route needs the lead of every f_ab, a <= b in
 `context_for` order, to be its pair monomial e_a e_b, and an echelon form
@@ -160,7 +166,8 @@ generators only.
 `buchberger` returns a `GBasis` whose elements are plain monic `GCPoly`s,
 interreduced: no lead monomial divides another, and whose `stats` count the
 work done (see `STATS`).  A completion that processes more than `max_pairs`
-S-pairs raises `PairLimitError`, an `MDGError`, so the CLI exits 2 on it.
+S-pairs raises `PairLimitError`, an `MDGError`, so the CLI exits 2 on it;
+the error carries the counters reached at the limit.
 
 Coefficients are Laurent polynomials (see `ring.laurent`).  That
 holds because every pair relation is multihomogeneous, so `mult_ideal`
@@ -171,6 +178,7 @@ multidegree before any S-polynomial is formed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 
 from . import linalg
@@ -437,7 +445,14 @@ def normal_form(f: GCPoly, basis):
 
 
 class PairLimitError(MDGError):
-    """Completion processed more S-pairs than its `max_pairs` limit."""
+    """Completion processed more S-pairs than its `max_pairs` limit.
+    `stats` holds the counters reached at the limit: the `STATS` keys, as
+    `GBasis.stats` would hold them, and `basis_size`, the elements held
+    then, before interreduction."""
+
+    def __init__(self, message: str, stats: dict):
+        super().__init__(message)
+        self.stats = stats
 
 
 # The counters `buchberger` keeps in `GBasis.stats`: pairs pushed on the
@@ -453,7 +468,9 @@ STATS = ("pairs_queued", "monomial_skips", "product_skips", "chain_skips",
 class GBasis:
     """Confluent, interreduced basis: a list of monic GCPolys, and the
     counters of the route that made it: `STATS` for `buchberger`,
-    `LINEAR_STATS` for the linear route, empty when none is given."""
+    `LINEAR_STATS` for the linear route, empty when none is given.
+    `buchberger` hands over the elements it has built; the linear route's
+    basis, a `_LinearBasis`, builds them on first access."""
 
     def __init__(self, ctx: GCContext, elements, stats=None):
         self.ctx = ctx
@@ -473,6 +490,31 @@ class GBasis:
 
     def __len__(self):
         return len(self.elements)
+
+
+class _LinearBasis(GBasis):
+    """The linear route's basis (`_linear_basis`): its size, its witnesses
+    and `build`, a function that yields the elements in order.  `elements`
+    is built from it on first access, so `reduce` and every other reader
+    of the elements see the list the route would have built at once;
+    `len()` and `linear_elements()` build nothing."""
+
+    def __init__(self, ctx: GCContext, size: int, witnesses, build, stats):
+        self.ctx = ctx
+        self.stats = stats
+        self._size = size
+        self._witnesses = witnesses
+        self._build = build
+
+    @cached_property
+    def elements(self):
+        return _LeadList(self._build())
+
+    def linear_elements(self):
+        return list(self._witnesses)
+
+    def __len__(self):
+        return self._size
 
 
 def _pair_key(ctx: GCContext, a: tuple, b: tuple):
@@ -588,9 +630,12 @@ def buchberger(ctx: GCContext, generators, criteria: bool = True,
     while queue:
         processed += 1
         if processed > max_pairs:
+            stats["pairs_queued"] = counter
+            stats["derived"] = len(elements) - inputs
             raise PairLimitError(
                 f"pair limit of {max_pairs} exceeded with {len(elements)} "
-                "basis elements; the completion may not terminate")
+                "basis elements; the completion may not terminate",
+                {**stats, "basis_size": len(elements)})
         (_, lcm), _, i, j = heappop(queue)      # the key is order_key(lcm)
         pending.remove((i, j))
         if criteria and chain_skip(i, j, lcm):
@@ -712,7 +757,13 @@ def _linear_basis(alg: MDGAlgebra, ctx: GCContext, consts):
     pivots p, r_p the echelon row of p.  The rows are in reduced echelon
     form, so r_p holds no other pivot and one pass suffices.  Each term is
     built by `ring.laurent_term`.  The basis's `stats` are the route's
-    `LINEAR_STATS`."""
+    `LINEAR_STATS`.
+
+    The witnesses are built here; the f_ab only when the basis's
+    `elements` are first read (`_LinearBasis`).  Its size needs no build:
+    there is one f_ab per pair a <= b of the n generators that are not
+    pivots, and one witness per pivot, so the basis has n(n+1)/2 + w
+    elements for w witnesses."""
     columns, rows, pivots, stats = _associator_span(alg, ctx, consts)
     ring, basis = ctx.ring, alg.complex.basis
     units = {nm: ctx.zero_mono[:i] + (1,) + ctx.zero_mono[i + 1:]
@@ -723,7 +774,7 @@ def _linear_basis(alg: MDGAlgebra, ctx: GCContext, consts):
         return {units[d]: laurent_term(ring, q, mono_div(top, basis[d].mdeg))
                 for d, q in vec.items() if q}
 
-    reducers, witnesses, pairs = {}, [], []
+    reducers, witnesses = {}, []
     for row, pc in zip(reversed(rows), reversed(pivots)):
         p = columns[pc]
         vec = {b: q for b, q in zip(columns, row) if q}
@@ -731,18 +782,24 @@ def _linear_basis(alg: MDGAlgebra, ctx: GCContext, consts):
                                 (units[p], 1 << ctx.index(p))))
         reducers[p] = {b: q for b, q in vec.items() if b != p}
     free = [(i, a) for i, a in enumerate(ctx.names) if a not in reducers]
-    for k, (i, a) in enumerate(free):
-        for j, b in free[k:]:
-            tail = {d: -c for d, c in consts[a, b].items()}
-            for p in [d for d in tail if d in reducers]:
-                tp = tail.pop(p)
-                for d, q in reducers[p].items():
-                    tail[d] = tail.get(d, 0) - tp * q
-            _, mono = ctx.word_mono([i, j])     # i <= j: no sign
-            pairs.append(GCPoly(ctx, {mono: ctx.coeff_one, **terms(
-                tail, mono_mul(basis[a].mdeg, basis[b].mdeg))},
-                (mono, 1 << i | 1 << j)))
-    return GBasis(ctx, pairs + witnesses, stats), witnesses
+
+    def build():
+        for k, (i, a) in enumerate(free):
+            for j, b in free[k:]:
+                tail = {d: -c for d, c in consts[a, b].items()}
+                for p in [d for d in tail if d in reducers]:
+                    tp = tail.pop(p)
+                    for d, q in reducers[p].items():
+                        tail[d] = tail.get(d, 0) - tp * q
+                _, mono = ctx.word_mono([i, j])     # i <= j: no sign
+                yield GCPoly(ctx, {mono: ctx.coeff_one, **terms(
+                    tail, mono_mul(basis[a].mdeg, basis[b].mdeg))},
+                    (mono, 1 << i | 1 << j))
+        yield from witnesses
+
+    n = len(free)
+    size = n * (n + 1) // 2 + len(witnesses)
+    return _LinearBasis(ctx, size, witnesses, build, stats), witnesses
 
 
 # The counters of the linear route in `GBasis.stats`: the basis triples

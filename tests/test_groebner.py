@@ -18,10 +18,11 @@ from mdgkit.cli import _random_homotopy
 from mdgkit.complexes import UNIT, Element, FreeComplex
 from mdgkit.constructions import taylor_algebra
 from mdgkit.gcalg import GCContext, GCPoly
-from mdgkit.groebner import (LINEAR_STATS, PairLimitError, _associator_span,
-                             associativity_certificate, buchberger,
-                             context_for, element_to_gc, gc_to_element,
-                             mult_ideal, normal_form, pair_relation, spoly)
+from mdgkit.groebner import (LINEAR_STATS, STATS, PairLimitError,
+                             _associator_span, associativity_certificate,
+                             buchberger, context_for, element_to_gc,
+                             gc_to_element, mult_ideal, normal_form,
+                             pair_relation, spoly)
 from mdgkit.mdg import (MDGAlgebra, MDGError, Multiplication,
                         perturb_multiplication)
 from mdgkit.parser import parse_gcpoly
@@ -246,8 +247,18 @@ def test_pair_limit_raises_a_typed_error():
     with pytest.raises(PairLimitError) as info:
         buchberger(ctx, gens, max_pairs=1)
     assert isinstance(info.value, MDGError)
-    assert re.fullmatch(r"pair limit of 1 exceeded with \d+ basis elements; "
-                        r".*", str(info.value))
+    match = re.fullmatch(r"pair limit of 1 exceeded with (\d+) basis "
+                         r"elements; .*", str(info.value))
+    assert match
+    # the counters reached at the limit: one pair was processed, and the
+    # basis held the generators and what that pair derived
+    stats = info.value.stats
+    assert list(stats) == [*STATS, "basis_size"]
+    assert stats["basis_size"] == int(match.group(1))
+    assert stats["basis_size"] == len(gens) + stats["derived"]
+    assert (stats["chain_skips"] + stats["zero_spolys"]
+            + stats["zero_normal_forms"] + stats["derived"]) == 1
+    assert stats["pairs_queued"] > 1
 
 
 def test_star_import_names_exist():

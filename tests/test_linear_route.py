@@ -1,10 +1,13 @@
 """The linear route reads only the work the structure constants allow.
 
-Three shortcuts are checked against independent oracles: the sparse triple
+Four shortcuts are checked against independent oracles: the sparse triple
 enumeration of `MDGAlgebra.basis_associators` against a test-local scan of
 every triple, the route rule and the pair leads that the route reads from
-the structure constants against the leads of the term order, and the one
-computation of the structure constants per certificate.  Partial tables
+the structure constants against the leads of the term order, the one
+computation of the structure constants per certificate, and the basis that
+the route builds on first read against a test-local build from
+`mult_ideal` (the certificate and `mdg gb` build no pair relation at
+all).  Partial tables
 keep the full scan, and the route rule sends them, and complexes whose
 degree-0 generators break it, to `buchberger`."""
 
@@ -26,7 +29,7 @@ from mdgkit.groebner import (LINEAR_STATS, _associator_span,
                              mult_ideal)
 from mdgkit.mdg import (Homotopy, MDGAlgebra, MissingProductError,
                         Multiplication, perturb_multiplication)
-from mdgkit.parser import parse_gcpoly
+from mdgkit.parser import Document, format_document, parse_gcpoly
 from mdgkit.ring import Ring, mono_div, mono_divides, mono_mask, mono_mul
 
 R4 = Ring(["x", "y", "z", "w"])
@@ -246,15 +249,53 @@ def test_the_route_rule_picks_the_route_of_the_term_order(make):
 
 # the complete tables that the route rule sends to `buchberger`
 FALLBACK = {"degree-0-wuv", "degree-0-wuv-unit", "degree-0-uvw-unit"}
+LINEAR_TABLES = [p for p in _complete_tables() if p.id not in FALLBACK]
 
 
-@pytest.mark.parametrize("make", [p for p in _complete_tables()
-                                  if p.id not in FALLBACK])
+@pytest.mark.parametrize("make", LINEAR_TABLES)
 def test_the_linear_route_records_the_leads_of_the_term_order(make):
     # every pair element's lead is quadratic, every witness's linear
     report = associativity_certificate(make())
     assert report.route == "linear"
     _leads_of_the_term_order(report)
+
+
+def _eager_basis(alg, witnesses):
+    """The linear route's basis built at once from its definition: the
+    monic pair relations of `mult_ideal` whose leads hold no pivot, in
+    order, each tail reduced by the witnesses, then the witnesses."""
+    ctx, gens = mult_ideal(alg)
+    pivots = 0
+    for w in witnesses:
+        pivots |= w.lead()[1]
+    out = []
+    for f in gens:
+        f = f.monic()
+        lead, mask = f.lead()
+        if mask & pivots:
+            continue
+        tail, _ = groebner.normal_form(GCPoly(ctx, {
+            m: c for m, c in f.terms.items() if m != lead}), witnesses)
+        out.append(GCPoly(ctx, {lead: f.terms[lead], **tail.terms}))
+    return out + witnesses
+
+
+@pytest.mark.parametrize("make", LINEAR_TABLES)
+def test_the_lazy_basis_is_the_eager_one(make):
+    # the size is read before the build, the elements are the definition's,
+    # and the witnesses are the built elements with a linear lead
+    alg = make()
+    report = associativity_certificate(alg)
+    basis = report.basis
+    assert "elements" not in vars(basis)
+    size = len(basis)
+    assert "elements" not in vars(basis)
+    assert size == len(basis.elements)
+    assert ([e.terms for e in basis.elements]
+            == [e.terms for e in _eager_basis(alg, report.witnesses)])
+    ctx = basis.ctx
+    assert basis.linear_elements() == [
+        e for e in basis.elements if ctx.mono_total(e.lead_mono()) == 1]
 
 
 @settings(max_examples=20, deadline=None)
@@ -389,22 +430,65 @@ def _counting(monkeypatch):
     return calls
 
 
+def _constructions(monkeypatch):
+    """The `GCPoly`s that `groebner` constructs, in order."""
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(GCPoly(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(groebner, "GCPoly", counted)
+    return built
+
+
+def _document(name, mult, tmp_path):
+    """(algebra, document path): a fixture's table, or the Taylor-6 table,
+    plain or perturbed at seed 1, written to a document that `mdg` reads."""
+    if name in FIXTURES:
+        return load_fixture(name).algebra(mult), fixture_path(name)
+    alg = _taylor(TAYLOR6) if name == "taylor6" else _perturbed(TAYLOR6, 1)
+    doc = Document()
+    doc.ring = alg.complex.ring
+    doc.complexes[alg.complex.name] = alg.complex
+    doc.mults[alg.mult.name] = alg.mult
+    path = tmp_path / f"{name}.mdg"
+    path.write_text(format_document(doc))
+    return alg, path
+
+
 @pytest.mark.parametrize("name, mult, expr", [
     ("fk", None, "e1*e5*e2"), ("fa", None, "e1*e2*e5"),
     ("fo_full", None, "e1*e2*e3"), ("fk_split", "nu", "e1*e2"),
-    ("taylor_x2_xy", None, "e1*e2"),
+    ("taylor_x2_xy", None, "e1*e2"), ("taylor6", None, "e1*e2*e3"),
+    ("perturbed-taylor6-1", None, "e1*e2*e3"),
 ])
 def test_the_linear_route_builds_its_basis_without_the_engine(
-        monkeypatch, capsys, name, mult, expr):
-    alg = load_fixture(name).algebra(mult)
+        monkeypatch, capsys, tmp_path, name, mult, expr):
+    alg, path = _document(name, mult, tmp_path)
     calls = _counting(monkeypatch)
-    assert associativity_certificate(alg).route == "linear"
+    built = _constructions(monkeypatch)
+    report = associativity_certificate(alg)
+    assert report.route == "linear"
     assert calls == {"mult_ideal": 0, "normal_form": 0, "monic": 0}
-    # reduce: one normal form, of the expression, and nothing else
-    argv = ["reduce", str(fixture_path(name)), "--expr", expr]
-    assert run_command(argv + (["--mult", mult] if mult else [])) == 0
+    # the certificate and gb build the witnesses, and no pair relation
+    assert built == report.witnesses
+    assert bool(built) == (name in ("fk", "fa", "perturbed-taylor6-1"))
+    built.clear()
+    options = ["--mult", mult] if mult else []
+    assert run_command(["gb", str(path), "--json"] + options) == (
+        0 if report.associative else 1)
+    payload = json.loads(capsys.readouterr().out)
+    assert [str(w) for w in built] == payload["witnesses"]
+    assert payload["basis_size"] == len(report.basis)
+    built.clear()
+    # reduce: one normal form, of the expression, against the whole basis,
+    # which it builds (its pair relations and witnesses, then the remainder)
+    argv = ["reduce", str(path), "--expr", expr]
+    assert run_command(argv + options) == 0
     capsys.readouterr()
     assert calls == {"mult_ideal": 0, "normal_form": 1, "monic": 0}
+    assert len(built) == len(report.basis) + 1
 
 
 def _no_completion(*args, **kwargs):
