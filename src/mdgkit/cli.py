@@ -29,6 +29,7 @@ from .symdg import SymError, build_sym
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+HOMOTOPY_ENTRIES = 8    # `_random_homotopy` stops at 2 * this many values
 
 GRAMMAR = """\
 document grammar:
@@ -434,7 +435,7 @@ def cmd_perturb(args) -> int:
     return EXIT_OK if core_ok else EXIT_NEGATIVE
 
 
-def _random_homotopy(alg: MDGAlgebra, seed: int, entries: int = 8) -> Homotopy:
+def _random_homotopy(alg: MDGAlgebra, seed: int) -> Homotopy:
     """A graded-symmetric degree +1 pairing vanishing on odd diagonals, with
     small random values landing in the right degrees.  h(a, b) is
     c*x^(m_a + m_b - m_t)*t for a target t whose multidegree m_t divides
@@ -445,7 +446,7 @@ def _random_homotopy(alg: MDGAlgebra, seed: int, entries: int = 8) -> Homotopy:
     names = alg.basis_names()
     maxdeg = cx.max_degree()
     tries = 0
-    while len(h.table) < 2 * entries and tries < 200:
+    while len(h.table) < 2 * HOMOTOPY_ENTRIES and tries < 200:
         tries += 1
         a = rng.choice(names)
         b = rng.choice(names)

@@ -7,7 +7,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .complexes import UNIT, Element, FreeComplex
-from .mdg import ChainMap, MDGAlgebra, MDGError, Multiplication
+from .mdg import (ChainMap, MDGAlgebra, MDGError, MissingProductError,
+                  Multiplication)
 from .ring import Polynomial, Ring, add_term, mono_div, mono_lcm, mono_mul
 
 
@@ -89,8 +90,7 @@ def transport_multiplication(target: FreeComplex, source: MDGAlgebra,
         for b in names[i:]:
             if a == b and target.basis[a].degree % 2 == 1:
                 continue
-            value = pi.apply(source.mul(iota.apply(target.elem(a)),
-                                        iota.apply(target.elem(b))))
+            value = pi.apply(source.mul(iota.image(a), iota.image(b)))
             if not value.is_polynomial():
                 raise MDGError(f"transported product {a}*{b} is not polynomial: {value}")
             mult.set_product(a, b, value.polynomialize())
@@ -139,9 +139,9 @@ def mapping_cone_extension(alg: MDGAlgebra, r: Polynomial,
         return Element(out, {cone_name(k): v for k, v in x.coeffs.items()})
 
     for n in cx.order:
+        db = cx.diff.get(n, cx.zero)
         if n != UNIT:
-            out.set_diff(n, carry(cx.d(cx.elem(n))))
-        db = cx.d(cx.elem(n))
+            out.set_diff(n, carry(db))
         out.set_diff(cone_name(n), carry(cx.elem(n)).scale(r) - lift(db))
 
     mult = Multiplication(out, name or f"{alg.mult.name}+{prefix}")
@@ -155,8 +155,8 @@ def mapping_cone_extension(alg: MDGAlgebra, r: Polynomial,
                 continue  # unit products implied (E_b = 1 * E_b)
             # a * (e b) = (-1)^{|a|} e (a b)
             try:
-                prod = alg.mul(cx.elem(a), cx.elem(b))
-            except MDGError:
+                prod = alg.mult.product(a, b)
+            except MissingProductError:
                 continue  # partial base table: leave the cone product missing
             value = lift(prod) if da % 2 == 0 else -lift(prod)
             mult.set_product(a, cone_name(b), value)
@@ -187,7 +187,7 @@ def wedge_sum(a: FreeComplex, b: FreeComplex, name=None) -> FreeComplex:
         for n in src.order:
             if n == UNIT:
                 continue
-            img = Element(cx, dict(src.d(src.elem(n)).coeffs))
+            img = Element(cx, dict(src.diff.get(n, src.zero).coeffs))
             if flip and src.basis[n].degree == 1:
                 img = -img
             cx.set_diff(n, img)

@@ -730,19 +730,26 @@ def complete_relations(alg: MDGAlgebra, ctx: GCContext, consts):
     pair relations `mult_ideal(alg, ctx, consts=consts)`, its elements with
     a single-generator lead, and the route that built it.
 
-    The route rule, proved in the module docstring, reads the structure
-    constants consts: a table whose every pair a <= b is defined, with
-    every d in the support of a*b a generator at or after a, takes the
-    linear route, which builds its basis from consts without running
-    Buchberger.  Any other table is completed by `buchberger`."""
-    names, index = ctx.names, ctx.index
-    if all((a, b) in consts and all(d != UNIT and index(d) >= i
-                                    for d in consts[a, b])
-           for i, a in enumerate(names) for b in names[i:]):
+    A table that passes `_route_rule` takes the linear route, which builds
+    its basis from consts without running Buchberger.  Any other table is
+    completed by `buchberger`."""
+    if _route_rule(ctx, consts):
         return (*_linear_basis(alg, ctx, consts), "linear")
     _, gens = mult_ideal(alg, ctx, consts=consts)
     basis = buchberger(ctx, gens)
     return basis, basis.linear_elements(), "buchberger"
+
+
+def _route_rule(ctx: GCContext, consts) -> bool:
+    """The route rule, proved in the module docstring, read from the
+    structure constants consts: every pair a <= b of generators is defined,
+    with every d in the support of a*b a generator at or after a.  consts
+    holds every pair exactly when it has n^2 rows, and only a nonzero row
+    can fail the support test; the unit, read at position -1, fails it."""
+    pos = {nm: i for i, nm in enumerate(ctx.names)}
+    return len(consts) == ctx.n ** 2 and not any(
+        pos.get(d, -1) < pos[a] for (a, b), row in consts.items()
+        if row and pos[a] <= pos[b] for d in row)
 
 
 def _linear_basis(alg: MDGAlgebra, ctx: GCContext, consts):

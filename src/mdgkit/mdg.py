@@ -56,17 +56,12 @@ class Multiplication:
             value = value if sign == 1 else -value
         self.table[(left, right)] = value
 
-    def has_product(self, left: str, right: str) -> bool:
-        try:
-            self.product(left, right)
-            return True
-        except MissingProductError:
-            return False
-
     def product(self, left: str, right: str) -> Element:
         """Product of two basis elements, with unit/commutativity/strictness
-        conventions applied."""
+        conventions applied; MDGError on a name outside the basis."""
         cx = self.complex
+        if left not in cx.basis or right not in cx.basis:
+            raise MDGError(f"unknown basis element in product {left} * {right}")
         if left == UNIT:
             return cx.elem(right)
         if right == UNIT:
@@ -212,14 +207,18 @@ class MDGAlgebra:
     def d(self, x: Element) -> Element:
         return self.complex.d(x)
 
-    def basis_names(self, include_unit=False):
-        return [n for n in self.complex.order if include_unit or n != UNIT]
+    def basis_names(self):
+        return [n for n in self.complex.order if n != UNIT]
 
     def associator(self, a: Element, b: Element, c: Element) -> Element:
         return self.mul(self.mul(a, b), c) - self.mul(a, self.mul(b, c))
 
     def associator_names(self, a: str, b: str, c: str) -> Element:
-        return self.associator(self.elem(a), self.elem(b), self.elem(c))
+        """[a,b,c] with its inner products read from the table; every name
+        is checked by `elem` first."""
+        ea, _, ec = self.elem(a), self.elem(b), self.elem(c)
+        return (self.mul(self.mult.product(a, b), ec)
+                - self.mul(ea, self.mult.product(b, c)))
 
     # -- axiom checking --
 
@@ -276,8 +275,8 @@ class MDGAlgebra:
         """d(l*r) - d(l)*r - (-1)^{|l|} l*d(r) on Elements."""
         cx = self.complex
         lhs = cx.d(self.mult.table[l, r])
-        rhs = self.mul(cx.d(cx.elem(l)), cx.elem(r))
-        term = self.mul(cx.elem(l), cx.d(cx.elem(r)))
+        rhs = self.mul(cx.diff.get(l, cx.zero), cx.elem(r))
+        term = self.mul(cx.elem(l), cx.diff.get(r, cx.zero))
         rhs = rhs + (term if cx.basis[l].degree % 2 == 0 else -term)
         return lhs - rhs
 
@@ -302,8 +301,10 @@ class MDGAlgebra:
         return {k: q for k, q in out.items() if q}
 
     def defined_everywhere(self) -> bool:
-        names = self.basis_names()
-        return all(self.mult.has_product(a, b)
+        """Is every pair a <= b stored, odd squares being implied?"""
+        names, table = self.basis_names(), self.mult.table
+        return all((a, b) in table
+                   or (a == b and self.complex.basis[a].degree % 2)
                    for i, a in enumerate(names) for b in names[i:])
 
     # -- associativity / alternativity --
@@ -697,13 +698,17 @@ def quotient_homology_dims(alg: MDGAlgebra, sub: Submodule) -> dict:
 # -- chain maps and multiplicators --
 
 class ChainMap:
-    """Map between complexes, given on basis elements, extended R-linearly.
-    The unit maps to the unit unless overridden."""
+    """Homogeneous map of the given degree between complexes, given on basis
+    elements and extended R-linearly.  Where no value is given, a map of
+    nonzero degree (a homotopy) is zero and one of degree 0 maps the unit to
+    the unit; any other value is missing."""
 
-    def __init__(self, source: FreeComplex, target: FreeComplex, name="phi"):
+    def __init__(self, source: FreeComplex, target: FreeComplex, name="phi",
+                 degree=0):
         self.source = source
         self.target = target
         self.name = name
+        self.degree = degree
         self.images: dict[str, Element] = {}
 
     def set_image(self, name: str, value: Element):
@@ -712,11 +717,14 @@ class ChainMap:
         self.images[name] = value
 
     def image(self, name: str) -> Element:
-        if name == UNIT and name not in self.images:
+        value = self.images.get(name)
+        if value is not None:
+            return value
+        if self.degree:
+            return self.target.zero
+        if name == UNIT:
             return self.target.one
-        if name not in self.images:
-            raise MDGError(f"map {self.name} has no value on {name!r}")
-        return self.images[name]
+        raise MDGError(f"map {self.name} has no value on {name!r}")
 
     def apply(self, x: Element) -> Element:
         coeffs: dict = {}
@@ -730,17 +738,30 @@ class ChainMap:
         for name in self.source.order:
             if name == UNIT:
                 continue
-            lhs = self.apply(self.source.d(self.source.elem(name)))
+            lhs = self.apply(self.source.diff.get(name, self.source.zero))
             rhs = self.target.d(self.image(name))
             if not (lhs - rhs).is_zero():
                 problems.append(f"{self.name} fails to commute with d at {name}")
         return problems
 
+    def is_homotopy_between(self, phi: "ChainMap", psi: "ChainMap") -> bool:
+        """d h + h d = phi - psi on every basis element, h this map of
+        degree 1."""
+        if self.degree != 1:
+            return False
+        src, dst = self.source, self.target
+        for n in src.order:
+            lhs = dst.d(self.image(n)) + self.apply(src.diff.get(n, src.zero))
+            if not (lhs - (phi.image(n) - psi.image(n))).is_zero():
+                return False
+        return True
+
     def compose(self, other: "ChainMap") -> "ChainMap":
-        """self after other."""
+        """self after other, of the sum of their degrees."""
         if other.target is not self.source:
             raise MDGError("composition mismatch")
-        out = ChainMap(other.source, self.target, f"{self.name}.{other.name}")
+        out = ChainMap(other.source, self.target, f"{self.name}.{other.name}",
+                       self.degree + other.degree)
         for name in other.source.order:
             out.set_image(name, self.apply(other.image(name)))
         return out
@@ -803,8 +824,8 @@ class Homotopy:
     def apply_d_tensor(self, xn: str, yn: str) -> Element:
         """h(d(x (x) y)) = h(dx, y) + (-1)^{|x|} h(x, dy) on basis elements."""
         cx = self.complex
-        dx = cx.d(cx.elem(xn))
-        dy = cx.d(cx.elem(yn))
+        dx = cx.diff.get(xn, cx.zero)
+        dy = cx.diff.get(yn, cx.zero)
         acc = self.apply_pair(dx, cx.elem(yn))
         term = self.apply_pair(cx.elem(xn), dy)
         if cx.basis[xn].degree % 2 == 1:

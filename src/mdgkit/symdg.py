@@ -74,7 +74,7 @@ from .mdg import ChainMap, MDGAlgebra
 from .ring import add_term, laurent, laurent_term, mono_div
 
 __all__ = [
-    "GradedMap", "SplitWitness", "SymDGAlgebra", "SymError", "Tensor",
+    "SplitWitness", "SymDGAlgebra", "SymError", "Tensor",
     "build_sym", "dehomogenize", "homogenize", "multiplication_relations",
     "presentation_check", "split_witness", "sym_homotopy", "tensor_power_map",
     "ump_extension",
@@ -113,7 +113,7 @@ class SymDGAlgebra:
         out = []
         for name in self.ctx.names:
             entries = []
-            value = cx.d(cx.elem(name))
+            value = cx.diff.get(name, cx.zero)
             degrees, expected = value.degrees(), cx.basis[name].degree - 1
             if degrees - {expected}:
                 raise SymError(f"d({name}) has degrees {sorted(degrees)}, "
@@ -546,7 +546,7 @@ class Tensor:
             prefix = 0
             for j, name in enumerate(key):
                 if name != UNIT:
-                    dval = cx.d(cx.elem(name))
+                    dval = cx.diff.get(name, cx.zero)
                     sign = -1 if prefix & 1 else 1
                     for nm, c in dval.coeffs.items():
                         out.add_term(key[:j] + (nm,) + key[j + 1:],
@@ -593,53 +593,9 @@ def dehomogenize(sym: SymDGAlgebra, t: Tensor) -> GCPoly:
     return GCPoly(ctx, terms)
 
 
-class GradedMap:
-    """Homogeneous linear map between complexes of a fixed degree shift,
-    given on basis names."""
-
-    def __init__(self, source: FreeComplex, target: FreeComplex,
-                 degree: int, images: dict = None, name: str = "h"):
-        self.source = source
-        self.target = target
-        self.degree = degree
-        self.name = name
-        self.images = dict(images or {})
-
-    @classmethod
-    def from_chain_map(cls, phi: ChainMap) -> "GradedMap":
-        images = {n: phi.image(n) for n in phi.source.order}
-        return cls(phi.source, phi.target, 0, images, phi.name)
-
-    def image(self, name: str) -> Element:
-        if name in self.images:
-            return self.images[name]
-        if name == UNIT and self.degree == 0:
-            return self.target.one
-        return self.target.zero
-
-    def apply(self, x: Element) -> Element:
-        coeffs: dict = {}
-        for name, coeff in x.coeffs.items():
-            for k, v in self.image(name).coeffs.items():
-                add_term(coeffs, k, coeff * v)
-        return Element(self.target, coeffs)
-
-    def is_homotopy_between(self, phi: ChainMap, psi: ChainMap) -> bool:
-        """d h + h d = phi - psi on every basis element."""
-        if self.degree != 1:
-            return False
-        src, dst = self.source, self.target
-        for n in src.order:
-            lhs = dst.d(self.image(n)) + self.apply(src.d(src.elem(n)))
-            rhs = phi.image(n) - psi.image(n)
-            if not (lhs - rhs).is_zero():
-                return False
-        return True
-
-
 def tensor_power_map(maps, t: Tensor, target: FreeComplex) -> Tensor:
-    """Apply one homogeneous map per slot, with the sign each map of odd
-    degree picks up passing the slots to its left."""
+    """Apply one homogeneous `ChainMap` per slot, with the sign each map of
+    odd degree picks up passing the slots to its left."""
     n = t.n
     if len(maps) != n:
         raise SymError("need one map per tensor slot")
@@ -666,15 +622,15 @@ class SymHomotopy:
     chain maps: conjugating the telescope by every permutation and averaging
     gives a homotopy from phi^n to psi^n that preserves symmetric tensors."""
 
-    def __init__(self, phi: ChainMap, psi: ChainMap, h: GradedMap, n: int):
+    def __init__(self, phi: ChainMap, psi: ChainMap, h: ChainMap, n: int):
         if n < 1:
             raise SymError("tensor power must be at least 1")
         if h.degree != 1:
             raise SymError("a homotopy must raise degree by 1")
         if not h.is_homotopy_between(phi, psi):
             raise SymError("d h + h d differs from phi - psi")
-        self.phi = GradedMap.from_chain_map(phi)
-        self.psi = GradedMap.from_chain_map(psi)
+        self.phi = phi
+        self.psi = psi
         self.h = h
         self.n = n
         self.source = phi.source
@@ -707,7 +663,7 @@ class SymHomotopy:
         return tensor_power_map([g] * self.n, t, self.target)
 
 
-def sym_homotopy(phi: ChainMap, psi: ChainMap, h: GradedMap,
+def sym_homotopy(phi: ChainMap, psi: ChainMap, h: ChainMap,
                  n: int) -> SymHomotopy:
     return SymHomotopy(phi, psi, h, n)
 

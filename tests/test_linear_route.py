@@ -3,7 +3,8 @@
 Four shortcuts are checked against independent oracles: the sparse triple
 enumeration of `MDGAlgebra.basis_associators` against a test-local scan of
 every triple, the route rule and the pair leads that the route reads from
-the structure constants against the leads of the term order, the one
+the structure constants against the leads of the term order (and the rule
+against its per-pair statement), the one
 computation of the structure constants per certificate, and the basis that
 the route builds on first read against a test-local build from
 `mult_ideal` (the certificate and `mdg gb` build no pair relation at
@@ -26,11 +27,12 @@ from mdgkit.constructions import taylor_algebra
 from mdgkit.gcalg import GCPoly
 from mdgkit.groebner import (LINEAR_STATS, _associator_span,
                              associativity_certificate, buchberger,
-                             mult_ideal)
+                             context_for, mult_ideal)
 from mdgkit.mdg import (Homotopy, MDGAlgebra, MissingProductError,
                         Multiplication, perturb_multiplication)
 from mdgkit.parser import Document, format_document, parse_gcpoly
 from mdgkit.ring import Ring, mono_div, mono_divides, mono_mask, mono_mul
+from test_groebner import _degree_one_presentation
 
 R4 = Ring(["x", "y", "z", "w"])
 TAYLOR5 = [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0),
@@ -330,6 +332,67 @@ def test_a_degree_zero_generator_takes_the_fallback(order, unit_square,
     assert ({str(w) for w in report.witnesses}
             == {str(w) for w in oracle.linear_elements()})
     assert report.associative == (not oracle.linear_elements())
+
+
+def _per_pair_rule(ctx, consts):
+    """The route rule pair by pair: every pair a <= b of generators is
+    defined, and every d in the support of a*b is a generator at or after
+    a."""
+    names = ctx.names
+    return all((a, b) in consts
+               and all(d != UNIT and names.index(d) >= i
+                       for d in consts[a, b])
+               for i, a in enumerate(names) for b in names[i:])
+
+
+def _fo_full_without_e1_e2():
+    # fo_full takes the linear route, so every row it keeps passes
+    fo = load_fixture("fo_full").algebra()
+    mult = fo.mult.copy()
+    del mult.table["e1", "e2"]
+    return MDGAlgebra(fo.complex, mult)
+
+
+def _unit_square():
+    # the unit in the support of the first generator's square is all that
+    # breaks the rule here
+    cx = FreeComplex(Ring(["x"]), "U")
+    cx.add_basis("u", 0, (0,))
+    mult = Multiplication(cx)
+    mult.set_product("u", "u", cx.one)
+    return MDGAlgebra(cx, mult)
+
+
+def _route_rule_tables():
+    yield from _every_table()
+    yield pytest.param(_unit_square, id="u*u = 1")
+    yield from (p for p in _complete_tables() if p.id.startswith("perturbed"))
+    for name in ("ex55", "fk", "fa"):
+        yield pytest.param(lambda n=name: _degree_one_presentation(n),
+                           id=f"{name}-presentation")
+    yield pytest.param(_fo_full_without_e1_e2, id="fo_full - e1*e2")
+
+
+@pytest.mark.parametrize("make", _route_rule_tables())
+def test_the_route_rule_is_the_per_pair_rule(make):
+    alg = make()
+    ctx = context_for(alg.complex)
+    consts = alg.mult.structure_constants()
+    assert groebner._route_rule(ctx, consts) == _per_pair_rule(ctx, consts)
+
+
+def test_a_partial_table_is_refused_by_its_count_alone():
+    alg = _fo_full_without_e1_e2()
+    ctx = context_for(alg.complex)
+    consts = alg.mult.structure_constants()
+    names = ctx.names
+    assert all(d != UNIT and names.index(d) >= names.index(a)
+               for (a, b), row in consts.items() for d in row
+               if names.index(a) <= names.index(b))
+    assert len(consts) == ctx.n ** 2 - 2
+    assert not groebner._route_rule(ctx, consts)
+    assert groebner._route_rule(
+        ctx, {**consts, ("e1", "e2"): {}, ("e2", "e1"): {}})
 
 
 # -- partial tables keep the full scan -----------------------------------------

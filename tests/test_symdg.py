@@ -422,7 +422,7 @@ def _identity(cx):
 
 def _random_homotopy(cx, rng):
     R = cx.ring
-    h = sg.GradedMap(cx, cx, 1)
+    h = ChainMap(cx, cx, degree=1)
     for nm in cx.order:
         deg = 0 if nm == "1" else cx.basis[nm].degree
         img = cx.zero
@@ -468,11 +468,11 @@ def test_sym_homotopy_between_tensor_powers(taylor2, n):
 def test_sym_homotopy_degenerate_cases(taylor2):
     cx = taylor2.complex
     phi = _identity(cx)
-    zero_h = sg.GradedMap(cx, cx, 1)
+    zero_h = ChainMap(cx, cx, degree=1)
     with pytest.raises(sg.SymError):
         sg.sym_homotopy(phi, phi, zero_h, 0)
     with pytest.raises(sg.SymError):
-        sg.sym_homotopy(phi, phi, sg.GradedMap(cx, cx, 0), 2)
+        sg.sym_homotopy(phi, phi, ChainMap(cx, cx, degree=0), 2)
     Z = sg.sym_homotopy(phi, phi, zero_h, 2)
     S = sg.build_sym(cx, 2)
     t = sg.homogenize(S, S.mul(S.gen("e1"), S.gen("e12")), 2)
