@@ -9,67 +9,95 @@ from itertools import combinations
 from .complexes import UNIT, Element, FreeComplex
 from .mdg import (ChainMap, MDGAlgebra, MDGError, MissingProductError,
                   Multiplication)
-from .ring import Polynomial, Ring, add_term, mono_div, mono_lcm, mono_mul
-
-
-def _mono_exponent(p: Polynomial) -> tuple:
-    if not p.is_monomial() or p.lead_coeff() != 1:
-        raise MDGError(f"expected a monic monomial, got {p}")
-    return p.lead_mono()
+from .ring import Polynomial, Ring, mono_div, mono_lcm, mono_mul
 
 
 def subset_name(sigma) -> str:
     return "e" + "".join(str(i + 1) for i in sigma)
 
 
-def shuffle_sign(sigma, tau) -> int:
-    """Sign of sorting the concatenation of two disjoint increasing tuples."""
-    inversions = sum(1 for s in sigma for t in tau if s > t)
-    return -1 if inversions % 2 else 1
+def _generator_exponent(ring: Ring, m) -> tuple:
+    """The exponent tuple of a Taylor generator, given as a monic monomial
+    or as a tuple; MDGError unless it has one non-negative int per
+    variable of the ring."""
+    if isinstance(m, Polynomial):
+        if not m.is_monomial() or m.lead_coeff() != 1:
+            raise MDGError(f"expected a monic monomial, got {m}")
+        expts = m.lead_mono()
+    else:
+        expts = tuple(m)
+    if len(expts) != ring.nvars:
+        raise MDGError(f"expected an exponent tuple of length {ring.nvars}, "
+                       f"got {expts}")
+    for e in expts:
+        if type(e) is not int or e < 0:
+            raise MDGError(f"expected non-negative integer exponents, got "
+                           f"{e!r} in {expts}")
+    return expts
 
 
 def taylor_algebra(ring: Ring, monomials, name: str = "T") -> MDGAlgebra:
-    """The Taylor complex of a list of monomials, with its multiplication
-    e_sigma * e_tau = sign * (m_sigma m_tau / m_{sigma u tau}) e_{sigma u tau}
-    for disjoint subsets and 0 otherwise."""
-    expts = [_mono_exponent(m) if isinstance(m, Polynomial) else tuple(m)
-             for m in monomials]
+    """The Taylor complex of a list of monomials m_1..m_g, with its
+    multiplication e_sigma * e_tau = sign * (m_sigma m_tau / m_{sigma u tau})
+    e_{sigma u tau} for disjoint subsets and 0 otherwise, where m_sigma is
+    the lcm of the m_i, i in sigma.
+
+    A subset sigma of the generator indices 0..g-1 is the int bitmask with
+    bit i set for each i in sigma; `subset_name` names it by the 1-based
+    indices.  The basis runs through the subsets by size, then
+    lexicographically (the order of `itertools.combinations`), and the
+    table stores the pairs sigma <= tau in that order.  Each subset's name
+    and multidegree are computed once: m_sigma is the lcm of
+    m_(sigma minus its lowest index) and that index's monomial.
+    d(e_sigma) has one term per set bit i, at the subset with bit i
+    cleared, with the sign (-1)^(number of bits of sigma below i).  sigma
+    and tau are disjoint when sigma & tau == 0, and their union is
+    sigma | tau.  The sign of the product is that of sorting sigma followed
+    by tau: (-1)^k with k = #{(i, j) in sigma x tau : i > j}
+    = sum over i in sigma of popcount(tau & (2^i - 1)).  Parity of
+    popcount is additive over XOR, so k is odd exactly when
+    popcount(tau & below_sigma) is, below_sigma being the XOR over i in
+    sigma of 2^i - 1."""
+    expts = [_generator_exponent(ring, m) for m in monomials]
     g = len(expts)
     cx = FreeComplex(ring, name)
-    subsets = []
+    masks, names = [], []
+    name_of, mdeg, below = {0: UNIT}, {0: ring.zero_mono}, {0: 0}
     for size in range(1, g + 1):
         for sigma in combinations(range(g), size):
-            subsets.append(sigma)
-    mdeg = {}
-    for sigma in subsets:
-        acc = expts[sigma[0]]
-        for i in sigma[1:]:
-            acc = mono_lcm(acc, expts[i])
-        mdeg[sigma] = acc
-        cx.add_basis(subset_name(sigma), len(sigma), acc)
-    for sigma in subsets:
-        coeffs = {}
-        for pos, i in enumerate(sigma):
-            rest = tuple(j for j in sigma if j != i)
-            ratio = mono_div(mdeg[sigma], mdeg[rest] if rest else ring.zero_mono)
-            target = subset_name(rest) if rest else UNIT
-            c = ring.monomial(ratio, 1 if pos % 2 == 0 else -1)
-            add_term(coeffs, target, c)
-        cx.set_diff(subset_name(sigma), cx.element(coeffs))
+            s = sum(1 << i for i in sigma)
+            low = s & -s
+            mdeg[s] = mono_lcm(mdeg[s ^ low], expts[sigma[0]])
+            below[s] = below[s ^ low] ^ (low - 1)
+            name_of[s] = subset_name(sigma)
+            masks.append(s)
+            names.append(name_of[s])
+            cx.add_basis(name_of[s], size, mdeg[s])
+    for s in masks:
+        coeffs, sign, rest = {}, 1, s
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            face = s ^ bit
+            coeffs[name_of[face]] = ring.monomial(
+                mono_div(mdeg[s], mdeg[face]), sign)
+            sign = -sign
+        cx.set_diff(name_of[s], cx.element(coeffs))
     mult = Multiplication(cx, f"{name}_mult")
-    for i, sigma in enumerate(subsets):
-        for tau in subsets[i:]:
-            if set(sigma) & set(tau):
-                value = cx.zero
-            else:
-                union = tuple(sorted(sigma + tau))
-                ratio = mono_div(mono_mul(mdeg[sigma], mdeg[tau]), mdeg[union])
-                value = cx.element({subset_name(union):
-                                    ring.monomial(ratio, shuffle_sign(sigma, tau))})
-            if sigma == tau:
-                if len(sigma) % 2 == 1:
-                    continue          # implied by strictness
-            mult.set_product(subset_name(sigma), subset_name(tau), value)
+    set_product, zero = mult.set_product, cx.zero
+    for k, s in enumerate(masks):
+        left, m_s, below_s = names[k], mdeg[s], below[s]
+        if s.bit_count() % 2 == 0:
+            set_product(left, left, zero)    # odd squares are implied
+        for t, right in zip(masks[k + 1:], names[k + 1:]):
+            if s & t:
+                set_product(left, right, zero)
+                continue
+            u = s | t
+            ratio = mono_div(mono_mul(m_s, mdeg[t]), mdeg[u])
+            sign = -1 if (t & below_s).bit_count() % 2 else 1
+            set_product(left, right, cx.element(
+                {name_of[u]: ring.monomial(ratio, sign)}))
     return MDGAlgebra(cx, mult)
 
 

@@ -119,33 +119,44 @@ class Multiplication:
         MDGError at the first stored product with a `degree_problem` or an
         `mdeg_problem` (multidegrees are exponent tuples, so a
         multihomogeneous coefficient is a single term)."""
-        for (left, right), value in self.table.items():
-            problem = self.degree_problem(left, right, value)
-            if problem:
-                raise MDGError(f"table is not homogeneous: product {problem}")
-            problem = self.mdeg_problem(left, right, value)
-            if problem:
-                raise MDGError(f"table is not multihomogeneous: product "
-                               f"{problem}")
-        return self.unchecked_constants()
+        return self._constants(checked=True)
 
     def unchecked_constants(self) -> dict:
         """The `structure_constants()` without their checks: valid only
         once every stored product has passed `degree_problem` and
         `mdeg_problem`, as in `MDGAlgebra.check`."""
+        return self._constants(checked=False)
+
+    def _constants(self, checked: bool) -> dict:
+        """One pass over the table: each nonzero product is checked, when
+        `checked`, just before its row is read, so the first MDGError is
+        that of the first stored product with a problem.  The (a, b) row
+        sits under the table's own key."""
         cx = self.complex
+        odd = {n for n, b in cx.basis.items() if b.degree % 2}
         out = {}
-        for (left, right), value in self.table.items():
-            consts = {d: coeff.lead_coeff()
-                      for d, coeff in value.coeffs.items()}
-            out[(left, right)] = consts
+        for key, value in self.table.items():
+            left, right = key
+            consts = {}
+            if value.coeffs:
+                if checked:
+                    problem = self.degree_problem(left, right, value)
+                    if problem:
+                        raise MDGError(f"table is not homogeneous: product "
+                                       f"{problem}")
+                    problem = self.mdeg_problem(left, right, value)
+                    if problem:
+                        raise MDGError(f"table is not multihomogeneous: "
+                                       f"product {problem}")
+                consts = {d: coeff.lead_coeff()
+                          for d, coeff in value.coeffs.items()}
+            out[key] = consts
             if left != right:
-                if consts and (cx.basis[left].degree
-                               * cx.basis[right].degree) % 2:
+                if consts and left in odd and right in odd:
                     consts = {d: -c for d, c in consts.items()}
                 out[(right, left)] = consts
         for name in cx.order:
-            if name != UNIT and cx.basis[name].degree % 2 == 1:
+            if name in odd:
                 out[(name, name)] = {}
         return out
 

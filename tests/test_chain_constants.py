@@ -8,10 +8,14 @@ from fractions import Fraction
 import pytest
 
 from mdgkit import load_fixture
-from mdgkit.complexes import ComplexError, Element
-from mdgkit.mdg import (MDGAlgebra, MissingProductError, Multiplication,
-                        Submodule)
-from mdgkit.ring import laurent_term, mono_div, mono_divides, mono_mul
+from mdgkit.cli import _random_homotopy
+from mdgkit.complexes import UNIT, ComplexError, Element
+from mdgkit.constructions import taylor_algebra
+from mdgkit.mdg import (MDGAlgebra, MDGError, MissingProductError,
+                        Multiplication, Submodule, perturb_multiplication)
+from mdgkit.parser import parse_document
+from mdgkit.ring import Ring, laurent_term, mono_div, mono_divides, mono_mul
+from test_cli import WRONG_DEGREE
 
 FIXTURES = ["ex55", "ex6", "fa", "fk", "fk_split", "fm", "fo_full",
             "fo_presentation", "taylor_x2_xy"]
@@ -192,3 +196,108 @@ def test_check_reads_each_stored_product_once(monkeypatch, name):
     assert report.ok()
     assert calls == dict.fromkeys(calls, len(alg.mult.table))
     assert alg.mult.unchecked_constants() == expected
+
+
+def reference_constants(mult):
+    """`structure_constants` in two passes: every stored product checked
+    first, then every row built."""
+    for (left, right), value in mult.table.items():
+        problem = mult.degree_problem(left, right, value)
+        if problem:
+            raise MDGError(f"table is not homogeneous: product {problem}")
+        problem = mult.mdeg_problem(left, right, value)
+        if problem:
+            raise MDGError(f"table is not multihomogeneous: product "
+                           f"{problem}")
+    cx = mult.complex
+    out = {}
+    for (left, right), value in mult.table.items():
+        consts = {d: coeff.lead_coeff() for d, coeff in value.coeffs.items()}
+        out[(left, right)] = consts
+        if left != right:
+            if consts and (cx.basis[left].degree
+                           * cx.basis[right].degree) % 2:
+                consts = {d: -c for d, c in consts.items()}
+            out[(right, left)] = consts
+    for name in cx.order:
+        if name != UNIT and cx.basis[name].degree % 2 == 1:
+            out[(name, name)] = {}
+    return out
+
+
+# the Taylor-5 and -6 ideals of tools/check_criteria.py, over (x, y, z, w)
+R4 = Ring(["x", "y", "z", "w"])
+TAYLOR = {5: [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0),
+              (0, 1, 1, 0)],
+          6: [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 2), (1, 1, 0, 0),
+              (0, 1, 1, 0), (0, 0, 1, 1)]}
+CONSTANT_TABLES = ([f"{name}:{mname}" for name in FIXTURES
+                    for mname in load_fixture(name).mults]
+                   + ["taylor5", "taylor6"]
+                   + [f"taylor{k}-seed{seed}" for k in (5, 6)
+                      for seed in (1, 2)])
+
+
+def constant_table(label):
+    """A fixture's table, a Taylor table, or a Taylor table perturbed by
+    `mdg perturb`'s homotopy at a seed, as tools/check_criteria.py builds
+    them."""
+    if ":" in label:
+        name, mname = label.split(":")
+        return load_fixture(name).mults[mname]
+    k, _, seed = label[len("taylor"):].partition("-seed")
+    alg = taylor_algebra(R4, [R4.monomial(m) for m in TAYLOR[int(k)]])
+    if not seed:
+        return alg.mult
+    return perturb_multiplication(alg, _random_homotopy(alg, int(seed)))
+
+
+@pytest.mark.parametrize("label", CONSTANT_TABLES)
+def test_one_pass_constants_are_the_checked_then_built_ones(label):
+    mult = constant_table(label)
+    expected = list(reference_constants(mult).items())
+    consts = mult.structure_constants()
+    assert list(consts.items()) == expected
+    assert list(mult.unchecked_constants().items()) == expected
+    # each (a, b) row sits under the table's own key tuple
+    stored = {key: key for key in consts}
+    assert all(stored[key] is key for key in mult.table)
+
+
+def _raised(read):
+    with pytest.raises(MDGError) as err:
+        read()
+    return str(err.value)
+
+
+def test_a_table_of_the_wrong_degree_raises_as_before():
+    mult = parse_document(WRONG_DEGREE).mults["mu"]
+    message = _raised(mult.structure_constants)
+    assert message == _raised(lambda: reference_constants(mult))
+    assert message == ("table is not homogeneous: product a*b lands in "
+                       "degrees [1], expected 2")
+
+
+def test_the_first_broken_product_raises_as_before():
+    fk = ALGEBRAS["fk"]
+    cx, ring = fk.complex, fk.ring
+    nonzero = [key for key, value in fk.mult.table.items()
+               if not value.is_zero()]
+    first, last = nonzero[0], nonzero[-1]
+
+    def mixed(key):
+        # two terms: not multihomogeneous
+        d = next(iter(fk.mult.table[key].coeffs))
+        return cx.element({d: ring.var("x") + ring.var("y")})
+
+    def off_degree(key):
+        return cx.elem(key[0])
+
+    for early, late in ((mixed, off_degree), (off_degree, mixed)):
+        mult = fk.mult.copy()
+        mult.table[first] = early(first)
+        mult.table[last] = late(last)
+        message = _raised(mult.structure_constants)
+        assert message == _raised(lambda: reference_constants(mult))
+        assert f"product {first[0]}*{first[1]}" in message
+        assert ("not multihomogeneous" in message) == (early is mixed)

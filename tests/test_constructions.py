@@ -1,9 +1,17 @@
 """Taylor algebras, mapping cones and wedge sums: structural properties."""
 
-from mdgkit.complexes import UNIT
-from mdgkit.constructions import (mapping_cone_extension, taylor_algebra,
-                                  wedge_sum)
-from mdgkit.ring import Ring
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mdgkit.complexes import UNIT, FreeComplex
+from mdgkit.constructions import (mapping_cone_extension, subset_name,
+                                  taylor_algebra, wedge_sum)
+from mdgkit.mdg import MDGAlgebra, MDGError, Multiplication
+from mdgkit.parser import Document, format_document
+from mdgkit.ring import Ring, add_term, mono_div, mono_lcm, mono_mul
 
 R4 = Ring(["x", "y", "z", "w"])
 R2 = Ring(["x", "y"])
@@ -75,6 +83,113 @@ def test_taylor_exactness():
     alg = taylor_small()
     dims = alg.complex.homology_dims()
     assert dims[1] == 0 and dims[2] == 0
+
+
+def reference_taylor(ring, expts, name="T"):
+    """The Taylor algebra from its definition, over subsets as sorted index
+    tuples: m_sigma folded with lcm over sigma, the faces of sigma by
+    removing one index, the sign of a product by counting inversions."""
+    g = len(expts)
+    cx = FreeComplex(ring, name)
+    subsets = [sigma for size in range(1, g + 1)
+               for sigma in combinations(range(g), size)]
+    mdeg = {(): ring.zero_mono}
+    for sigma in subsets:
+        acc = expts[sigma[0]]
+        for i in sigma[1:]:
+            acc = mono_lcm(acc, expts[i])
+        mdeg[sigma] = acc
+        cx.add_basis(subset_name(sigma), len(sigma), acc)
+    for sigma in subsets:
+        coeffs = {}
+        for pos, i in enumerate(sigma):
+            rest = tuple(j for j in sigma if j != i)
+            add_term(coeffs, subset_name(rest) if rest else UNIT,
+                     ring.monomial(mono_div(mdeg[sigma], mdeg[rest]),
+                                   (-1) ** pos))
+        cx.set_diff(subset_name(sigma), cx.element(coeffs))
+    mult = Multiplication(cx, f"{name}_mult")
+    for i, sigma in enumerate(subsets):
+        for tau in subsets[i:]:
+            if sigma == tau and len(sigma) % 2 == 1:
+                continue
+            if set(sigma) & set(tau):
+                value = cx.zero
+            else:
+                union = tuple(sorted(sigma + tau))
+                inversions = sum(1 for s in sigma for t in tau if s > t)
+                ratio = mono_div(mono_mul(mdeg[sigma], mdeg[tau]),
+                                 mdeg[union])
+                value = cx.element({subset_name(union): ring.monomial(
+                    ratio, (-1) ** inversions)})
+            mult.set_product(subset_name(sigma), subset_name(tau), value)
+    return MDGAlgebra(cx, mult)
+
+
+def _terms(x):
+    return {k: dict(v.terms) for k, v in x.coeffs.items()}
+
+
+def _document(alg):
+    doc = Document()
+    doc.ring = alg.complex.ring
+    doc.complexes["T"] = alg.complex
+    doc.mults["mu"] = alg.mult
+    return format_document(doc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 2)] * 4), max_size=5))
+def test_taylor_algebra_is_the_construction_from_the_definition(ideal):
+    # duplicates and the zero tuple (the unit ideal) are drawn too
+    alg, ref = taylor_algebra(R4, ideal), reference_taylor(R4, ideal)
+    cx, rcx = alg.complex, ref.complex
+    assert cx.order == rcx.order
+    assert ([(cx.basis[n].degree, cx.basis[n].mdeg) for n in cx.order]
+            == [(rcx.basis[n].degree, rcx.basis[n].mdeg) for n in rcx.order])
+    assert ([(n, _terms(x)) for n, x in cx.diff.items()]
+            == [(n, _terms(x)) for n, x in rcx.diff.items()])
+    assert list(alg.mult.table) == list(ref.mult.table)
+    assert ([_terms(x) for x in alg.mult.table.values()]
+            == [_terms(x) for x in ref.mult.table.values()])
+
+
+# the Taylor-4, -5 and -6 ideals of tools/check_criteria.py and perfbench,
+# and perfbench's TAYLOR4_SEEDED_BASE
+TAYLOR_IDEALS = {
+    "taylor4": [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0)],
+    "taylor5": [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0),
+                (0, 1, 1, 0)],
+    "taylor6": [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 2), (1, 1, 0, 0),
+                (0, 1, 1, 0), (0, 0, 1, 1)],
+    "taylor4_seeded_base": [(0, 2, 0, 1), (0, 1, 1, 1), (2, 1, 0, 0),
+                            (1, 0, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAYLOR_IDEALS))
+def test_taylor_documents_are_those_of_the_definition(name):
+    ideal = TAYLOR_IDEALS[name]
+    polys = [R4.monomial(m) for m in ideal]
+    assert (_document(taylor_algebra(R4, polys))
+            == _document(reference_taylor(R4, ideal)))
+
+
+@pytest.mark.parametrize("ideal, message", [
+    ([(-1, 0, 0, 0), (0, 1, 0, 0)],
+     "expected non-negative integer exponents, got -1 in (-1, 0, 0, 0)"),
+    ([(1.5, 0, 0, 0)],
+     "expected non-negative integer exponents, got 1.5 in (1.5, 0, 0, 0)"),
+    ([(1, 0, 0, 0), (1, 0, 0)],
+     "expected an exponent tuple of length 4, got (1, 0, 0)"),
+    ([(1, 0, 0, 0, 1)],
+     "expected an exponent tuple of length 4, got (1, 0, 0, 0, 1)"),
+])
+def test_taylor_refuses_an_exponent_tuple_that_is_not_a_monomial(ideal,
+                                                                 message):
+    with pytest.raises(MDGError) as err:
+        taylor_algebra(R4, ideal)
+    assert str(err.value) == message
 
 
 def test_mapping_cone_is_mdg():

@@ -23,9 +23,13 @@ takes its linear route; the perturbed ones are not associative.  The
 Taylor-8, -9 and -10 tables are built on their case's first run, outside
 the timing, and dropped after the case, so that no other case holds them.
 The peak resident set size of the process (`ru_maxrss`) is printed after
-the Taylor-9 and the Taylor-10 cases, the largest.  The scan cases run
-`associative_on_basis` on the Taylor-7 table (associative, so every triple
-is read) and `associator_submodule` on fm.  The symmetric-algebra cases run
+the Taylor-9 and the Taylor-10 certificate cases, the largest.  The build
+cases time `taylor_algebra` alone on the Taylor-9 and Taylor-10 ideals;
+their golden is the generator and stored-pair counts, and their counters
+are the process's resident set size (VmRSS, read from /proc on Linux)
+with the first run's table held, and what that build added to it.  The
+scan cases run `associative_on_basis` on the Taylor-7 table (associative,
+so every triple is read) and `associator_submodule` on fm.  The symmetric-algebra cases run
 `SymDGAlgebra.check()` on fk truncated at total degree 3, on fm at 2 and on
 fk_split's complex T5 at 3.
 The chain-layer cases run `MDGAlgebra.check()` on fk_split's table nu and
@@ -52,8 +56,8 @@ completion (the presentation check's included) or of the certificate's
 linear route (none for a scan, for a
 symmetric-algebra check or for a chain-layer case).  Exits 0, or 1 when a
 golden count differs.
-The run takes a few minutes.  The Taylor-10 case sets its peak resident
-set size: 347 MB on a 2-vCPU Linux host with CPython 3.11.
+The run takes a few minutes.  The Taylor-10 certificate case sets its peak
+resident set size: 248 MB on a 2-vCPU Linux host with CPython 3.11.
 """
 
 import os
@@ -129,6 +133,33 @@ def taylor_certificate(ideal):
         if not table:
             table.append(taylor(ideal))
         return certificate(table[0])()
+    return run
+
+
+def rss_mb() -> float:
+    """The process's resident set size now, in MB (Linux)."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmRSS line in /proc/self/status")
+
+
+def taylor_build(ideal):
+    """`taylor_algebra` on the ideal; the RSS counters are the first
+    run's."""
+    first = {}
+
+    def run():
+        before = rss_mb()
+        start = time.perf_counter()
+        alg = taylor(ideal)
+        elapsed = time.perf_counter() - start
+        after = rss_mb()
+        first.setdefault("rss_mb", round(after))
+        first.setdefault("rss_added_mb", round(after - before))
+        return (f"{len(alg.complex.order) - 1} generators, "
+                f"{len(alg.mult.table)} stored pairs", elapsed, first)
     return run
 
 
@@ -227,6 +258,10 @@ def cases():
     taylor7 = taylor(TAYLOR7)
     return [
         ("parse 9 fixtures", parse_fixtures(), "2294 entries"),
+        ("taylor build taylor9", taylor_build(TAYLOR9),
+         "511 generators, 130560 stored pairs"),
+        ("taylor build taylor10", taylor_build(TAYLOR10),
+         "1023 generators, 523264 stored pairs"),
         ("buchberger fk", completion(load_fixture("fk").algebra()), 155),
         ("buchberger fa", completion(fa), 122),
         ("buchberger ex55", completion(load_fixture("ex55").algebra()), 231),
