@@ -11,6 +11,10 @@ from .mdg import (ChainMap, MDGAlgebra, MDGError, MissingProductError,
                   Multiplication)
 from .ring import Polynomial, Ring, mono_div, mono_lcm, mono_mul
 
+# `subset_name` is one-to-one up to 11 generators; at 12, {1, 2} and {12}
+# are both e12
+TAYLOR_GENERATORS = 11
+
 
 def subset_name(sigma) -> str:
     return "e" + "".join(str(i + 1) for i in sigma)
@@ -57,9 +61,16 @@ def taylor_algebra(ring: Ring, monomials, name: str = "T") -> MDGAlgebra:
     = sum over i in sigma of popcount(tau & (2^i - 1)).  Parity of
     popcount is additive over XOR, so k is odd exactly when
     popcount(tau & below_sigma) is, below_sigma being the XOR over i in
-    sigma of 2^i - 1."""
+    sigma of 2^i - 1.
+
+    More than TAYLOR_GENERATORS monomials raise MDGError before anything
+    is built."""
     expts = [_generator_exponent(ring, m) for m in monomials]
     g = len(expts)
+    if g > TAYLOR_GENERATORS:
+        raise MDGError(f"a Taylor algebra takes at most {TAYLOR_GENERATORS} "
+                       f"generators, got {g}: its basis names e<indices> "
+                       f"would collide")
     cx = FreeComplex(ring, name)
     masks, names = [], []
     name_of, mdeg, below = {0: UNIT}, {0: ring.zero_mono}, {0: 0}
@@ -113,15 +124,11 @@ def transport_multiplication(target: FreeComplex, source: MDGAlgebra,
     if pi.source is not source.complex or pi.target is not target:
         raise MDGError("pi must map the source algebra onto the target complex")
     mult = Multiplication(target, name)
-    names = [n for n in target.order if n != UNIT]
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            if a == b and target.basis[a].degree % 2 == 1:
-                continue
-            value = pi.apply(source.mul(iota.image(a), iota.image(b)))
-            if not value.is_polynomial():
-                raise MDGError(f"transported product {a}*{b} is not polynomial: {value}")
-            mult.set_product(a, b, value.polynomialize())
+    for a, b in mult.pairs():
+        value = pi.apply(source.mul(iota.image(a), iota.image(b)))
+        if not value.is_polynomial():
+            raise MDGError(f"transported product {a}*{b} is not polynomial: {value}")
+        mult.set_product(a, b, value.polynomialize())
     return mult
 
 

@@ -35,6 +35,17 @@ class MissingProductError(MDGError):
         self.pair = (left, right)
 
 
+def _bilinear(cx: FreeComplex, pair_value, x: Element, y: Element) -> Element:
+    """The sum of c1 c2 pair_value(n1, n2) over the terms c1 n1 of x and
+    c2 n2 of y: the bilinear extension of a map given on basis pairs."""
+    coeffs: dict = {}
+    for n1, c1 in x.coeffs.items():
+        for n2, c2 in y.coeffs.items():
+            for k, v in pair_value(n1, n2).coeffs.items():
+                add_term(coeffs, k, c1 * c2 * v)
+    return Element(cx, coeffs)
+
+
 class Multiplication:
     """Table of basis products for a FreeComplex."""
 
@@ -82,6 +93,17 @@ class Multiplication:
     def stored_pairs(self):
         return list(self.table)
 
+    def pairs(self):
+        """The pairs (a, b) of non-unit basis elements, a at or before b in
+        basis order, that the table can store, in that order: every such
+        pair but the odd squares, which are implied."""
+        cx = self.complex
+        names = [n for n in cx.order if n != UNIT]
+        for i, a in enumerate(names):
+            # an odd a starts after itself
+            for b in names[i + cx.basis[a].degree % 2:]:
+                yield a, b
+
     def degree_problem(self, left: str, right: str, value: Element):
         """Why the product left*right = value is not homogeneous of
         homological degree |left| + |right|; None when it is (zero is)."""
@@ -119,46 +141,45 @@ class Multiplication:
         MDGError at the first stored product with a `degree_problem` or an
         `mdeg_problem` (multidegrees are exponent tuples, so a
         multihomogeneous coefficient is a single term)."""
-        return self._constants(checked=True)
+        rows, problems = self._graded_rows()
+        if problems:
+            kind, problem = next(iter(problems.values()))
+            raise MDGError(f"table is not {kind}: product {problem}")
+        return rows
 
-    def unchecked_constants(self) -> dict:
-        """The `structure_constants()` without their checks: valid only
-        once every stored product has passed `degree_problem` and
-        `mdeg_problem`, as in `MDGAlgebra.check`."""
-        return self._constants(checked=False)
-
-    def _constants(self, checked: bool) -> dict:
-        """One pass over the table: each nonzero product is checked, when
-        `checked`, just before its row is read, so the first MDGError is
-        that of the first stored product with a problem.  The (a, b) row
-        sits under the table's own key."""
+    def _graded_rows(self):
+        """One pass over the table: the rows of `structure_constants()`,
+        each (a, b) row under the table's own key, and {key: (kind,
+        problem)} in table order for each nonzero product with a
+        `degree_problem` (kind "homogeneous") or else an `mdeg_problem`
+        (kind "multihomogeneous").  The rows are valid only when there is
+        no problem.  A stored odd square keeps its key's place, but its row
+        is that of the product, {}."""
         cx = self.complex
         odd = {n for n, b in cx.basis.items() if b.degree % 2}
-        out = {}
+        rows, problems = {}, {}
         for key, value in self.table.items():
             left, right = key
             consts = {}
             if value.coeffs:
-                if checked:
-                    problem = self.degree_problem(left, right, value)
-                    if problem:
-                        raise MDGError(f"table is not homogeneous: product "
-                                       f"{problem}")
+                problem = self.degree_problem(left, right, value)
+                if problem:
+                    problems[key] = ("homogeneous", problem)
+                else:
                     problem = self.mdeg_problem(left, right, value)
                     if problem:
-                        raise MDGError(f"table is not multihomogeneous: "
-                                       f"product {problem}")
+                        problems[key] = ("multihomogeneous", problem)
                 consts = {d: coeff.lead_coeff()
                           for d, coeff in value.coeffs.items()}
-            out[key] = consts
+            rows[key] = consts
             if left != right:
                 if consts and left in odd and right in odd:
                     consts = {d: -c for d, c in consts.items()}
-                out[(right, left)] = consts
+                rows[(right, left)] = consts
         for name in cx.order:
             if name in odd:
-                out[(name, name)] = {}
-        return out
+                rows[(name, name)] = {}
+        return rows, problems
 
     def q_row(self, consts: dict, left: str, right: str) -> dict:
         """The constants {d: c} of left*right: the `structure_constants()`
@@ -181,12 +202,7 @@ class Multiplication:
         return out
 
     def multiply(self, x: Element, y: Element) -> Element:
-        coeffs: dict = {}
-        for n1, c1 in x.coeffs.items():
-            for n2, c2 in y.coeffs.items():
-                for k, v in self.product(n1, n2).coeffs.items():
-                    add_term(coeffs, k, c1 * c2 * v)
-        return Element(self.complex, coeffs)
+        return _bilinear(self.complex, self.product, x, y)
 
     def copy(self, name=None) -> "Multiplication":
         out = Multiplication(self.complex, name or self.name)
@@ -239,12 +255,14 @@ class MDGAlgebra:
         stored product of the right degree; a pair whose Leibniz terms need
         a product the table lacks is skipped.
 
-        When the complex and every stored product pass, every term of the
-        Leibniz defect of l*r lies at multidegree m_l + m_r, so it is read
-        from the `diff_constants()` and the `structure_constants()`, read
-        without checking the products again, and becomes an `Element` only
-        in a failure message.  Otherwise the defect is computed on
-        `Element`s, the only route valid for such input."""
+        The grading problems and the rows of the `structure_constants()`
+        come from one pass over the table.  When the complex and every
+        stored product pass, every term of the Leibniz defect of l*r lies
+        at multidegree m_l + m_r, so it is read from the
+        `diff_constants()` and those rows, and becomes an `Element` only in
+        a failure message.  Otherwise, and for a stored odd square, whose
+        row is the product's zero and not the stored value, the defect is
+        computed on `Element`s."""
         return self.table_check(self.complex.check())
 
     def table_check(self, complex_problems) -> "AxiomReport":
@@ -253,25 +271,27 @@ class MDGAlgebra:
         report = AxiomReport()
         cx = self.complex
         report.complex_problems = complex_problems
-        pairs = []
-        for (l, r), value in self.mult.table.items():
-            problem = self.mult.degree_problem(l, r, value)
-            if problem:
+        mc, problems = self.mult._graded_rows()
+        off_degree = set()      # no Leibniz check: its terms are off too
+        for key, (kind, problem) in problems.items():
+            if kind == "homogeneous":
                 report.degree_problems.append(problem)
-                continue
-            problem = self.mult.mdeg_problem(l, r, value)
-            if problem:
+                off_degree.add(key)
+            else:
                 report.mdeg_problems.append(problem)
-            pairs.append((l, r))
         if report.ok():
-            dc, mc = cx.diff_constants(), self.mult.unchecked_constants()
+            dc = cx.diff_constants()
 
             def defect(l, r):
+                if l == r and cx.basis[l].degree % 2:
+                    return self._leibniz_defect(l, r)
                 v = self._q_leibniz(dc, mc, l, r)
                 return self.q_element((l, r), v) if v else cx.zero
         else:
             defect = self._leibniz_defect
-        for l, r in pairs:
+        for l, r in self.mult.table:
+            if (l, r) in off_degree:
+                continue
             try:
                 v = defect(l, r)
             except MissingProductError as e:
@@ -298,8 +318,7 @@ class MDGAlgebra:
         table raises the same MissingProductError."""
         q_row = self.mult.q_row
         out = {}
-        for d, v in self.mult.table[l, r].coeffs.items():
-            c = v.lead_coeff()
+        for d, c in mc[l, r].items():
             for k, q in dc[d].items():
                 out[k] = out.get(k, 0) + c * q
         for k, q in dc[l].items():
@@ -312,11 +331,9 @@ class MDGAlgebra:
         return {k: q for k, q in out.items() if q}
 
     def defined_everywhere(self) -> bool:
-        """Is every pair a <= b stored, odd squares being implied?"""
-        names, table = self.basis_names(), self.mult.table
-        return all((a, b) in table
-                   or (a == b and self.complex.basis[a].degree % 2)
-                   for i, a in enumerate(names) for b in names[i:])
+        """Is every pair of `Multiplication.pairs` stored?"""
+        table = self.mult.table
+        return all(pair in table for pair in self.mult.pairs())
 
     # -- associativity / alternativity --
 
@@ -825,12 +842,7 @@ class Homotopy:
         return self.table.get((left, right), self.complex.zero)
 
     def apply_pair(self, x: Element, y: Element) -> Element:
-        coeffs: dict = {}
-        for n1, c1 in x.coeffs.items():
-            for n2, c2 in y.coeffs.items():
-                for k, v in self.pair_value(n1, n2).coeffs.items():
-                    add_term(coeffs, k, c1 * c2 * v)
-        return Element(self.complex, coeffs)
+        return _bilinear(self.complex, self.pair_value, x, y)
 
     def apply_d_tensor(self, xn: str, yn: str) -> Element:
         """h(d(x (x) y)) = h(dx, y) + (-1)^{|x|} h(x, dy) on basis elements."""
@@ -848,15 +860,11 @@ def perturb_multiplication(alg: MDGAlgebra, h: Homotopy, name=None) -> Multiplic
     """mu_h = mu + d h + h d on basis pairs: a new multiplication table."""
     cx = alg.complex
     out = Multiplication(cx, name or f"{alg.mult.name}_h")
-    names = alg.basis_names()
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            if a == b and cx.basis[a].degree % 2 == 1:
-                continue
-            try:
-                base = alg.mult.product(a, b)
-            except MissingProductError:
-                continue
-            val = base + cx.d(h.pair_value(a, b)) + h.apply_d_tensor(a, b)
-            out.set_product(a, b, val)
+    for a, b in out.pairs():
+        try:
+            base = alg.mult.product(a, b)
+        except MissingProductError:
+            continue
+        val = base + cx.d(h.pair_value(a, b)) + h.apply_d_tensor(a, b)
+        out.set_product(a, b, val)
     return out

@@ -496,6 +496,7 @@ def _build_complex(ring, name, basis, diffs, semantic: list) -> FreeComplex:
             semantic.append((at, str(e), None))
     inferred = {bname for bname, _, mdeg, _ in basis if mdeg is None}
     evaluate = _element_evaluator(cx)
+    stored = []
     for bname, ast, at in diffs:
         if bname not in cx.basis:
             semantic.append((at, f"d of unknown basis element {bname!r}",
@@ -505,6 +506,10 @@ def _build_complex(ring, name, basis, diffs, semantic: list) -> FreeComplex:
             cx.set_diff(bname, evaluate(ast))
         except _Fault as e:
             semantic.append((None, e.message, e.at))
+        else:
+            stored.append((at, [bname]))
+    if len(stored) != len(cx.diff):
+        _repeats(stored, "", "second d of basis element", semantic)
     # infer missing multidegrees from the differential, bottom degree up
     for bname in sorted(inferred, key=lambda b: cx.basis[b].degree):
         img = cx.diff.get(bname)
@@ -534,13 +539,29 @@ def _parse_on(toks: list, i: int, doc: Document):
     return name, _complex_named(doc, toks, i + 2), i + 3
 
 
+def _repeats(stored: list, sep: str, what: str, semantic: list):
+    """A semantic error `what` at each entry of stored, (token index, key
+    names), whose key an earlier entry has: the names in order, or as a set
+    when they are the factors of a product (sep "*")."""
+    key = frozenset if sep == "*" else tuple
+    seen = set()
+    for at, names in stored:
+        if key(names) in seen:
+            semantic.append((at, f"{what} "
+                             + sep.join(repr(n) for n in names), None))
+        seen.add(key(names))
+
+
 def _parse_entries(toks: list, i: int, semantic: list, sep: str, basis,
-                   unknown: str, cx: FreeComplex, store) -> int:
+                   unknown: str, cx: FreeComplex, store, table: dict) -> int:
     """The body `{ key = expr; ... }` of a mult, map or homotopy block.  A
     key is one basis name, or two joined by `sep`.  Each value is an element
-    of cx handed to `store(*names, value)`.  A key outside `basis` and a
-    value that does not evaluate or store are semantic errors."""
+    of cx handed to `store(*names, value)`, which files it in `table`.  A
+    key outside `basis`, a value that does not evaluate or store, and a
+    second entry for a key are semantic errors.  Repeats are looked for only
+    when the table holds fewer entries than were stored."""
     evaluate = _element_evaluator(cx)
+    stored = []
     i = _expect(toks, i, "{")
     while toks[i] != "}":
         at, names = i, [_name(toks, i)]
@@ -559,6 +580,11 @@ def _parse_entries(toks: list, i: int, semantic: list, sep: str, basis,
             semantic.append((at, e.message, e.at))
         except MDGError as e:
             semantic.append((at, str(e), None))
+        else:
+            stored.append((at, names))
+    if len(stored) != len(table):
+        _repeats(stored, sep, "second " + unknown.replace("unknown ", ""),
+                 semantic)
     return i + 1
 
 
@@ -567,7 +593,7 @@ def _parse_mult(toks: list, i: int, doc: Document, semantic: list) -> int:
     mult = Multiplication(cx, name)
     i = _parse_entries(toks, i, semantic, "*", cx.basis,
                        "product of unknown basis elements", cx,
-                       mult.set_product)
+                       mult.set_product, mult.table)
     doc.mults[name] = mult
     return i
 
@@ -584,7 +610,7 @@ def _parse_map(toks: list, i: int, doc: Document, semantic: list) -> int:
     phi = ChainMap(source, target, name)
     i = _parse_entries(toks, dst + 1, semantic, "", source.basis,
                        "image of unknown basis element", target,
-                       phi.set_image)
+                       phi.set_image, phi.images)
     doc.maps[name] = phi
     return i
 
@@ -593,7 +619,8 @@ def _parse_homotopy(toks: list, i: int, doc: Document, semantic: list) -> int:
     name, cx, i = _parse_on(toks, i, doc)
     h = Homotopy(cx, name)
     i = _parse_entries(toks, i, semantic, "|", cx.basis,
-                       "homotopy on unknown basis elements", cx, h.set_value)
+                       "homotopy on unknown basis elements", cx, h.set_value,
+                       h.table)
     doc.homotopies[name] = h
     return i
 

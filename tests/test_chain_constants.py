@@ -10,9 +10,10 @@ import pytest
 from mdgkit import load_fixture
 from mdgkit.cli import _random_homotopy
 from mdgkit.complexes import UNIT, ComplexError, Element
-from mdgkit.constructions import taylor_algebra
-from mdgkit.mdg import (MDGAlgebra, MDGError, MissingProductError,
-                        Multiplication, Submodule, perturb_multiplication)
+from mdgkit.constructions import mapping_cone_extension, taylor_algebra
+from mdgkit.mdg import (AxiomReport, MDGAlgebra, MDGError,
+                        MissingProductError, Multiplication, Submodule,
+                        perturb_multiplication)
 from mdgkit.parser import parse_document
 from mdgkit.ring import Ring, laurent_term, mono_div, mono_divides, mono_mul
 from test_cli import WRONG_DEGREE
@@ -194,8 +195,10 @@ def test_check_reads_each_stored_product_once(monkeypatch, name):
         monkeypatch.setattr(Multiplication, method, counting(method))
     report = alg.check()
     assert report.ok()
-    assert calls == dict.fromkeys(calls, len(alg.mult.table))
-    assert alg.mult.unchecked_constants() == expected
+    # a zero product has no grading problem
+    nonzero = sum(not value.is_zero() for value in alg.mult.table.values())
+    assert calls == dict.fromkeys(calls, nonzero)
+    assert alg.mult._graded_rows() == (expected, {})
 
 
 def reference_constants(mult):
@@ -258,7 +261,8 @@ def test_one_pass_constants_are_the_checked_then_built_ones(label):
     expected = list(reference_constants(mult).items())
     consts = mult.structure_constants()
     assert list(consts.items()) == expected
-    assert list(mult.unchecked_constants().items()) == expected
+    rows, problems = mult._graded_rows()
+    assert list(rows.items()) == expected and problems == {}
     # each (a, b) row sits under the table's own key tuple
     stored = {key: key for key in consts}
     assert all(stored[key] is key for key in mult.table)
@@ -301,3 +305,91 @@ def test_the_first_broken_product_raises_as_before():
         assert message == _raised(lambda: reference_constants(mult))
         assert f"product {first[0]}*{first[1]}" in message
         assert ("not multihomogeneous" in message) == (early is mixed)
+
+
+def reference_table_check(alg):
+    """`table_check` in two loops: the grading of every stored product,
+    then Leibniz on Elements for every product of the right degree."""
+    mult = alg.mult
+    report = AxiomReport()
+    report.complex_problems = alg.complex.check()
+    pairs = []
+    for (l, r), value in mult.table.items():
+        problem = mult.degree_problem(l, r, value)
+        if problem:
+            report.degree_problems.append(problem)
+            continue
+        problem = mult.mdeg_problem(l, r, value)
+        if problem:
+            report.mdeg_problems.append(problem)
+        pairs.append((l, r))
+    for l, r in pairs:
+        try:
+            v = alg._leibniz_defect(l, r)
+        except MissingProductError as e:
+            report.skipped_leibniz.append((f"{l}*{r}", str(e)))
+            continue
+        if not v.is_zero():
+            report.leibniz_problems.append(
+                f"Leibniz fails for {l}*{r}: d(product) - expected = {v}")
+    return report
+
+
+def test_one_grading_pass_reports_as_the_two_loops():
+    # on fk: an mdeg problem, then a degree problem, then a doubled product
+    # that fails Leibniz, in table order
+    fk = ALGEBRAS["fk"]
+    cx, ring = fk.complex, fk.ring
+    nonzero = [key for key, value in fk.mult.table.items()
+               if not value.is_zero()]
+    first, second, third = nonzero[0], nonzero[len(nonzero) // 2], nonzero[-1]
+    mult = fk.mult.copy()
+    d = next(iter(mult.table[first].coeffs))
+    mult.table[first] = cx.element({d: ring.var("x") + ring.var("y")})
+    mult.table[second] = cx.elem(second[0])
+    mult.table[third] = mult.table[third] + mult.table[third]
+    broken = MDGAlgebra(cx, mult)
+    report, expected = broken.check(), reference_table_check(broken)
+    assert report.degree_problems and report.mdeg_problems
+    assert report.leibniz_problems
+    for field in ("complex_problems", "degree_problems", "mdeg_problems",
+                  "leibniz_problems", "skipped_leibniz"):
+        assert getattr(report, field) == getattr(expected, field), field
+    assert _raised(mult.structure_constants) == (
+        "table is not multihomogeneous: product " + report.mdeg_problems[0])
+    assert report.mdeg_problems[0].startswith(f"{first[0]}*{first[1]}")
+
+
+def brute_pairs(mult):
+    """Every pair of non-unit basis names, the first at or before the
+    second in basis order, but the odd squares."""
+    cx = mult.complex
+    names = [n for n in cx.order if n != UNIT]
+    pos = {n: i for i, n in enumerate(names)}
+    return [(a, b) for a in names for b in names
+            if pos[a] < pos[b] or (a == b and cx.basis[a].degree % 2 == 0)]
+
+
+PAIR_TABLES = ([f"{name}:{mname}" for name in FIXTURES
+                for mname in load_fixture(name).mults]
+               + ["taylor4", "cone"])
+
+
+@pytest.mark.parametrize("label", PAIR_TABLES)
+def test_pairs_are_the_storable_pairs_in_basis_order(label):
+    if label == "taylor4":
+        alg = taylor_algebra(R4, [R4.monomial(m) for m in TAYLOR[5][:4]])
+        mult = alg.mult
+    elif label == "cone":
+        fk = ALGEBRAS["fk"]
+        mult = mapping_cone_extension(fk, fk.ring.var("x")).mult
+    else:
+        mult = constant_table(label)
+    pairs = list(mult.pairs())
+    assert pairs == brute_pairs(mult)
+    cx = mult.complex
+    stored = {(a, b) for a, b in mult.table
+              if a != b or cx.basis[a].degree % 2 == 0}
+    assert stored <= set(pairs)
+    if label in ("taylor4", "cone"):
+        assert stored == set(pairs)

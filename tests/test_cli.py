@@ -294,6 +294,15 @@ def test_a_digit_that_is_not_ascii_is_an_input_error(tmp_path, capsys, digit):
     assert f"line 3, col 19: unexpected character {digit!r}" in err
 
 
+def test_taylor_refuses_twelve_generators_naming_the_limit(capsys):
+    ring = ",".join("abcdefghijkl")
+    code, out, err = run(capsys, ["taylor", "--ring", ring, "--ideal", ring])
+    assert code == 2
+    assert out == ""
+    assert ("a Taylor algebra takes at most 11 generators, got 12: its basis "
+            "names e<indices> would collide") in err
+
+
 def test_taylor_rejects_a_variable_named_like_a_basis_element(capsys):
     code, out, err = run(capsys, ["taylor", "--ring", "e1,y",
                                   "--ideal", "y^2,e1*y"])

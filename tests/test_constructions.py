@@ -192,6 +192,26 @@ def test_taylor_refuses_an_exponent_tuple_that_is_not_a_monomial(ideal,
     assert str(err.value) == message
 
 
+def test_taylor_refuses_twelve_generators_before_building(monkeypatch):
+    import mdgkit.constructions as constructions
+    ring = Ring(list("abcdefghijkl"))
+    monkeypatch.setattr(constructions, "FreeComplex", None)
+    monkeypatch.setattr(constructions, "subset_name", None)
+    with pytest.raises(MDGError) as err:
+        taylor_algebra(ring, [ring.var(v) for v in ring.variables])
+    assert str(err.value) == ("a Taylor algebra takes at most 11 generators, "
+                              "got 12: its basis names e<indices> would "
+                              "collide")
+
+
+def test_subset_names_are_distinct_up_to_eleven_generators():
+    names = {subset_name(sigma) for size in range(1, 12)
+             for sigma in combinations(range(11), size)}
+    assert len(names) == 2 ** 11 - 1
+    # one generator more, and {1, 2} and {12} share a name
+    assert subset_name((0, 1)) == subset_name((11,))
+
+
 def test_mapping_cone_is_mdg():
     alg = taylor_small()
     cone = mapping_cone_extension(alg, R2.var("y"))

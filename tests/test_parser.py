@@ -173,6 +173,38 @@ def test_unknown_basis_names_in_blocks_are_semantic_errors(block, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("block, message", [
+    ("complex M {\n basis 1: g mdeg(1, 0);\n d g = x;\n d g = x^2; }",
+     "line 20: second d of basis element 'g'"),
+    ("mult mu on K { e1*e2 = x*e12;\n e1*e2 = 2*x*e12; }",
+     "line 18: second product of basis elements 'e1'*'e2'"),
+    ("mult mu on K { e1*e2 = x*e12;\n e2*e1 = -x*e12; }",
+     "line 18: second product of basis elements 'e2'*'e1'"),
+    ("map phi: K -> L { e1 = f1; e2 = f2;\n e1 = f1; }",
+     "line 18: second image of basis element 'e1'"),
+    ("homotopy h on K { e1|e2 = 0;\n e1|e2 = e12; }",
+     "line 18: second homotopy on basis elements 'e1'|'e2'"),
+])
+def test_a_repeated_entry_is_a_semantic_error_at_its_line(tmp_path, capsys,
+                                                           block, message):
+    from mdgkit.cli import run_command
+    with pytest.raises(DocumentError) as err:
+        parse_document(TWO_COMPLEXES + block)
+    assert str(err.value) == message
+    path = tmp_path / "repeated.mdg"
+    path.write_text(TWO_COMPLEXES + block)
+    assert run_command(["check", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_homotopy_takes_both_orders_of_a_pair():
+    doc = parse_document(TWO_COMPLEXES
+                         + "homotopy h on K { e1|e2 = 0; e2|e1 = e12; }")
+    assert doc.homotopies["h"].table == {
+        ("e1", "e2"): doc.complexes["K"].zero,
+        ("e2", "e1"): doc.complexes["K"].elem("e12")}
+
+
 @pytest.mark.parametrize("rhs, message", [
     ("e1*e2", "cannot multiply two basis elements here; products belong in "
               "a mult block"),
@@ -429,7 +461,8 @@ FROZEN_DOCUMENTS = {0: "line 4, col 61: expected '(', got ';'",
  2: "line 6, col 29: expected ')', got '->'",
  3: "line 123, col 6: expected '*', got '/'",
  4: "line 6, col 103: unexpected character '>'",
- 5: "line 288: line 288, col 15: unknown name 'yz'",
+ 5: ("line 288: line 288, col 15: unknown name 'yz'; line 426: second "
+     "product of basis elements 'e1'*'e134'"),
  6: "line 452, col 7: expected '*', got ';'",
  7: "line 22, col 41: unexpected token '*' in expression",
  8: "line 22, col 11: expected '=', got '*'",
@@ -451,12 +484,13 @@ FROZEN_DOCUMENTS = {0: "line 4, col 61: expected '(', got ';'",
  24: "line 123, col 5: expected '*', got '^'",
  25: "line 9, col 8: expected '=', got ','",
  26: "line 667, col 6: expected '*', got '('",
- 27: 'ok ae0fbb4e956f624c',
+ 27: ("line 199: second product of basis elements 'e5'*'e1'; line 724: "
+      "second product of basis elements 'e124'*'e2'"),
  28: "line 25, col 1: expected a name, got '/'",
  29: "line 273, col 6: expected '*', got ','",
  30: "line 613, col 3: expected ';', got 'e4'",
  31: "line 8, col 8: unexpected character '>'",
- 32: 'ok 4dbe53df89493c0f',
+ 32: "line 15: second d of basis element 'e2'",
  33: "line 632, col 11: expected '=', got ')'",
  34: "line 136, col 3: expected ';', got 'e3'",
  35: "line 45, col 3: unknown complex statement 'e12'",
@@ -477,7 +511,7 @@ FROZEN_DOCUMENTS = {0: "line 4, col 61: expected '(', got ';'",
  49: "line 56: product of unknown basis elements 'on'*'e1345'; line 82: "
      "product of unknown basis elements 'x'*'e124'",
  50: "line 20, col 33: expected ';', got ')'",
- 51: 'ok 839c1a3aa8bb2a3c',
+ 51: "line 126: second product of basis elements 'e2'*'e123'",
  52: 'ok 79878e1ce7e24add',
  53: "line 414, col 1: expected '*', got 'e145'",
  54: "line 104, col 2: expected '=', got 'w'",
@@ -560,7 +594,7 @@ FROZEN_DOCUMENTS = {0: "line 4, col 61: expected '(', got ';'",
  114: "line 6, col 80: expected ';', got '='",
  115: "line 5, col 108: expected '(', got '-'",
  116: "line 535, col 17: unexpected character '²'",
- 117: 'ok 99124d931c3ec1e7',
+ 117: "line 18: second d of basis element 'e1'",
  118: "line 35, col 17: expected ';', got '->'",
  119: 'ok 45dc3de52be670da'}
 

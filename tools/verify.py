@@ -14,6 +14,8 @@ The first three pass when they exit 0.  perfbench passes when it exits 0
 and its report marks every workload correct, with an empty `self_check`
 and traced counts that repeat.  A failing check's last lines of output are
 printed under its line.  Exits 0 when every check passes, 1 otherwise.
+Last comes the total of `tools/code_lines.py`, the size of the library,
+which is information only and does not change the exit status.
 perfbench runs each workload three times for 30 s, so the whole run takes
 about ten minutes.
 """
@@ -23,6 +25,8 @@ import os
 import subprocess
 import sys
 import time
+
+from code_lines import PACKAGE, code_lines
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 TAIL = 30
@@ -86,6 +90,8 @@ def main() -> int:
             for line in output[-TAIL:]:
                 print(f"    {line}")
     print(f"{len(CHECKS) - failed} of {len(CHECKS)} checks pass")
+    total = sum(code_lines(path.read_text()) for path in PACKAGE.glob("*.py"))
+    print(f"code lines: {total} (tools/code_lines.py)")
     return 1 if failed else 0
 
 
