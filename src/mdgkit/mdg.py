@@ -56,15 +56,25 @@ class Multiplication:
         self._pos = {n: i for i, n in enumerate(complex_.order)}
 
     def set_product(self, left: str, right: str, value: Element):
-        cx = self.complex
-        if left not in cx.basis or right not in cx.basis:
-            raise MDGError(f"unknown basis element in product {left} * {right}")
-        if UNIT in (left, right):
+        """Store left*right = value, as right*left with the Koszul sign when
+        right comes first in basis order.  The unit's products and the odd
+        squares are implied: storing either raises MDGError, but for a zero
+        odd square."""
+        p, q = self._pos.get(left), self._pos.get(right)
+        if not (p and q):       # None off the basis, 0 for the unit
+            if p is None or q is None:
+                raise MDGError(
+                    f"unknown basis element in product {left} * {right}")
             raise MDGError("products with the unit are implied, do not store them")
-        if self._pos[left] > self._pos[right]:
-            sign = (-1) ** (cx.basis[left].degree * cx.basis[right].degree)
-            left, right = right, left
-            value = value if sign == 1 else -value
+        if p >= q:
+            basis = self.complex.basis
+            if p > q:
+                if basis[left].degree * basis[right].degree % 2:
+                    value = -value
+                left, right = right, left
+            elif value.coeffs and basis[left].degree % 2:
+                raise MDGError(f"{left}*{left} is an odd square, implied to "
+                               "be 0; it cannot be nonzero")
         self.table[(left, right)] = value
 
     def product(self, left: str, right: str) -> Element:

@@ -17,12 +17,18 @@ Grammar sketch::
 
 Comments run from ``#`` to end of line.  Errors carry line and column.
 
-Tokens are plain strings from one `findall` of one regular expression, with
-"" for the end of file.  A token's kind follows from its string: an ASCII
-digit first makes an int, a member of `_SYMBOLS` a symbol, anything else a
-name, which must start with a letter or "_".  The parser walks the list by
+Tokens are plain strings, with "" for the end of file, as defined by one
+regular expression, `_TOKEN`.  `tokenize` splits an ASCII text whose chunks
+are symbols, digit runs and names by str methods (`_split`), which gives
+the list that `_TOKEN.findall` gives, and reads any other text with
+`_TOKEN.findall`.  A token's kind follows from its string: an ASCII digit
+first makes an int, a member of `_SYMBOLS` a symbol, anything else a name,
+which must start with a letter or "_".  The parser walks the list by
 index; AST nodes and semantic messages hold token indices, and `_positions`
-turns those into line and column only when a `DocumentError` is raised.
+turns those into line and column, walking `_TOKEN`, only when a
+`DocumentError` is raised.  In a mult, map or homotopy block each distinct
+token run of an entry value is evaluated once, and the entries that repeat
+it share its Element.
 One evaluator, `_evaluator`, combines plain coefficient dicts for elements
 of a complex and of the free graded-commutative algebra alike.  A chain of
 terms joined by + and -, or of factors joined by * and /, is one AST node
@@ -78,11 +84,37 @@ _LEADS = _DIGITS | {"_", ""}
 # blanks and comments, then one token: ASCII digits, a run of word
 # characters, an arrow, any other single character, or the end of the text
 _TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*([0-9]+|\w+|->|[^ \t\r\n#]|\Z)")
+# what `_split` cannot read: NUL, which it writes for "->", and the blanks
+# that str.split() splits on but _TOKEN does not skip
+_UNSPLIT = re.compile(r"[\0\x0b\x0c\x1c-\x1f]")
+_PADDED = [(s, f" {s} ") for s in _SYMBOLS if s != "->"]
+
+
+def _split(text: str):
+    """The tokens of `_TOKEN.findall` by str methods, ended by "", for an
+    ASCII text without the characters of `_UNSPLIT` whose chunks are
+    symbols, digit runs and names; None for any other text."""
+    if not text.isascii() or _UNSPLIT.search(text):
+        return None
+    if "#" in text:
+        text = "\n".join(line.partition("#")[0] for line in text.split("\n"))
+    text = text.replace("->", "\0")
+    for sym, padded in _PADDED:
+        text = text.replace(sym, padded)
+    toks = text.replace("\0", " -> ").split()
+    for chunk in set(toks):
+        if not (chunk in _SYMBOLS or chunk.isidentifier() or chunk.isdigit()):
+            return None     # "12ab", or a character that starts no token
+    toks.append("")
+    return toks
 
 
 def tokenize(text: str) -> list:
     """The token strings of text, ended by "".  A character that starts no
     token raises DocumentError, before any parsing."""
+    toks = _split(text)
+    if toks is not None:
+        return toks
     toks = _TOKEN.findall(text)
     if len(toks) > 1 and not toks[-2]:
         del toks[-1]        # after trailing blanks the end matches again
@@ -528,11 +560,13 @@ def _complex_named(doc: Document, toks: list, at: int) -> FreeComplex:
     return doc.complexes[toks[at]]
 
 
-def _parse_on(toks: list, i: int, doc: Document):
+def _parse_on(toks: list, i: int, doc: Document, what: str, blocks: dict):
     """The header `<name> on <complex>` of a mult or homotopy block: (name,
-    complex, index after the header)."""
+    complex, index after the header).  A name in blocks is a duplicate."""
     name = _name(toks, i)
     _require_ring(doc, i)
+    if name in blocks:
+        raise _Fault(f"duplicate {what} {name!r}", i)
     if _name(toks, i + 1) != "on":
         raise _Fault("expected 'on'", i + 1)
     _name(toks, i + 2)
@@ -559,23 +593,53 @@ def _parse_entries(toks: list, i: int, semantic: list, sep: str, basis,
     of cx handed to `store(*names, value)`, which files it in `table`.  A
     key outside `basis`, a value that does not evaluate or store, and a
     second entry for a key are semantic errors.  Repeats are looked for only
-    when the table holds fewer entries than were stored."""
+    when the table holds fewer entries than were stored.
+
+    An entry of the shape `name sep name = run ;` is found by its ";".  Each
+    distinct token run is parsed and evaluated once per block, and the
+    entries that repeat it share its Element; any other entry is read token
+    by token, which raises its syntax error."""
     evaluate = _element_evaluator(cx)
+    index = toks.index
+    values = {}         # token run -> its Element
+    width = 4 if sep else 2     # tokens of `key =`
     stored = []
     i = _expect(toks, i, "{")
     while toks[i] != "}":
-        at, names = i, [_name(toks, i)]
-        if sep:
-            i = _expect(toks, i + 1, sep)
-            names.append(_name(toks, i))
-        ast, i = parse_expression(toks, _expect(toks, i + 1, "="))
-        i = _expect(toks, i, ";")
+        at, start = i, i + width
+        try:
+            end = index(";", i)
+        except ValueError:
+            end = i
+        if (end > start and toks[start - 1] == "="
+                and (not sep or toks[i + 1] == sep)
+                and toks[i][:1] not in _NOT_NAME
+                and toks[start - 2][:1] not in _NOT_NAME):
+            names = [toks[i], toks[start - 2]] if sep else [toks[i]]
+            run = tuple(toks[start:end])
+            value = values.get(run)
+            if value is None:
+                ast, i = parse_expression(toks, start)
+                if i != end:
+                    _expect(toks, i, ";")
+            i = end + 1
+        else:
+            names, run, value = [_name(toks, i)], None, None
+            if sep:
+                i = _expect(toks, i + 1, sep)
+                names.append(_name(toks, i))
+            ast, i = parse_expression(toks, _expect(toks, i + 1, "="))
+            i = _expect(toks, i, ";")
         if names[0] not in basis or names[-1] not in basis:
             semantic.append((at, f"{unknown} "
                              + sep.join(repr(n) for n in names), None))
             continue
         try:
-            store(*names, evaluate(ast))
+            if value is None:
+                value = evaluate(ast)
+                if run is not None:
+                    values[run] = value
+            store(*names, value)
         except _Fault as e:
             semantic.append((at, e.message, e.at))
         except MDGError as e:
@@ -589,7 +653,7 @@ def _parse_entries(toks: list, i: int, semantic: list, sep: str, basis,
 
 
 def _parse_mult(toks: list, i: int, doc: Document, semantic: list) -> int:
-    name, cx, i = _parse_on(toks, i, doc)
+    name, cx, i = _parse_on(toks, i, doc, "mult", doc.mults)
     mult = Multiplication(cx, name)
     i = _parse_entries(toks, i, semantic, "*", cx.basis,
                        "product of unknown basis elements", cx,
@@ -601,6 +665,8 @@ def _parse_mult(toks: list, i: int, doc: Document, semantic: list) -> int:
 def _parse_map(toks: list, i: int, doc: Document, semantic: list) -> int:
     name = _name(toks, i)
     _require_ring(doc, i)
+    if name in doc.maps:
+        raise _Fault(f"duplicate map {name!r}", i)
     src = _expect(toks, i + 1, ":")
     _name(toks, src)
     dst = _expect(toks, src + 1, "->")
@@ -616,7 +682,7 @@ def _parse_map(toks: list, i: int, doc: Document, semantic: list) -> int:
 
 
 def _parse_homotopy(toks: list, i: int, doc: Document, semantic: list) -> int:
-    name, cx, i = _parse_on(toks, i, doc)
+    name, cx, i = _parse_on(toks, i, doc, "homotopy", doc.homotopies)
     h = Homotopy(cx, name)
     i = _parse_entries(toks, i, semantic, "|", cx.basis,
                        "homotopy on unknown basis elements", cx, h.set_value,

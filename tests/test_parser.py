@@ -8,13 +8,18 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mdgkit.parser as parser
 from mdgkit import fixture_path, load_fixture
-from mdgkit.complexes import UNIT
+from mdgkit.complexes import UNIT, FreeComplex
+from mdgkit.constructions import taylor_algebra
 from mdgkit.gcalg import GCContext
 from mdgkit.groebner import context_for
-from mdgkit.parser import (Document, DocumentError, _positions,
-                           format_document, parse_document, parse_element,
-                           parse_gcpoly, tokenize)
+from mdgkit.mdg import MDGError, Multiplication
+from mdgkit.parser import (_SYMBOLS, _TOKEN, Document, DocumentError,
+                           _positions, _split, format_document,
+                           parse_document, parse_element, parse_gcpoly,
+                           tokenize)
+from mdgkit.ring import Ring
 
 DOC = """
 # Koszul complex on x^2, x*y
@@ -205,6 +210,51 @@ def test_a_homotopy_takes_both_orders_of_a_pair():
         ("e2", "e1"): doc.complexes["K"].elem("e12")}
 
 
+@pytest.mark.parametrize("block, message", [
+    ("mult mu on K { e1*e2 = x*e12; }\nmult mu on K { e1*e2 = 0; }",
+     "line 18, col 6: duplicate mult 'mu'"),
+    ("map p: K -> L { e1 = f1; }\nmap p: L -> K { f1 = e1; }",
+     "line 18, col 5: duplicate map 'p'"),
+    ("homotopy h on K { e1|e2 = 0; }\nhomotopy h on L { f1|f2 = 0; }",
+     "line 18, col 10: duplicate homotopy 'h'"),
+])
+def test_a_repeated_block_name_is_an_error_at_its_name(tmp_path, capsys,
+                                                       block, message):
+    from mdgkit.cli import run_command
+    with pytest.raises(DocumentError) as err:
+        parse_document(TWO_COMPLEXES + block)
+    assert str(err.value) == message
+    path = tmp_path / "repeated.mdg"
+    path.write_text(TWO_COMPLEXES + block)
+    assert run_command(["check", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_nonzero_odd_square_is_a_semantic_error_at_its_line(tmp_path,
+                                                              capsys):
+    from mdgkit.cli import run_command
+    block = "mult mu on K { e1*e2 = x*e12;\n e2*e2 = y*e12; }"
+    message = ("line 18: e2*e2 is an odd square, implied to be 0; it cannot "
+               "be nonzero")
+    with pytest.raises(DocumentError) as err:
+        parse_document(TWO_COMPLEXES + block)
+    assert str(err.value) == message
+    path = tmp_path / "square.mdg"
+    path.write_text(TWO_COMPLEXES + block)
+    for command in ("check", "assoc"):
+        assert run_command([command, str(path)]) == 2
+        assert message in capsys.readouterr().err
+    # a zero odd square, and an even square, are still stored
+    doc = parse_document(TWO_COMPLEXES
+                         + "mult mu on K { e1*e1 = 0; e12*e12 = x*e12; }")
+    cx = doc.complexes["K"]
+    assert doc.mults["mu"].table == {("e1", "e1"): cx.zero,
+                                     ("e12", "e12"): parse_element("x*e12",
+                                                                   cx)}
+    with pytest.raises(MDGError, match="e2\\*e2 is an odd square"):
+        Multiplication(cx).set_product("e2", "e2", cx.elem("e12"))
+
+
 @pytest.mark.parametrize("rhs, message", [
     ("e1*e2", "cannot multiply two basis elements here; products belong in "
               "a mult block"),
@@ -339,6 +389,132 @@ def test_token_strings_match_the_character_loop(text):
 def test_the_end_of_file_after_a_comment_sits_at_its_hash(text, eof):
     assert described_tokens(text)[-1] == ("eof", None) + eof
     assert reference_tokens(text)[-1] == ("eof", None) + eof
+
+
+# -- the split tokenizer and the per-block value memo --------------------------
+
+FIXTURE_NAMES = ["ex55", "ex6", "fa", "fk", "fk_split", "fm", "fo_full",
+                 "fo_presentation", "taylor_x2_xy"]
+
+
+def findall_tokens(text):
+    """_TOKEN.findall(text) with tokenize's end-of-text rule."""
+    toks = _TOKEN.findall(text)
+    if len(toks) > 1 and not toks[-2]:
+        del toks[-1]
+    return toks
+
+
+SPLIT_FRAGMENTS = ["ring", "x", "e12", "_a1", "007", "12ab", "->", "-->",
+                   ">", "!", " # c\n", "#c", " ", "\n", "\t", "\r", "\f",
+                   "\v", "\0", "é", "٣", *sorted(_SYMBOLS)]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(SPLIT_FRAGMENTS), max_size=16).map("".join))
+def test_the_split_tokens_are_the_regex_tokens(text):
+    expected = findall_tokens(text)
+    split = _split(text)
+    assert split is None or split == expected
+    if any(t and not (t in _SYMBOLS or t[0] in "0123456789_" or t[0].isalpha())
+           for t in expected):
+        with pytest.raises(DocumentError, match="unexpected character"):
+            tokenize(text)
+    else:
+        assert tokenize(text) == expected
+
+
+def test_the_split_path_reads_every_fixture():
+    for name in FIXTURE_NAMES:
+        text = fixture_path(name).read_text()
+        assert _split(text) == findall_tokens(text), name
+
+
+def parent_entries(toks, i, semantic, sep, basis, unknown, cx, store,
+                   table):
+    """The entry loop the value memo replaced: every entry read token by
+    token and its value evaluated afresh."""
+    evaluate = parser._element_evaluator(cx)
+    stored = []
+    i = parser._expect(toks, i, "{")
+    while toks[i] != "}":
+        at, names = i, [parser._name(toks, i)]
+        if sep:
+            i = parser._expect(toks, i + 1, sep)
+            names.append(parser._name(toks, i))
+        ast, i = parser.parse_expression(toks,
+                                         parser._expect(toks, i + 1, "="))
+        i = parser._expect(toks, i, ";")
+        if names[0] not in basis or names[-1] not in basis:
+            semantic.append((at, f"{unknown} "
+                             + sep.join(repr(n) for n in names), None))
+            continue
+        try:
+            store(*names, evaluate(ast))
+        except parser._Fault as e:
+            semantic.append((at, e.message, e.at))
+        except MDGError as e:
+            semantic.append((at, str(e), None))
+        else:
+            stored.append((at, names))
+    if len(stored) != len(table):
+        parser._repeats(stored, sep, "second "
+                        + unknown.replace("unknown ", ""), semantic)
+    return i + 1
+
+
+def taylor_document(size: int) -> str:
+    """The Taylor algebra of the first size monomials of (x^2, w^2, zw, xy,
+    yz, y^2), as format_document prints it."""
+    ring = Ring(["x", "y", "z", "w"])
+    ideal = [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0),
+             (0, 1, 1, 0), (0, 2, 0, 0)][:size]
+    alg = taylor_algebra(ring, [ring.monomial(m) for m in ideal])
+    doc = Document()
+    doc.ring, doc.complexes["T"], doc.mults["mu"] = ring, alg.complex, alg.mult
+    return format_document(doc)
+
+
+def entry_values(doc: Document) -> dict:
+    return {(kind, name): {key: dict(value.coeffs)
+                           for key, value in table.items()}
+            for kind, blocks in (("mult", doc.mults), ("map", doc.maps),
+                                 ("homotopy", doc.homotopies))
+            for name, block in blocks.items()
+            for table in [block.images if kind == "map" else block.table]}
+
+
+@pytest.mark.parametrize("source", [*FIXTURE_NAMES, *(
+    pytest.param(size, id=f"taylor{size}") for size in (4, 5, 6))])
+def test_memoised_entries_read_as_the_token_by_token_loop(monkeypatch,
+                                                          source):
+    text = (taylor_document(source) if isinstance(source, int)
+            else fixture_path(source).read_text())
+    ours = parse_document(text)
+    with monkeypatch.context() as patch:
+        patch.setattr(parser, "_parse_entries", parent_entries)
+        theirs = parse_document(text)
+    assert format_document(ours) == format_document(theirs)
+    assert entry_values(ours) == entry_values(theirs)
+
+
+def test_entries_with_one_value_share_it_and_a_reversed_one_is_signed():
+    doc = parse_document("""
+ring x, y, z;
+complex K {
+  basis 1: e1 mdeg(1, 0, 0), e2 mdeg(0, 1, 0), e3 mdeg(0, 0, 1);
+  basis 2: e12 mdeg(1, 1, 0), e13 mdeg(1, 0, 1), e23 mdeg(0, 1, 1);
+}
+mult mu on K {
+  e1*e2 = x*e23 + e12;
+  e3*e1 = x*e23 + e12;
+  e2*e3 = x*e23 + e12;
+}
+""")
+    table, cx = doc.mults["mu"].table, doc.complexes["K"]
+    assert table["e1", "e2"] is table["e2", "e3"]
+    assert cx.format_element(table["e1", "e2"]) == "e12 + x*e23"
+    assert cx.format_element(table["e1", "e3"]) == "-e12 - x*e23"
 
 
 # -- powers ------------------------------------------------------------------

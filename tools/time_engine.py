@@ -2,9 +2,12 @@
 certificate, the symmetric-algebra check and the chain layer in process,
 best of three runs per case.
 
-The parse case runs `parse_document` on the text of each of the 9 bundled
-fixtures; its golden count is the number of stored products, chain-map
-images and differentials over all of them.
+The first parse case runs `parse_document` on the text of each of the 9
+bundled fixtures; its golden count is the number of stored products,
+chain-map images and differentials over all of them.  One parse case each
+runs it on fk, fm, fa, ex6 and fk_split alone, with that fixture's count,
+and the tokenize case runs `tokenize` on fk_split, whose golden count is
+its number of tokens, the end of text not counted.
 
 The engine cases are `buchberger` on the pair relations of the fixtures fk,
 fa, ex55 and fo_full, of the Taylor algebra of (x^2, w^2, zw, xy, yz), and
@@ -45,8 +48,8 @@ Each run's basis size (for a certificate, also its witness count; for a
 scan, its verdict or generator count; for a symmetric-algebra check, its
 monomial and problem counts; for an axiom check, its problem and skipped
 counts; for a homology case, its dimensions; for the presentation check,
-its (ideal, span) dimensions per degree; for the parse case, its entry
-count) is checked against its golden value before its time counts.  Takes no options.  Run from anywhere:
+its (ideal, span) dimensions per degree; for a parse case, its entry
+count; for the tokenize case, its token count) is checked against its golden value before its time counts.  Takes no options.  Run from anywhere:
 
     python3 tools/time_engine.py
 
@@ -73,7 +76,7 @@ from check_criteria import PERTURBED, TAYLOR5, TAYLOR6, perturbed, taylor
 from mdgkit import fixture_path, load_fixture
 from mdgkit.groebner import associativity_certificate, buchberger, mult_ideal
 from mdgkit.mdg import MDGAlgebra, Multiplication, quotient_homology_dims
-from mdgkit.parser import parse_document
+from mdgkit.parser import parse_document, tokenize
 from mdgkit.symdg import build_sym, presentation_check
 
 RUNS = 3
@@ -88,8 +91,14 @@ FIXTURES = ["ex55", "ex6", "fa", "fk", "fk_split", "fm", "fo_full",
             "fo_presentation", "taylor_x2_xy"]
 
 
-def parse_fixtures():
-    texts = [fixture_path(name).read_text() for name in FIXTURES]
+# the fixtures that perfbench's calculus workload parses, with their entry
+# counts
+PARSED = [("fk", 199), ("fm", 391), ("fa", 161), ("ex6", 21),
+          ("fk_split", 760)]
+
+
+def parse_fixtures(names):
+    texts = [fixture_path(name).read_text() for name in names]
 
     def run():
         start = time.perf_counter()
@@ -102,6 +111,17 @@ def parse_fixtures():
         entries += sum(len(cx.diff) for doc in docs
                        for cx in doc.complexes.values())
         return f"{entries} entries", elapsed, {}
+    return run
+
+
+def tokenize_fixture(name):
+    text = fixture_path(name).read_text()
+
+    def run():
+        start = time.perf_counter()
+        toks = tokenize(text)
+        elapsed = time.perf_counter() - start
+        return f"{len(toks) - 1} tokens", elapsed, {}
     return run
 
 
@@ -257,7 +277,10 @@ def cases():
     fm_half = halved("fm").complexes["FM"]
     taylor7 = taylor(TAYLOR7)
     return [
-        ("parse 9 fixtures", parse_fixtures(), "2294 entries"),
+        ("parse 9 fixtures", parse_fixtures(FIXTURES), "2294 entries"),
+    ] + [(f"parse {name}", parse_fixtures([name]), f"{entries} entries")
+         for name, entries in PARSED] + [
+        ("tokenize fk_split", tokenize_fixture("fk_split"), "6069 tokens"),
         ("taylor build taylor9", taylor_build(TAYLOR9),
          "511 generators, 130560 stored pairs"),
         ("taylor build taylor10", taylor_build(TAYLOR10),
