@@ -404,10 +404,15 @@ def cmd_transport(args) -> int:
 
 
 def _find_splitting(doc: Document):
-    for n1, phi in doc.maps.items():
-        for n2, psi in doc.maps.items():
+    """The first pair of maps phi: X -> Y and psi: Y -> X, X not Y, as
+    (iota, pi): iota maps out of the complex with fewer basis elements,
+    whichever block the document gives first."""
+    for phi in doc.maps.values():
+        for psi in doc.maps.values():
             if phi.target is psi.source and psi.target is phi.source \
                     and phi.source is not phi.target:
+                if len(phi.source.basis) > len(psi.source.basis):
+                    return psi, phi
                 return phi, psi
     return None
 

@@ -14,7 +14,7 @@ from itertools import product as iproduct
 
 from . import linalg
 from .ring import (Ring, add_term, format_polynomial, mono_div, mono_divides,
-                   mono_lcm, mono_mul)
+                   mono_lcm, mono_mul, rational)
 
 UNIT = "1"
 
@@ -343,6 +343,67 @@ class FreeComplex:
             chunks.append(_format_term(x.coeffs[name], name, first))
             first = False
         return " ".join(chunks)
+
+
+def lift_on_pieces(cx: FreeComplex, labels, boundary: dict,
+                   constraints=None) -> dict:
+    """{label: {name: q}}: for each (label, degree, mdeg) of `labels`, an
+    element x = sum_t q_t x^(mdeg - m_t) e_t of the (degree, mdeg) piece
+    with d(x) = boundary[label], a rational vector {name: q} read at mdeg
+    (missing means 0).  Zero coordinates are left out.
+
+    The unknowns of a label are the q_t of the names t of
+    `cx.names_in_degree(degree)` whose multidegree divides mdeg, in basis
+    order.  Its rows are d read from `diff_constants()`, one per target
+    name, and the rows of `constraints`, pairs (row, rhs) that ask
+    sum q * q_t = rhs for row = {(label, t): q}.  A key of a row that is
+    not an unknown is a coordinate that is 0, and drops out; a row that
+    then touches the unknowns of two labels raises ComplexError rather
+    than being split.  Each label is solved by `linalg.solve` on its own,
+    free coordinates 0.  Since no row couples two labels, that is the
+    solution of all labels solved at once, in any column order that keeps
+    each label's columns in basis order.  Raises ComplexError naming the
+    first label, in `labels` order, without a solution, and at a
+    constraint row with no unknown and a nonzero rhs."""
+    cx.require_complex()
+    consts = cx.diff_constants()
+    unknowns = {label: [t for t in cx.names_in_degree(degree)
+                        if mono_divides(cx.basis[t].mdeg, mdeg)]
+                for label, degree, mdeg in labels}
+    extra = {label: [] for label in unknowns}
+    for row, rhs in constraints or ():
+        touched = {}
+        for (label, t), q in row.items():
+            if q and t in unknowns.get(label, ()):
+                touched.setdefault(label, {})[t] = q
+        if len(touched) > 1:
+            raise ComplexError(f"a constraint row touches the unknowns of "
+                               f"{', '.join(map(str, touched))}")
+        if touched:
+            (label, coords), = touched.items()
+            extra[label].append((coords, rhs))
+        elif rhs:
+            raise ComplexError(f"a constraint row with no unknown asks "
+                               f"0 = {rhs}")
+    out = {}
+    for label, degree, mdeg in labels:
+        cols = unknowns[label]
+        want = boundary.get(label, {})
+        targets = dict.fromkeys(want)
+        for t in cols:
+            targets.update(dict.fromkeys(consts[t]))
+        rows = [[consts[t].get(k, 0) for t in cols] for k in targets]
+        rhs = [want.get(k, 0) for k in targets]
+        for coords, b in extra[label]:
+            rows.append([coords.get(t, 0) for t in cols])
+            rhs.append(b)
+        u = linalg.solve(rows, rhs) if rows else [0] * len(cols)
+        if u is None:
+            raise ComplexError(f"no lift of {label}: no element of degree "
+                               f"{degree} and multidegree {mdeg} meets its "
+                               f"boundary and constraints")
+        out[label] = {t: rational(q) for t, q in zip(cols, u) if q}
+    return out
 
 
 def subquotient_homology(cx: FreeComplex, degrees, a=None, b=None) -> dict:

@@ -642,6 +642,22 @@ def test_transport_recovers_the_stored_table(capsys):
     assert "matches" in out
 
 
+def test_transport_orients_the_pair_whatever_the_block_order(tmp_path,
+                                                             capsys):
+    # iota maps out of the smaller complex, so moving the `map iota` block
+    # after `map pi` changes nothing
+    text = Path(SPLIT).read_text()
+    start, cut = text.index("map iota:"), text.index("map pi:")
+    swapped = text[:start] + text[cut:].rstrip("\n") + "\n\n" \
+        + text[start:cut].rstrip("\n") + "\n"
+    assert swapped.index("map pi:") < swapped.index("map iota:")
+    doc = tmp_path / "swapped.mdg"
+    doc.write_text(swapped)
+    code, out, _ = run(capsys, ["transport", str(doc)])
+    assert code == 0
+    assert "matches" in out
+
+
 def test_perturb_is_deterministic_per_seed(capsys):
     first = run(capsys, ["perturb", FK, "--seed", "7"])
     second = run(capsys, ["perturb", FK, "--seed", "7"])

@@ -1,9 +1,12 @@
 """Generate the .mdg fixture documents shipped in src/mdgkit/fixtures/.
 
-Each multiplication table is produced by independent machinery -- splitting
-solvers over the Taylor algebra, explicit comparison-map transport, or
-normal-form completion -- and every hard expectation is asserted here before
-the document is written.  Run from the repository root:
+Each multiplication table is produced by independent machinery -- transport
+from the Taylor algebra along a splitting solved here, explicit
+comparison-map transport, or normal-form completion -- and every hard
+expectation is asserted here before the document is written.  The splitting
+solver is a loop over degrees around the library's lifting kernel,
+`complexes.lift_on_pieces`, with rational unknowns only.  Run from the
+repository root:
 
     python3 tools/gen_fixtures.py
 """
@@ -13,16 +16,13 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fractions import Fraction
-
-from mdgkit import linalg
-from mdgkit.complexes import UNIT, Element, FreeComplex
-from mdgkit.constructions import (check_splitting, subset_name,
-                                  taylor_algebra, transport_multiplication)
+from mdgkit.complexes import UNIT, FreeComplex, lift_on_pieces
+from mdgkit.constructions import (check_splitting, taylor_algebra,
+                                  transport_multiplication)
 from mdgkit.mdg import ChainMap, MDGAlgebra, Multiplication
 from mdgkit.parser import Document, format_document, parse_document, \
     parse_element
-from mdgkit.ring import Polynomial, Ring, mono_div, mono_divides
+from mdgkit.ring import Ring, mono_div
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "mdgkit",
                            "fixtures")
@@ -46,218 +46,82 @@ def sub_resolution(T: FreeComplex, faces, name: str) -> FreeComplex:
 
 
 # ---------------------------------------------------------------------------
-# affine elements: R-combinations of basis elements whose scalar weights are
-# affine in a vector of unknown rational numbers.
-# representation: {basis_name: {key: Polynomial}} with key None = constant
-# part and key k = coefficient of unknown u_k.
-
-def aff_zero():
-    return {}
-
-
-def aff_add_term(acc, name, key, poly):
-    if poly.is_zero():
-        return
-    slot = acc.setdefault(name, {})
-    prev = slot.get(key)
-    total = poly if prev is None else prev + poly
-    if total.is_zero():
-        slot.pop(key, None)
-    else:
-        slot[key] = total
-
-
-def aff_add(a, b):
-    out = {n: dict(p) for n, p in a.items()}
-    for n, parts in b.items():
-        for key, poly in parts.items():
-            aff_add_term(out, n, key, poly)
-    return out
-
-
-def aff_scale(a, poly: Polynomial):
-    out = {}
-    for n, parts in a.items():
-        for key, p in parts.items():
-            aff_add_term(out, n, key, p * poly)
-    return out
-
-
-def aff_from_element(x: Element):
-    out = {}
-    for n, c in x.coeffs.items():
-        aff_add_term(out, n, None, c)
-    return out
-
-
-def aff_apply_diff(F: FreeComplex, a):
-    out = {}
-    for n, parts in a.items():
-        dn = F.d(F.elem(n))
-        for tgt, c in dn.coeffs.items():
-            for key, poly in parts.items():
-                aff_add_term(out, tgt, key, poly * c)
-    return out
-
-
-def aff_equations(a, nunknowns):
-    """Rows and right-hand sides expressing `a == 0` coefficientwise."""
-    rows, rhs = [], []
-    for parts in a.values():
-        monos = set()
-        for poly in parts.values():
-            monos.update(poly.terms)
-        for m in monos:
-            row = [Fraction(0)] * nunknowns
-            b = Fraction(0)
-            for key, poly in parts.items():
-                c = poly.terms.get(m, Fraction(0))
-                if key is None:
-                    b -= c
-                else:
-                    row[key] += c
-            rows.append(row)
-            rhs.append(b)
-    return rows, rhs
-
-
-# ---------------------------------------------------------------------------
 # splitting solver: complete pi: T -> F, pi|F = id, to a multigraded chain
-# map, degree by degree.  Optional constraints:
+# map, one degree at a time, with `lift_on_pieces`: pi(e_s) for a face s of
+# T outside F is a lift of pi(d e_s) at the multidegree of s.  Every value is
+# a rational vector {name: q} read at a known multidegree, as in
+# `Multiplication.q_mul`.  Optional constraints, rows on the faces of the
+# degree being solved:
 #   pair_pins[(a, b)] = value   forces a*b = value in the transported table;
 #   square_triples=True         forces a*(a*b) = 0 for all basis pairs (a, b)
 #                               (together with a*a = 0, which transport gives
 #                               for free, this is associativity on all
 #                               triples with a repeated first argument).
+# A row that touches the unknowns of two faces makes the kernel raise.
 
 def solve_splitting(T_alg: MDGAlgebra, F: FreeComplex, pair_pins=None,
                     square_triples=False, verbose=True):
-    T = T_alg.complex
-    ring = T.ring
-    pair_pins = dict(pair_pins or {})
-    missing = [n for n in T.order if n != UNIT and n not in F.basis]
+    T, mult = T_alg.complex, T_alg.mult
+    consts = mult.structure_constants()
+    t_diff = T.diff_constants()
+    pins = pair_pins or {}
     f_names = [n for n in F.order if n != UNIT]
-    solved = {}
+    pi = {n: {n: 1} for n in F.order}
 
-    def candidates(s):
-        ms = T.basis[s].mdeg
-        ds = T.basis[s].degree
-        return [t for t in f_names
-                if F.basis[t].degree == ds and mono_divides(F.basis[t].mdeg, ms)]
-
-    def pi_known(x: Element) -> Element:
-        """pi of a T-element supported on known (F or solved) faces."""
-        acc = F.zero
-        for n, c in x.coeffs.items():
-            if n == UNIT:
-                acc = acc + F.one.scale(c)
-            elif n in F.basis:
-                acc = acc + F.elem(n).scale(c)
-            else:
-                acc = acc + solved[n].scale(c)
-        return acc
-
-    def mu_known(a: str, b: str) -> Element:
-        return pi_known(T_alg.mult.product(a, b))
-
-    stages = sorted({T.basis[s].degree for s in missing})
-    for D in stages:
-        stage_faces = [s for s in missing if T.basis[s].degree == D]
-        unknowns = []
-        index = {}
-        for s in stage_faces:
-            for t in candidates(s):
-                index[(s, t)] = len(unknowns)
-                unknowns.append((s, t))
-
-        def pi_hat(x: Element):
-            acc = aff_zero()
-            for n, c in x.coeffs.items():
-                if n == UNIT:
-                    aff_add_term(acc, UNIT, None, c)
-                elif n in F.basis:
-                    aff_add_term(acc, n, None, c)
-                elif n in solved:
-                    for tgt, cc in solved[n].coeffs.items():
-                        aff_add_term(acc, tgt, None, cc * c)
-                else:
-                    ms, dn = T.basis[n].mdeg, n
-                    for t in candidates(n):
-                        mono = mono_div(ms, F.basis[t].mdeg)
-                        aff_add_term(acc, t, index[(dn, t)],
-                                     ring.monomial(mono) * c)
-            return acc
-
-        rows, rhs = [], []
-
-        def require_zero(aff):
-            r, b = aff_equations(aff, len(unknowns))
-            rows.extend(r)
-            rhs.extend(b)
-
-        # chain-map condition at this degree
-        for s in stage_faces:
-            lhs = aff_apply_diff(F, pi_hat(T.elem(s)))
-            require_zero(aff_add(lhs, aff_scale(pi_hat(T.d(T.elem(s))),
-                                                -ring.one)))
-
-        # pinned products whose Taylor product lands in this degree
-        for (a, b), value in list(pair_pins.items()):
-            if F.basis[a].degree + F.basis[b].degree != D:
+    def push(vec):
+        """(pi of vec's part on solved faces, vec's part on the others)."""
+        known, rest = {}, {}
+        for n, q in vec.items():
+            if n not in pi:
+                rest[n] = q
                 continue
-            prod = pi_hat(T_alg.mult.product(a, b))
-            require_zero(aff_add(prod, aff_from_element(value.scale(-ring.one))))
-            del pair_pins[(a, b)]
+            for k, p in pi[n].items():
+                known[k] = known.get(k, 0) + q * p
+        return known, rest
 
-        # a * (a * b) = 0 for triples whose outer product lands here
+    missing = [n for n in T.order if n not in pi]
+    for D in sorted({T.basis[s].degree for s in missing}):
+        faces = [s for s in missing if T.basis[s].degree == D]
+        rows = []
+
+        def require(vec, want):
+            """Rows for pi(vec) = want, vec on the faces of degree D."""
+            known, rest = push(vec)
+            for k in F.names_in_degree(D):
+                rows.append(({(n, k): q for n, q in rest.items()},
+                             want.get(k, 0) - known.get(k, 0)))
+
+        for (a, b), value in pins.items():
+            if F.basis[a].degree + F.basis[b].degree == D:
+                require(mult.q_row(consts, a, b),
+                        {n: c.lead_coeff() for n, c in value.coeffs.items()})
         if square_triples:
             for a in f_names:
-                da = F.basis[a].degree
                 for b in f_names:
-                    if 2 * da + F.basis[b].degree != D:
-                        continue
-                    inner = mu_known(a, b)
-                    acc = aff_zero()
-                    for n, c in inner.coeffs.items():
-                        if n == UNIT:
-                            continue
-                        acc = aff_add(acc, aff_scale(
-                            pi_hat(T_alg.mult.product(a, n)), c))
-                    require_zero(acc)
-
-        u = linalg.solve(rows, rhs)
-        if u is None:
-            raise RuntimeError(f"splitting constraints inconsistent in "
-                               f"degree {D}")
+                    if 2 * F.basis[a].degree + F.basis[b].degree == D:
+                        inner = push(mult.q_row(consts, a, b))[0]
+                        require(mult.q_mul(consts, {a: 1}, inner), {})
+        pi.update(lift_on_pieces(
+            F, [(s, D, T.basis[s].mdeg) for s in faces],
+            {s: push(t_diff[s])[0] for s in faces}, rows))
         if verbose:
-            nfree = len(unknowns) - len(linalg.rref(rows)[1]) if rows else \
-                len(unknowns)
-            print(f"  degree {D}: {len(stage_faces)} faces, "
-                  f"{len(unknowns)} unknowns, {nfree} free")
-        for s in stage_faces:
-            coeffs = {}
-            for t in candidates(s):
-                val = u[index[(s, t)]] if unknowns else Fraction(0)
-                if val:
-                    mono = mono_div(T.basis[s].mdeg, F.basis[t].mdeg)
-                    coeffs[t] = ring.monomial(mono, val)
-            solved[s] = Element(F, coeffs)
+            print(f"  degree {D}: {len(faces)} faces")
 
-    # pins whose product degree exceeds every stage are pure checks
-    for (a, b), value in pair_pins.items():
-        got = mu_known(a, b)
+    pi_map = ChainMap(T, F, "pi")
+    for s in T.order:
+        if s != UNIT:
+            ms = T.basis[s].mdeg
+            pi_map.set_image(s, F.element({
+                t: F.ring.monomial(mono_div(ms, F.basis[t].mdeg), q)
+                for t, q in pi[s].items()}))
+    for (a, b), value in pins.items():
+        got = pi_map.apply(mult.product(a, b))
         assert (got - value).is_zero(), \
             f"pin {a}*{b}: transported {got}, wanted {value}"
-    pi = ChainMap(T, F, "pi")
-    for n in T.order:
-        if n == UNIT:
-            continue
-        pi.set_image(n, F.elem(n) if n in F.basis else solved[n])
     iota = ChainMap(F, T, "iota")
-    for n in F.order:
-        if n != UNIT:
-            iota.set_image(n, T.elem(n))
-    return iota, pi
+    for n in f_names:
+        iota.set_image(n, T.elem(n))
+    return iota, pi_map
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ The first three pass when they exit 0.  perfbench passes when it exits 0
 and its report marks every workload correct, with an empty `self_check`
 and traced counts that repeat.  A failing check's last lines of output are
 printed under its line.  Exits 0 when every check passes, 1 otherwise.
-Last comes the total of `tools/code_lines.py`, the size of the library,
-which is information only and does not change the exit status.
+Last come the totals of `tools/code_lines.py` on the library and on
+`tools/`, which are information only and do not change the exit status.
 perfbench runs each workload three times for 30 s, so the whole run takes
 about ten minutes.
 """
@@ -25,10 +25,12 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from code_lines import PACKAGE, code_lines
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+TOOLS = Path(__file__).resolve().parent
 TAIL = 30
 
 
@@ -90,8 +92,11 @@ def main() -> int:
             for line in output[-TAIL:]:
                 print(f"    {line}")
     print(f"{len(CHECKS) - failed} of {len(CHECKS)} checks pass")
-    total = sum(code_lines(path.read_text()) for path in PACKAGE.glob("*.py"))
-    print(f"code lines: {total} (tools/code_lines.py)")
+    for label, directory in (("code lines", PACKAGE),
+                             ("tools code lines", TOOLS)):
+        total = sum(code_lines(path.read_text())
+                    for path in directory.glob("*.py"))
+        print(f"{label}: {total} (tools/code_lines.py)")
     return 1 if failed else 0
 
 
