@@ -11,25 +11,22 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 
 from .complexes import UNIT, ComplexError, Element, FreeComplex
 from .constructions import mapping_cone_extension, taylor_algebra
 from .groebner import (associativity_certificate, complete_relations,
                        context_for, mult_ideal)
-from .mdg import (Homotopy, MDGAlgebra, MDGError, perturb_multiplication,
-                  quotient_homology_dims)
+from .mdg import (MDGAlgebra, MDGError, perturb_multiplication,
+                  quotient_homology_dims, random_homotopy)
 from .parser import (Document, DocumentError, format_document, is_name,
                      parse_element, parse_gcpoly, tokenize)
-from .ring import (Polynomial, Ring, laurent_term, mono_div, mono_divides,
-                   mono_mul)
+from .ring import Polynomial, Ring, laurent_term, mono_divides, mono_mul
 from .symdg import SymError, build_sym
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
-HOMOTOPY_ENTRIES = 8    # `_random_homotopy` stops at 2 * this many values
 
 GRAMMAR = """\
 document grammar:
@@ -83,11 +80,12 @@ def _dims_str(dims: dict) -> str:
 
 
 def _parse_scalar(ring: Ring, text: str) -> Polynomial:
-    """A polynomial in the ring variables, via the element grammar."""
+    """A nonzero polynomial in the ring variables, via the element grammar
+    on a complex whose only basis element is the unit."""
     v = parse_element(text, FreeComplex(ring, "_scratch"))
     coeff = v.coeffs.get(UNIT)
-    if coeff is None or set(v.coeffs) != {UNIT}:
-        raise CLIError(f"{text!r} is not a scalar polynomial")
+    if coeff is None:
+        raise CLIError(f"{text!r} is zero")
     return _polynomial(coeff, repr(text))
 
 
@@ -420,7 +418,7 @@ def _find_splitting(doc: Document):
 def cmd_perturb(args) -> int:
     doc = _load(args)
     alg = doc.algebra(args.mult)
-    h = _random_homotopy(alg, args.seed)
+    h = random_homotopy(alg, args.seed)
     mult = perturb_multiplication(alg, h)
     algh = MDGAlgebra(alg.complex, mult)
     rep = algh.check()
@@ -438,42 +436,6 @@ def cmd_perturb(args) -> int:
             f"{'respected' if not rep.mdeg_problems else 'not respected'}")
     _emit(args, payload, text)
     return EXIT_OK if core_ok else EXIT_NEGATIVE
-
-
-def _random_homotopy(alg: MDGAlgebra, seed: int) -> Homotopy:
-    """A graded-symmetric degree +1 pairing vanishing on odd diagonals, with
-    small random values landing in the right degrees.  h(a, b) is
-    c*x^(m_a + m_b - m_t)*t for a target t whose multidegree m_t divides
-    m_a + m_b, so h respects the multigrading."""
-    cx = alg.complex
-    rng = random.Random(seed)
-    h = Homotopy(cx, f"h{seed}")
-    names = alg.basis_names()
-    maxdeg = cx.max_degree()
-    tries = 0
-    while len(h.table) < 2 * HOMOTOPY_ENTRIES and tries < 200:
-        tries += 1
-        a = rng.choice(names)
-        b = rng.choice(names)
-        da, db = cx.basis[a].degree, cx.basis[b].degree
-        if a == b and da % 2 == 1:
-            continue
-        if (a, b) in h.table or da + db + 1 > maxdeg:
-            continue
-        mab = mono_mul(cx.basis[a].mdeg, cx.basis[b].mdeg)
-        targets = [t for t in cx.names_in_degree(da + db + 1)
-                   if mono_divides(cx.basis[t].mdeg, mab)]
-        if not targets:
-            continue
-        t = rng.choice(targets)
-        mono = mono_div(mab, cx.basis[t].mdeg)
-        value = cx.elem(t).scale(cx.ring.monomial(mono,
-                                                  rng.randint(1, 3)))
-        h.set_value(a, b, value)
-        sign = 1 if (da * db) % 2 == 0 else -1
-        if a != b:
-            h.set_value(b, a, value.scale(sign))
-    return h
 
 
 # ---------------------------------------------------------------------------

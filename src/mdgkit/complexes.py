@@ -397,7 +397,7 @@ def lift_on_pieces(cx: FreeComplex, labels, boundary: dict,
         for coords, b in extra[label]:
             rows.append([coords.get(t, 0) for t in cols])
             rhs.append(b)
-        u = linalg.solve(rows, rhs) if rows else [0] * len(cols)
+        u = linalg.solve(rows, rhs, len(cols))
         if u is None:
             raise ComplexError(f"no lift of {label}: no element of degree "
                                f"{degree} and multidegree {mdeg} meets its "

@@ -95,17 +95,14 @@ def in_span(rows, vec) -> bool:
     return not any(v)
 
 
-def solve(rows, rhs):
+def solve(rows, rhs, ncols):
     """One solution u of M u = rhs (free coordinates 0), or None if
-    inconsistent.  `rows` are the rows of M."""
-    if not rows:
-        return []
-    n = len(rows[0])
+    inconsistent.  `rows` are the rows of M, which has `ncols` columns."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug)
-    if n in pivots:
+    if ncols in pivots:
         return None
-    u = [0] * n
+    u = [0] * ncols
     for r, c in zip(red, pivots):
         u[c] = r[-1]
     return u

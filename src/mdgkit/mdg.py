@@ -9,11 +9,12 @@ additivity, and the Leibniz rule.  Products absent from the table are an
 On top of the table live the associator calculus: associators, alternative
 identities, the associator submodule with its per-multidegree homology, the
 maximal associative quotient, multiplicators of comparison maps, and homotopy
-perturbation of multiplications.
+perturbation of multiplications, by a given homotopy or a seeded random one.
 """
 
 from __future__ import annotations
 
+import random
 from functools import reduce
 
 from . import linalg
@@ -23,6 +24,8 @@ from .ring import (Polynomial, add_term, laurent_term, mono_div,
                    mono_divides, mono_mul)
 
 SATURATION_ROUNDS = 10      # the round limit of `Submodule.saturate`
+# `random_homotopy` stops drawing once it holds 2 * this many values or more
+HOMOTOPY_ENTRIES = 8
 
 
 class MDGError(Exception):
@@ -878,3 +881,40 @@ def perturb_multiplication(alg: MDGAlgebra, h: Homotopy, name=None) -> Multiplic
         val = base + cx.d(h.pair_value(a, b)) + h.apply_d_tensor(a, b)
         out.set_product(a, b, val)
     return out
+
+
+def random_homotopy(alg: MDGAlgebra, seed: int) -> Homotopy:
+    """A graded-symmetric degree +1 pairing vanishing on odd diagonals, with
+    small random values landing in the right degrees.  h(a, b) is
+    c*x^(m_a + m_b - m_t)*t for a target t whose multidegree m_t divides
+    m_a + m_b, so h respects the multigrading.  The same seed draws the
+    same table."""
+    cx = alg.complex
+    rng = random.Random(seed)
+    h = Homotopy(cx, f"h{seed}")
+    names = alg.basis_names()
+    maxdeg = cx.max_degree()
+    tries = 0
+    while len(h.table) < 2 * HOMOTOPY_ENTRIES and tries < 200:
+        tries += 1
+        a = rng.choice(names)
+        b = rng.choice(names)
+        da, db = cx.basis[a].degree, cx.basis[b].degree
+        if a == b and da % 2 == 1:
+            continue
+        if (a, b) in h.table or da + db + 1 > maxdeg:
+            continue
+        mab = mono_mul(cx.basis[a].mdeg, cx.basis[b].mdeg)
+        targets = [t for t in cx.names_in_degree(da + db + 1)
+                   if mono_divides(cx.basis[t].mdeg, mab)]
+        if not targets:
+            continue
+        t = rng.choice(targets)
+        mono = mono_div(mab, cx.basis[t].mdeg)
+        value = cx.elem(t).scale(cx.ring.monomial(mono,
+                                                  rng.randint(1, 3)))
+        h.set_value(a, b, value)
+        sign = 1 if (da * db) % 2 == 0 else -1
+        if a != b:
+            h.set_value(b, a, value.scale(sign))
+    return h

@@ -8,12 +8,11 @@ from fractions import Fraction
 import pytest
 
 from mdgkit import load_fixture
-from mdgkit.cli import _random_homotopy
 from mdgkit.complexes import UNIT, ComplexError, Element
 from mdgkit.constructions import mapping_cone_extension, taylor_algebra
 from mdgkit.mdg import (AxiomReport, MDGAlgebra, MDGError,
                         MissingProductError, Multiplication, Submodule,
-                        perturb_multiplication)
+                        perturb_multiplication, random_homotopy)
 from mdgkit.parser import parse_document
 from mdgkit.ring import Ring, laurent_term, mono_div, mono_divides, mono_mul
 from test_cli import WRONG_DEGREE
@@ -252,7 +251,7 @@ def constant_table(label):
     alg = taylor_algebra(R4, [R4.monomial(m) for m in TAYLOR[int(k)]])
     if not seed:
         return alg.mult
-    return perturb_multiplication(alg, _random_homotopy(alg, int(seed)))
+    return perturb_multiplication(alg, random_homotopy(alg, int(seed)))
 
 
 @pytest.mark.parametrize("label", CONSTANT_TABLES)

@@ -79,6 +79,17 @@ def test_laurent_modulus_is_an_input_error(capsys):
     assert "'x/y' is not a polynomial" in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["assoc", FK, "--triple", "e1,e5,e2", "--modulus", "x-x"], "x-x"),
+    (["taylor", "--ring", "x,y", "--ideal", "x,y-y"], "y-y"),
+    (["cone", FK, "--expr", "0"], "0"),
+])
+def test_a_zero_scalar_is_named_as_zero(capsys, argv, text):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {text!r} is zero"
+
+
 @pytest.mark.parametrize("product", ["(x+y)*e12", "e12/x"])
 def test_gb_rejects_a_table_that_is_not_multihomogeneous(tmp_path, capsys,
                                                          product):
@@ -693,15 +704,15 @@ def test_a_perturbed_taylor_table_is_accepted_by_the_engine():
     # Taylor algebra of (x^2, xy, yz, z^2): 15 generators.  The perturbed
     # table is complete and not associative; its basis has
     # w + (n - w)(n - w + 1)/2 elements for n generators and w witnesses.
-    from mdgkit.cli import _random_homotopy
     from mdgkit.constructions import taylor_algebra
     from mdgkit.groebner import associativity_certificate
-    from mdgkit.mdg import MDGAlgebra, perturb_multiplication
+    from mdgkit.mdg import (MDGAlgebra, perturb_multiplication,
+                            random_homotopy)
     from mdgkit.ring import Ring
     R = Ring(["x", "y", "z"])
     x, y, z = (R.var(v) for v in "xyz")
     alg = taylor_algebra(R, [x ** 2, x * y, y * z, z ** 2])
-    h = _random_homotopy(alg, 1)
+    h = random_homotopy(alg, 1)
     assert h.table
     algh = MDGAlgebra(alg.complex, perturb_multiplication(alg, h))
     assert algh.check().ok()

@@ -14,7 +14,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import mdgkit.groebner as groebner
 from mdgkit import linalg, load_fixture
-from mdgkit.cli import _random_homotopy
 from mdgkit.complexes import UNIT, Element, FreeComplex
 from mdgkit.constructions import taylor_algebra
 from mdgkit.gcalg import GCContext, GCPoly
@@ -24,7 +23,7 @@ from mdgkit.groebner import (LINEAR_STATS, STATS, PairLimitError,
                              gc_to_element, mult_ideal, normal_form,
                              pair_relation, spoly)
 from mdgkit.mdg import (MDGAlgebra, MDGError, Multiplication,
-                        perturb_multiplication)
+                        perturb_multiplication, random_homotopy)
 from mdgkit.parser import parse_gcpoly
 from mdgkit.ring import (RationalFunction, Ring, add_term, laurent,
                          laurent_term, mono_div, mono_divides, mono_lcm,
@@ -487,7 +486,7 @@ def _complete_table(name):
         alg = taylor_algebra(R4, [R4.monomial(m) for m in TAYLOR5])
         seed = int(name[len("perturbed-taylor5-"):])
         return MDGAlgebra(alg.complex, perturb_multiplication(
-            alg, _random_homotopy(alg, seed)))
+            alg, random_homotopy(alg, seed)))
     return load_fixture(name).algebra()
 
 
@@ -652,7 +651,7 @@ def test_taylor_certificates_agree_with_buchberger(ideal):
 def test_the_linear_route_matches_buchberger_on_perturbed_taylor_tables(
         ideal, seed):
     alg = taylor_algebra(R4, [R4.monomial(m) for m in ideal])
-    h = _random_homotopy(alg, seed)
+    h = random_homotopy(alg, seed)
     assume(h.table)
     algh = MDGAlgebra(alg.complex, perturb_multiplication(alg, h))
     report = associativity_certificate(algh)
@@ -829,7 +828,7 @@ def test_every_pair_is_queued_or_kept_out_by_a_criterion(name, criteria):
 def test_every_pair_is_queued_or_kept_out_on_perturbed_taylor_tables(
         ideal, seed):
     alg = taylor_algebra(R4, [R4.monomial(m) for m in ideal])
-    h = _random_homotopy(alg, seed)
+    h = random_homotopy(alg, seed)
     assume(h.table)
     algh = MDGAlgebra(alg.complex, perturb_multiplication(alg, h))
     _assert_every_pair_is_queued_or_kept_out(*mult_ideal(algh))

@@ -62,7 +62,7 @@ def test_each_piece_lifts_as_the_unsplit_system_solves(name):
                 rows.append(row)
                 rhs.append(boundary[md].get(k, 0))
             at += len(cols)
-        u, at = linalg.solve(rows, rhs), 0
+        u, at = linalg.solve(rows, rhs, width), 0
         for md in pieces:
             cols = unknowns(cx, degree, md)
             want = {t: q for t, q in zip(cols, u[at:at + len(cols)]) if q}

@@ -101,6 +101,8 @@ def test_no_rows_and_zero_columns():
     assert linalg.rref([[], []]) == ([], [])
     assert linalg.rank([[], [], []]) == 0
     assert linalg.rref([[0, Fraction(0)], [0, 0]]) == ([], [])
+    assert linalg.solve([], [], 3) == [0, 0, 0]
+    assert linalg.solve([[0, 0]], [1], 2) is None
 
 
 def test_a_worked_example_with_denominators():
@@ -109,7 +111,7 @@ def test_a_worked_example_with_denominators():
     reduced, pivots = linalg.rref(rows)
     assert pivots == [0, 1]
     assert reduced == [[1, 0, Fraction(15)], [0, 1, Fraction(45, 2)]]
-    assert linalg.solve(rows, [1, -1]) == [-6, Fraction(-45, 4), 0]
+    assert linalg.solve(rows, [1, -1], 3) == [-6, Fraction(-45, 4), 0]
 
 
 @settings(max_examples=150, deadline=None)

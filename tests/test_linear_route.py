@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 import mdgkit.cli as cli
 import mdgkit.groebner as groebner
 from mdgkit import fixture_path, load_fixture
-from mdgkit.cli import _random_homotopy, run_command
+from mdgkit.cli import run_command
 from mdgkit.complexes import UNIT, FreeComplex
 from mdgkit.constructions import taylor_algebra
 from mdgkit.gcalg import GCPoly
@@ -29,7 +29,8 @@ from mdgkit.groebner import (LINEAR_STATS, _associator_span,
                              associativity_certificate, buchberger,
                              context_for, mult_ideal)
 from mdgkit.mdg import (Homotopy, MDGAlgebra, MissingProductError,
-                        Multiplication, perturb_multiplication)
+                        Multiplication, perturb_multiplication,
+                        random_homotopy)
 from mdgkit.parser import Document, format_document, parse_gcpoly
 from mdgkit.ring import Ring, mono_div, mono_divides, mono_mask, mono_mul
 from test_groebner import _degree_one_presentation
@@ -50,7 +51,7 @@ def _taylor(ideal):
 def _perturbed(ideal, seed):
     alg = _taylor(ideal)
     return MDGAlgebra(alg.complex, perturb_multiplication(
-        alg, _random_homotopy(alg, seed)))
+        alg, random_homotopy(alg, seed)))
 
 
 def _degree_zero_table(order, unit_square=False):
@@ -167,8 +168,8 @@ def test_the_sparse_scan_reads_the_disjoint_triples_of_a_taylor_table():
 @st.composite
 def _perturbed_taylor_tables(draw):
     """A Taylor table of 3 to 5 monomials perturbed by a homotopy with
-    random rational constants on the pairs and targets that `mdg
-    perturb`'s `_random_homotopy` allows: h(a, b) = q x^(m_a + m_b - m_t) t
+    random rational constants on the pairs and targets that
+    `mdg.random_homotopy` allows: h(a, b) = q x^(m_a + m_b - m_t) t
     with |t| = |a| + |b| + 1 at most the top degree and m_t dividing
     m_a + m_b, graded-symmetric, zero on odd diagonals."""
     ideal = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 4).filter(any),

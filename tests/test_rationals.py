@@ -324,7 +324,8 @@ def test_a_parsed_fixture_holds_no_float(name):
                 rows, _, target = cx.diff_matrix(degree, md)
                 held += [rows, rref(rows)[0], nullspace(rows, len(target))]
                 if rows and target:
-                    held.append(solve(rows, [r[0] for r in rows]))
+                    held.append(solve(rows, [r[0] for r in rows],
+                                      len(target)))
     assert_no_float(held)
 
 

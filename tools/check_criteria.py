@@ -16,12 +16,13 @@ these cases take minutes, so they live here.
 Then check the linear route of the certificate against `buchberger` on
 every complete fixture table (fk, fa, fm, fo_full, fk_split's mu and nu,
 taylor_x2_xy) and on the Taylor tables of (x^2, w^2, zw, xy, yz) and of
-(x^2, y^2, w^2, xy, yz, zw) perturbed by `mdg perturb`'s homotopy at seeds
-1 and 2, which are not associative.  The route reads its basis from the
-structure constants.  It must be taken, its basis must have the golden
-size and witness count, and it must have the term dicts of `buchberger`'s
-basis in the same order once the witnesses, which the completion lists as
-it derives them, are sorted into ascending lead order.  Takes no options.
+(x^2, y^2, w^2, xy, yz, zw) perturbed by `mdg.random_homotopy` (the
+homotopy of `mdg perturb`) at seeds 1 and 2, which are not associative.
+The route reads its basis from the structure constants.  It must be taken,
+its basis must have the golden size and witness count, and it must have
+the term dicts of `buchberger`'s basis in the same order once the
+witnesses, which the completion lists as it derives them, are sorted into
+ascending lead order.  Takes no options.
 Run from anywhere:
 
     python3 tools/check_criteria.py
@@ -43,10 +44,9 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from mdgkit import load_fixture
-from mdgkit.cli import _random_homotopy
 from mdgkit.constructions import taylor_algebra
 from mdgkit.groebner import associativity_certificate, buchberger, mult_ideal
-from mdgkit.mdg import MDGAlgebra, perturb_multiplication
+from mdgkit.mdg import MDGAlgebra, perturb_multiplication, random_homotopy
 from mdgkit.ring import Ring
 
 # exponent vectors over (x, y, z, w)
@@ -70,11 +70,11 @@ def taylor(ideal):
 
 
 def perturbed(ideal, seed):
-    """The Taylor table of the ideal perturbed by `mdg perturb`'s homotopy
-    at the seed: complete, multigraded and, at the seeds above, not
-    associative."""
+    """The Taylor table of the ideal perturbed by `mdg.random_homotopy`
+    at the seed, as `mdg perturb` does: complete, multigraded and, at the
+    seeds above, not associative."""
     alg = taylor(ideal)
-    mult = perturb_multiplication(alg, _random_homotopy(alg, seed))
+    mult = perturb_multiplication(alg, random_homotopy(alg, seed))
     return MDGAlgebra(alg.complex, mult)
 
 

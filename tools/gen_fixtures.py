@@ -60,7 +60,7 @@ def sub_resolution(T: FreeComplex, faces, name: str) -> FreeComplex:
 # A row that touches the unknowns of two faces makes the kernel raise.
 
 def solve_splitting(T_alg: MDGAlgebra, F: FreeComplex, pair_pins=None,
-                    square_triples=False, verbose=True):
+                    square_triples=False):
     T, mult = T_alg.complex, T_alg.mult
     consts = mult.structure_constants()
     t_diff = T.diff_constants()
@@ -104,8 +104,7 @@ def solve_splitting(T_alg: MDGAlgebra, F: FreeComplex, pair_pins=None,
         pi.update(lift_on_pieces(
             F, [(s, D, T.basis[s].mdeg) for s in faces],
             {s: push(t_diff[s])[0] for s in faces}, rows))
-        if verbose:
-            print(f"  degree {D}: {len(faces)} faces")
+        print(f"  degree {D}: {len(faces)} faces")
 
     pi_map = ChainMap(T, F, "pi")
     for s in T.order:
@@ -160,7 +159,7 @@ def assert_assoc_square_triples(alg):
 # ---------------------------------------------------------------------------
 # fixture 1: the resolution of (x^2, w^2, zw, xy, y^2z^2)
 
-def build_fk(verbose=True):
+def build_fk():
     R = Ring(["x", "y", "z", "w"])
     mons = [R.var("x") ** 2, R.var("w") ** 2, R.var("z") * R.var("w"),
             R.var("x") * R.var("y"), (R.var("y") * R.var("z")) ** 2]
@@ -174,10 +173,8 @@ def build_fk(verbose=True):
 
     pin = {("e5", "e12"): parse_element(
         "y*z^2*e124 + x*y*z*e234 - x*w*e345", F)}
-    if verbose:
-        print("solving splitting for FK")
-    iota, pi = solve_splitting(T_alg, F, pair_pins=pin, square_triples=True,
-                               verbose=verbose)
+    print("solving splitting for FK")
+    iota, pi = solve_splitting(T_alg, F, pair_pins=pin, square_triples=True)
     assert check_splitting(iota, pi) == []
     mult = transport_multiplication(F, T_alg, iota, pi, name="mu")
     alg = MDGAlgebra(F, mult)
@@ -237,7 +234,7 @@ FM_FACES = (["e1", "e2", "e3", "e4", "e5", "e6"]
             + ["e1234", "e3456"])
 
 
-def build_fm(fk, alg_k, verbose=True):
+def build_fm(fk, alg_k):
     R = fk.ring
     v = {n: R.var(n) for n in "xyzw"}
     mons = [v["x"] ** 2, v["w"] ** 2, v["z"] * v["w"], v["x"] * v["y"],
@@ -270,10 +267,9 @@ def build_fm(fk, alg_k, verbose=True):
             assert img.is_polynomial(), f"extension fails at {a}*{b}"
             pins[(a, b)] = img.polynomialize()
 
-    if verbose:
-        print("solving splitting for FM")
+    print("solving splitting for FM")
     iota, pi = solve_splitting(T_alg, FM, pair_pins=pins,
-                               square_triples=True, verbose=verbose)
+                               square_triples=True)
     assert check_splitting(iota, pi) == []
     mult = transport_multiplication(FM, T_alg, iota, pi, name="mu")
     alg = MDGAlgebra(FM, mult)
@@ -318,7 +314,7 @@ def gen_fm(fk, alg_k):
 # simplicial, complex.  Its multiplication is transported from FK through an
 # explicit splitting over the localization at yz.
 
-def build_fa(fk, alg_k, verbose=True):
+def build_fa(fk, alg_k):
     R = fk.ring
     from mdgkit.ring import RationalFunction
     v = {n: R.var(n) for n in "xyzw"}
@@ -457,7 +453,7 @@ def partial_multiplication(cx, pairs, name="mu"):
     return mult
 
 
-def complete_table_by_nf(cx, mult, verbose=True):
+def complete_table_by_nf(cx, mult):
     """Extend a partial table to a total one: the product of a pair is the
     Groebner normal form of its word; pairs whose normal form keeps a
     quadratic monomial must have no multigraded landing spot, and become 0."""
@@ -489,13 +485,13 @@ def complete_table_by_nf(cx, mult, verbose=True):
             assert not spots, f"{a}*{b} is underdetermined (spots {spots})"
             forced_zero.append((a, b))
             full.set_product(a, b, cx.zero)
-    if verbose and forced_zero:
+    if forced_zero:
         print(f"  {len(forced_zero)} products forced to 0 by the "
               f"multigrading")
     return full
 
 
-def build_fo(R, verbose=True):
+def build_fo(R):
     v = {n: R.var(n) for n in "xyzw"}
     mons = [v["x"] ** 2, v["w"] ** 2, v["z"] * v["w"], v["x"] * v["y"],
             v["y"] ** 2, v["z"] ** 2]
@@ -503,9 +499,8 @@ def build_fo(R, verbose=True):
     FO = sub_resolution(T_alg.complex, FO_FACES, "FO")
     assert FO.check() == []
     partial = partial_multiplication(FO, FO_PRESENTATION)
-    if verbose:
-        print("completing FO table by normal forms")
-    full = complete_table_by_nf(FO, partial, verbose=verbose)
+    print("completing FO table by normal forms")
+    full = complete_table_by_nf(FO, partial)
     alg = MDGAlgebra(FO, full)
     assert alg.check().ok()
     # the two products that rule out extending the FM table
@@ -550,7 +545,7 @@ EX6_TABLE = {
 }
 
 
-def build_ex6(R, verbose=True):
+def build_ex6(R):
     v = {n: R.var(n) for n in "xyzw"}
     m = v["x"] * v["y"] * v["z"] * v["w"]
     T_alg = taylor_algebra(R, [m * v["x"], m * v["y"], m * v["z"],
@@ -604,7 +599,7 @@ EX55_TABLE = {
 }
 
 
-def build_ex55(verbose=True):
+def build_ex55():
     R = Ring(["x", "y", "z", "u", "v"])
     v = {n: R.var(n) for n in "xyzuv"}
     mons = [v["z"] * v["v"], v["y"] * v["v"], v["u"] * v["v"],

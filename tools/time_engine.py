@@ -23,8 +23,9 @@ plus yw (Taylor-9, 511 generators) and plus xw (Taylor-10, 1,023
 generators), and on the perturbed Taylor tables of
 `tools/check_criteria.py`.  These tables are complete, so the certificate
 takes its linear route; the perturbed ones are not associative.  The
-Taylor-8, -9 and -10 tables are built on their case's first run, outside
-the timing, and dropped after the case, so that no other case holds them.
+Taylor-6, -8, -9 and -10 tables and the perturbed ones are built on their
+case's first run, outside the timing, and dropped after the case, so that
+no other case holds them.
 The peak resident set size of the process (`ru_maxrss`) is printed after
 the Taylor-9 and the Taylor-10 certificate cases, the largest.  The build
 cases time `taylor_algebra` alone on the Taylor-9 and Taylor-10 ideals;
@@ -59,8 +60,11 @@ completion (the presentation check's included) or of the certificate's
 linear route (none for a scan, for a
 symmetric-algebra check or for a chain-layer case).  Exits 0, or 1 when a
 golden count differs.
-The run takes a few minutes.  The Taylor-10 certificate case sets its peak
-resident set size: 248 MB on a 2-vCPU Linux host with CPython 3.11.
+Every case but the two build cases runs through one helper, `timed`: an
+untimed setup, then one timed call, whose result gives the golden count
+and the counters.
+The run takes about 20 s, and the Taylor-10 certificate case sets its peak
+resident set size, 248 MB, on a 2-vCPU Linux host with CPython 3.11.
 """
 
 import os
@@ -68,6 +72,8 @@ import re
 import resource
 import sys
 import time
+from functools import cache, partial
+from operator import attrgetter
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -81,12 +87,6 @@ from mdgkit.symdg import build_sym, presentation_check
 
 RUNS = 3
 
-
-# Each run builds a fresh context, so no run starts with another's memoised
-# order keys, and returns (size, seconds, the basis's stats): the size is
-# the basis size of a completion, and the basis size and witness count of a
-# certificate.
-
 FIXTURES = ["ex55", "ex6", "fa", "fk", "fk_split", "fm", "fo_full",
             "fo_presentation", "taylor_x2_xy"]
 
@@ -96,64 +96,71 @@ FIXTURES = ["ex55", "ex6", "fa", "fk", "fk_split", "fm", "fo_full",
 PARSED = [("fk", 199), ("fm", 391), ("fa", 161), ("ex6", 21),
           ("fk_split", 760)]
 
+# the counters of a certificate's or a presentation check's basis
+BASIS_STATS = attrgetter("basis.stats")
 
-def parse_fixtures(names):
-    texts = [fixture_path(name).read_text() for name in names]
 
+def timed(call, count, setup=tuple, stats=lambda out: {}):
+    """One run of a case: `setup()`, untimed, gives the arguments of one
+    timed `call`, and the run returns (count(result), seconds,
+    stats(result)).  A completion's setup builds a fresh context, so no run
+    starts with another's memoised order keys."""
     def run():
+        args = setup()
         start = time.perf_counter()
-        docs = [parse_document(text) for text in texts]
+        out = call(*args)
         elapsed = time.perf_counter() - start
-        entries = sum(len(table.table) for doc in docs
-                      for table in doc.mults.values())
-        entries += sum(len(phi.images) for doc in docs
-                       for phi in doc.maps.values())
-        entries += sum(len(cx.diff) for doc in docs
-                       for cx in doc.complexes.values())
-        return f"{entries} entries", elapsed, {}
+        return count(out), elapsed, stats(out)
     return run
 
 
-def tokenize_fixture(name):
-    text = fixture_path(name).read_text()
+# the setups, calls and count readers that the cases share
 
-    def run():
-        start = time.perf_counter()
-        toks = tokenize(text)
-        elapsed = time.perf_counter() - start
-        return f"{len(toks) - 1} tokens", elapsed, {}
-    return run
+def texts(names):
+    return tuple(fixture_path(name).read_text() for name in names)
 
 
-def completion(alg):
-    def run():
-        ctx, gens = mult_ideal(alg)
-        start = time.perf_counter()
-        basis = buchberger(ctx, gens)
-        return len(basis), time.perf_counter() - start, basis.stats
-    return run
+def parse_texts(*texts):
+    return [parse_document(text) for text in texts]
 
 
-def certificate(alg):
-    def run():
-        start = time.perf_counter()
-        report = associativity_certificate(alg)
-        elapsed = time.perf_counter() - start
-        return ((len(report.basis), len(report.witnesses)), elapsed,
-                report.basis.stats)
-    return run
+def entries(docs) -> str:
+    """The stored products, chain-map images and differentials of the
+    documents."""
+    n = sum(len(table.table) for doc in docs for table in doc.mults.values())
+    n += sum(len(phi.images) for doc in docs for phi in doc.maps.values())
+    n += sum(len(cx.diff) for doc in docs for cx in doc.complexes.values())
+    return f"{n} entries"
 
 
-def taylor_certificate(ideal):
-    """`certificate` of the Taylor table of the ideal, built on the first
-    run and untimed."""
-    table = []
+def certified(report):
+    return len(report.basis), len(report.witnesses)
 
-    def run():
-        if not table:
-            table.append(taylor(ideal))
-        return certificate(table[0])()
-    return run
+
+def checked_sym(source, truncation):
+    sym = build_sym(source, truncation)
+    return sym, sym.check()
+
+
+def sym_counts(checked) -> str:
+    sym, problems = checked
+    return f"{len(sym.monomials())} monomials, {len(problems)} problems"
+
+
+def axiom_counts(report) -> str:
+    return (f"{len(report.all_problems())} problems, "
+            f"{len(report.skipped_leibniz)} skipped")
+
+
+def homology(dims) -> str:
+    return ", ".join(f"H_{i}={n}" for i, n in dims.items())
+
+
+def first_run(build, *args):
+    """A setup that calls build(*args) on its case's first run, outside the
+    timing, and passes the result to every run of the case.  The result is
+    dropped with the case."""
+    return cache(lambda: (build(*args),))
 
 
 def rss_mb() -> float:
@@ -180,64 +187,6 @@ def taylor_build(ideal):
         first.setdefault("rss_added_mb", round(after - before))
         return (f"{len(alg.complex.order) - 1} generators, "
                 f"{len(alg.mult.table)} stored pairs", elapsed, first)
-    return run
-
-
-def triple_scan(alg):
-    def run():
-        start = time.perf_counter()
-        hit = alg.associative_on_basis()
-        elapsed = time.perf_counter() - start
-        return ("associative" if hit is None else f"witness {hit[:3]}",
-                elapsed, {})
-    return run
-
-
-def submodule(alg):
-    def run():
-        start = time.perf_counter()
-        sub = alg.associator_submodule()
-        return (f"{len(sub.gens)} generators", time.perf_counter() - start,
-                {})
-    return run
-
-
-def presentation_components(alg):
-    def run():
-        start = time.perf_counter()
-        report = presentation_check(alg)
-        return (report.components, time.perf_counter() - start,
-                report.basis.stats)
-    return run
-
-
-def sym_check(source, truncation):
-    def run():
-        start = time.perf_counter()
-        sym = build_sym(source, truncation)
-        problems = sym.check()
-        elapsed = time.perf_counter() - start
-        return (f"{len(sym.monomials())} monomials, {len(problems)} problems",
-                elapsed, {})
-    return run
-
-
-def axiom_check(alg):
-    def run():
-        start = time.perf_counter()
-        report = alg.check()
-        elapsed = time.perf_counter() - start
-        return (f"{len(report.all_problems())} problems, "
-                f"{len(report.skipped_leibniz)} skipped", elapsed, {})
-    return run
-
-
-def homology(run_dims):
-    def run():
-        start = time.perf_counter()
-        dims = run_dims()
-        elapsed = time.perf_counter() - start
-        return ", ".join(f"H_{i}={n}" for i, n in dims.items()), elapsed, {}
     return run
 
 
@@ -269,6 +218,7 @@ def cases():
     """(name, run, golden size).  A Taylor table of k monomials is
     associative and complete, so its basis is exactly its n(n+1)/2 pair
     relations, n = 2^k - 1, with no witness."""
+    fk = load_fixture("fk").algebra()
     fo_full = load_fixture("fo_full").algebra()
     fa = load_fixture("fa").algebra()
     fm = load_fixture("fm").algebra()
@@ -276,63 +226,75 @@ def cases():
     fm_sub = fm.associator_submodule()
     fm_half = halved("fm").complexes["FM"]
     taylor7 = taylor(TAYLOR7)
-    return [
-        ("parse 9 fixtures", parse_fixtures(FIXTURES), "2294 entries"),
-    ] + [(f"parse {name}", parse_fixtures([name]), f"{entries} entries")
-         for name, entries in PARSED] + [
-        ("tokenize fk_split", tokenize_fixture("fk_split"), "6069 tokens"),
+    completions = [("fk", fk, 155), ("fa", fa, 122),
+                   ("ex55", load_fixture("ex55").algebra(), 231),
+                   ("fo_full", fo_full, 630),
+                   ("taylor5", taylor(TAYLOR5), 496)]
+    completions += [(f"presentation {name}", presentation(name), size)
+                    for name, size in [("ex55", 119), ("fk", 92), ("fa", 79)]]
+    certificates = [
+        ("fo_full", lambda: (fo_full,), (630, 0)),
+        ("taylor6", first_run(taylor, TAYLOR6), (2016, 0)),
+        ("taylor7", lambda: (taylor7,), (8128, 0)),
+        ("taylor8", first_run(taylor, TAYLOR8), (32640, 0)),
+        ("taylor9", first_run(taylor, TAYLOR9), (130816, 0)),
+        ("taylor10", first_run(taylor, TAYLOR10), (523776, 0)),
+    ] + [(f"perturbed {name}", first_run(perturbed, ideal, seed),
+          (size, count)) for name, ideal, seed, size, count in PERTURBED]
+    sym_checks = [("fk @3", fk, 3, "1340 monomials, 0 problems"),
+                  ("fm @2", fm, 2, "392 monomials, 0 problems"),
+                  ("fm d/2 @2", fm_half, 2, "392 monomials, 0 problems"),
+                  ("fk_split T5 @3", load_fixture("fk_split").complexes["T5"],
+                   3, "5472 monomials, 0 problems")]
+    homologies = [
+        ("homology fm", fm.complex.homology_dims,
+         "H_0=13, H_1=0, H_2=0, H_3=0, H_4=0"),
+        ("homology fm d/2", fm_half.homology_dims,
+         "H_0=13, H_1=0, H_2=0, H_3=0, H_4=0"),
+        ("homology fk_split", split_nu.complex.homology_dims,
+         "H_0=15, H_1=0, H_2=0, H_3=0, H_4=0, H_5=0"),
+        ("homology ex6", load_fixture("ex6").complexes["EX6"].homology_dims,
+         "H_0=66, H_1=0, H_2=0, H_3=0, H_4=0"),
+        ("submodule homology fm", fm_sub.homology_dims, "H_3=2, H_4=0"),
+        ("quotient fm", partial(quotient_homology_dims, fm, fm_sub),
+         "H_1=0, H_2=0, H_3=0, H_4=2")]
+    parses = [("9 fixtures", FIXTURES, 2294)] + [
+        (name, [name], n) for name, n in PARSED]
+    return [(f"parse {name}", timed(parse_texts, entries,
+                                    partial(texts, names)), f"{n} entries")
+            for name, names, n in parses] + [
+        ("tokenize fk_split",
+         timed(tokenize, lambda toks: f"{len(toks) - 1} tokens",
+               partial(texts, ["fk_split"])), "6069 tokens"),
         ("taylor build taylor9", taylor_build(TAYLOR9),
          "511 generators, 130560 stored pairs"),
         ("taylor build taylor10", taylor_build(TAYLOR10),
          "1023 generators, 523264 stored pairs"),
-        ("buchberger fk", completion(load_fixture("fk").algebra()), 155),
-        ("buchberger fa", completion(fa), 122),
-        ("buchberger ex55", completion(load_fixture("ex55").algebra()), 231),
-        ("buchberger fo_full", completion(fo_full), 630),
-        ("buchberger taylor5", completion(taylor(TAYLOR5)), 496),
-        ("buchberger presentation ex55", completion(presentation("ex55")),
-         119),
-        ("buchberger presentation fk", completion(presentation("fk")), 92),
-        ("buchberger presentation fa", completion(presentation("fa")), 79),
-        ("presentation_check fa", presentation_components(fa),
-         {3: (1, 1), 4: (1, 1)}),
-        ("certificate fo_full", certificate(fo_full), (630, 0)),
-        ("certificate taylor6", certificate(taylor(TAYLOR6)), (2016, 0)),
-        ("certificate taylor7", certificate(taylor7), (8128, 0)),
-        ("certificate taylor8", taylor_certificate(TAYLOR8), (32640, 0)),
-        ("certificate taylor9", taylor_certificate(TAYLOR9), (130816, 0)),
-        ("certificate taylor10", taylor_certificate(TAYLOR10), (523776, 0)),
-    ] + [(f"certificate perturbed {name}",
-          certificate(perturbed(ideal, seed)), (size, count))
-         for name, ideal, seed, size, count in PERTURBED] + [
-        ("associative_on_basis taylor7", triple_scan(taylor7), "associative"),
-        ("associator_submodule fm", submodule(fm), "76 generators"),
-        ("sym check fk @3", sym_check(load_fixture("fk").algebra(), 3),
-         "1340 monomials, 0 problems"),
-        ("sym check fm @2", sym_check(fm, 2),
-         "392 monomials, 0 problems"),
-        ("sym check fm d/2 @2", sym_check(fm_half, 2),
-         "392 monomials, 0 problems"),
-        ("sym check fk_split T5 @3",
-         sym_check(load_fixture("fk_split").complexes["T5"], 3),
-         "5472 monomials, 0 problems"),
-        ("check fk_split --mult nu", axiom_check(split_nu),
+    ] + [(f"buchberger {name}",
+          timed(buchberger, len, partial(mult_ideal, alg),
+                attrgetter("stats")), size)
+         for name, alg, size in completions] + [
+        ("presentation_check fa",
+         timed(partial(presentation_check, fa), attrgetter("components"),
+               stats=BASIS_STATS), {3: (1, 1), 4: (1, 1)}),
+    ] + [(f"certificate {name}",
+          timed(associativity_certificate, certified, setup, BASIS_STATS),
+          size) for name, setup, size in certificates] + [
+        ("associative_on_basis taylor7",
+         timed(taylor7.associative_on_basis,
+               lambda hit: "associative" if hit is None
+               else f"witness {hit[:3]}"), "associative"),
+        ("associator_submodule fm",
+         timed(fm.associator_submodule,
+               lambda sub: f"{len(sub.gens)} generators"), "76 generators"),
+    ] + [(f"sym check {name}",
+          timed(partial(checked_sym, source, k), sym_counts), golden)
+         for name, source, k, golden in sym_checks] + [
+        ("check fk_split --mult nu", timed(split_nu.check, axiom_counts),
          "0 problems, 0 skipped"),
-        ("check fm", axiom_check(fm), "0 problems, 0 skipped"),
-        ("homology fm", homology(fm.complex.homology_dims),
-         "H_0=13, H_1=0, H_2=0, H_3=0, H_4=0"),
-        ("homology fm d/2", homology(fm_half.homology_dims),
-         "H_0=13, H_1=0, H_2=0, H_3=0, H_4=0"),
-        ("homology fk_split", homology(split_nu.complex.homology_dims),
-         "H_0=15, H_1=0, H_2=0, H_3=0, H_4=0, H_5=0"),
-        ("homology ex6", homology(load_fixture("ex6").complexes["EX6"]
-                                  .homology_dims),
-         "H_0=66, H_1=0, H_2=0, H_3=0, H_4=0"),
-        ("submodule homology fm", homology(fm_sub.homology_dims),
-         "H_3=2, H_4=0"),
-        ("quotient fm", homology(lambda: quotient_homology_dims(fm, fm_sub)),
-         "H_1=0, H_2=0, H_3=0, H_4=2"),
-    ]
+        ("check fm", timed(fm.check, axiom_counts), "0 problems, 0 skipped"),
+    ] + [(name, timed(dims, homology), golden)
+         for name, dims, golden in homologies]
 
 
 def describe(size) -> str:

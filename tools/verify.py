@@ -1,4 +1,4 @@
-"""Run the four checks every change must pass, in turn, and print one
+"""Run the five checks every change must pass, in turn, and print one
 pass/fail line for each.  Takes no options.  Run from anywhere:
 
     python3 tools/verify.py
@@ -9,15 +9,19 @@ The checks are the existing commands, run from the root of the checkout:
     fixtures   python3 tools/check_fixtures.py
     criteria   python3 tools/check_criteria.py
     perfbench  python3 perfbench/run.py --workload all --seed 7
+    engine     python3 tools/time_engine.py
 
-The first three pass when they exit 0.  perfbench passes when it exits 0
-and its report marks every workload correct, with an empty `self_check`
-and traced counts that repeat.  A failing check's last lines of output are
+perfbench passes when it exits 0 and its report marks every workload
+correct, with an empty `self_check` and traced counts that repeat.  The
+others pass when they exit 0; for the engine timings that means every
+case's golden count held: the Taylor-8, -9 and -10 certificate sizes, the
+parse entry counts and the symmetric-algebra monomial counts among
+them.  A failing check's last lines of output are
 printed under its line.  Exits 0 when every check passes, 1 otherwise.
 Last come the totals of `tools/code_lines.py` on the library and on
 `tools/`, which are information only and do not change the exit status.
-perfbench runs each workload three times for 30 s, so the whole run takes
-about ten minutes.
+perfbench runs each workload three times for 30 s, and the engine timings
+take about 20 s, so the whole run takes about ten minutes.
 """
 
 import json
@@ -69,6 +73,7 @@ CHECKS = [
     ("criteria", [sys.executable, "tools/check_criteria.py"], None),
     ("perfbench", [sys.executable, "perfbench/run.py", "--workload", "all",
                    "--seed", "7"], perfbench_problems),
+    ("engine", [sys.executable, "tools/time_engine.py"], None),
 ]
 
 
