@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import linalg
-from .ring import (Ring, add_term, format_polynomial, mono_div, mono_divides,
-                   mono_lcm, mono_mul, rational)
+from .ring import (Ring, add_term, format_polynomial, laurent_term, mono_div,
+                   mono_divides, mono_lcm, mono_mul, rational)
 
 UNIT = "1"
 
@@ -269,12 +269,25 @@ class FreeComplex:
         return vec
 
     def vector_element(self, vec, degree: int, mdeg: tuple, piece=None) -> Element:
+        """The Element of coordinates vec in the (degree, mdeg) piece basis;
+        a piece holds each basis element once."""
         if piece is None:
             piece = self.piece_basis(degree, mdeg)
-        coeffs: dict = {}
-        for (name, cof), c in zip(piece, vec):
-            if c:
-                add_term(coeffs, name, self.ring.monomial(cof, c))
+        return self.from_constants(
+            {name: c for (name, _), c in zip(piece, vec)}, mdeg)
+
+    def from_constants(self, vec: dict, mdeg: tuple) -> Element:
+        """sum_k q_k x^(mdeg - m_k) e_k for a rational vector vec = {k: q_k}
+        read at multidegree mdeg, zero q_k dropped: the one builder of
+        Elements from constants (`diff_constants()`, `lift_on_pieces`, the
+        structure constants).  A coefficient is the `Ring.monomial` where
+        m_k divides mdeg, else the Laurent monomial `ring.laurent_term`."""
+        coeffs = {}
+        for k, q in vec.items():
+            if q:
+                e = mono_div(mdeg, self.basis[k].mdeg)
+                coeffs[k] = (self.ring.monomial(e, q) if min(e, default=0) >= 0
+                             else laurent_term(self.ring, q, e))
         return Element(self, coeffs)
 
     def require_complex(self) -> None:

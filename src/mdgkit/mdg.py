@@ -20,11 +20,10 @@ from functools import reduce
 from . import linalg
 from .complexes import (UNIT, ComplexError, Element, FreeComplex,
                         subquotient_homology)
-from .ring import (Polynomial, add_term, laurent_term, mono_div,
-                   mono_divides, mono_mul)
+from .ring import Polynomial, add_term, mono_divides, mono_mul
 
 SATURATION_ROUNDS = 10      # the round limit of `Submodule.saturate`
-# `random_homotopy` stops drawing once it holds 2 * this many values or more
+# `random_homotopy` holds at most 2 * this many values
 HOMOTOPY_ENTRIES = 8
 
 
@@ -365,10 +364,8 @@ class MDGAlgebra:
         """sum_d q_d x^(M - m_d) d for vec = {d: q}, M the multidegree of
         the product of the basis elements `factors`."""
         cx = self.complex
-        top = reduce(mono_mul, (cx.basis[n].mdeg for n in factors))
-        return Element(cx, {d: laurent_term(cx.ring, q,
-                                            mono_div(top, cx.basis[d].mdeg))
-                            for d, q in vec.items()})
+        return cx.from_constants(
+            vec, reduce(mono_mul, (cx.basis[n].mdeg for n in factors)))
 
     def basis_associators(self, consts: dict):
         """Yield (a, b, c, {d: q}), the `_q_associator` of basis triples in
@@ -589,8 +586,7 @@ class Submodule:
             row = [0] * len(piece)
             for k, q in consts.items():
                 if k not in index:
-                    coeff = laurent_term(cx.ring, q,
-                                         mono_div(mdeg, cx.basis[k].mdeg))
+                    coeff = cx.from_constants({k: q}, mdeg).coeffs[k]
                     raise ComplexError(f"{coeff} on {k} is not a polynomial")
                 row[index[k]] = q
             rows.append(row)
@@ -888,7 +884,9 @@ def random_homotopy(alg: MDGAlgebra, seed: int) -> Homotopy:
     small random values landing in the right degrees.  h(a, b) is
     c*x^(m_a + m_b - m_t)*t for a target t whose multidegree m_t divides
     m_a + m_b, so h respects the multigrading.  The same seed draws the
-    same table."""
+    same table.  It holds at most 2 * HOMOTOPY_ENTRIES values: a draw with
+    a != b stores two, and a draw that would pass the bound is not stored
+    and ends the drawing."""
     cx = alg.complex
     rng = random.Random(seed)
     h = Homotopy(cx, f"h{seed}")
@@ -909,10 +907,10 @@ def random_homotopy(alg: MDGAlgebra, seed: int) -> Homotopy:
                    if mono_divides(cx.basis[t].mdeg, mab)]
         if not targets:
             continue
+        if len(h.table) + (1 if a == b else 2) > 2 * HOMOTOPY_ENTRIES:
+            break       # storing h(a, b) and h(b, a) would pass the bound
         t = rng.choice(targets)
-        mono = mono_div(mab, cx.basis[t].mdeg)
-        value = cx.elem(t).scale(cx.ring.monomial(mono,
-                                                  rng.randint(1, 3)))
+        value = cx.from_constants({t: rng.randint(1, 3)}, mab)
         h.set_value(a, b, value)
         sign = 1 if (da * db) % 2 == 0 else -1
         if a != b:

@@ -75,9 +75,8 @@ from .ring import add_term, laurent, laurent_term, mono_div
 
 __all__ = [
     "SplitWitness", "SymDGAlgebra", "SymError", "Tensor",
-    "build_sym", "dehomogenize", "homogenize", "multiplication_relations",
-    "presentation_check", "split_witness", "sym_homotopy", "tensor_power_map",
-    "ump_extension",
+    "build_sym", "dehomogenize", "homogenize", "presentation_check",
+    "split_witness", "sym_homotopy", "tensor_power_map", "ump_extension",
 ]
 
 
@@ -339,15 +338,6 @@ def build_sym(source, truncation: int = 4) -> SymDGAlgebra:
     return SymDGAlgebra(cx, truncation)
 
 
-def multiplication_relations(sym: SymDGAlgebra, alg: MDGAlgebra):
-    """The pair relations e_i e_j - e_i*e_j of the table, expressed in the
-    symmetric algebra's generator context."""
-    if alg.complex is not sym.complex:
-        raise SymError("the algebra does not live on the underlying complex")
-    _, gens = mult_ideal(alg, ctx=sym.ctx)
-    return gens
-
-
 # ---------------------------------------------------------------------------
 # linear part of the relation ideal vs. the associator span
 # ---------------------------------------------------------------------------
@@ -447,7 +437,7 @@ def split_witness(alg: MDGAlgebra, truncation: int = 2) -> SplitWitness:
     raises when a normal form fails to be linear (which certifies that no
     such splitting through the relation ideal exists)."""
     sym = build_sym(alg.complex, truncation)
-    gens = multiplication_relations(sym, alg)
+    _, gens = mult_ideal(alg, ctx=sym.ctx)
     basis = buchberger(sym.ctx, gens)
     if basis.linear_elements():
         raise SymError(

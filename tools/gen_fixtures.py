@@ -19,10 +19,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from mdgkit.complexes import UNIT, FreeComplex, lift_on_pieces
 from mdgkit.constructions import (check_splitting, taylor_algebra,
                                   transport_multiplication)
-from mdgkit.mdg import ChainMap, MDGAlgebra, Multiplication
+from mdgkit.gcalg import GCPoly
+from mdgkit.groebner import buchberger, gc_to_element, mult_ideal
+from mdgkit.mdg import (ChainMap, MDGAlgebra, Multiplication,
+                        is_multiplicative, multiplicator)
 from mdgkit.parser import Document, format_document, parse_document, \
     parse_element
-from mdgkit.ring import Ring, mono_div
+from mdgkit.ring import RationalFunction, Ring, mono_divides
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "mdgkit",
                            "fixtures")
@@ -31,17 +34,25 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "mdgkit",
 # ---------------------------------------------------------------------------
 # subcomplex of a Taylor complex on a set of faces
 
-def sub_resolution(T: FreeComplex, faces, name: str) -> FreeComplex:
+def sub_resolution(T: FreeComplex, faces, name: str,
+                   cells=()) -> FreeComplex:
     """The subcomplex of a Taylor complex spanned by the given face names
-    (which must be closed under the differential)."""
+    (which must be closed under the differential), followed by the extra
+    cells (name, degree, d text).  A cell on the generators of a face of T
+    has that face's multidegree, the lcm of their monomials, so it is read
+    from T."""
     faces = set(faces)
     F = FreeComplex(T.ring, name)
     for n in T.order:
         if n in faces:
             F.add_basis(n, T.basis[n].degree, T.basis[n].mdeg)
+    for n, degree, _ in cells:
+        F.add_basis(n, degree, T.basis[n].mdeg)
     for n in T.order:
         if n in faces:
             F.set_diff(n, F.element(dict(T.d(T.elem(n)).coeffs)))
+    for n, _, d in cells:
+        F.set_diff(n, parse_element(d, F))
     return F
 
 
@@ -109,10 +120,7 @@ def solve_splitting(T_alg: MDGAlgebra, F: FreeComplex, pair_pins=None,
     pi_map = ChainMap(T, F, "pi")
     for s in T.order:
         if s != UNIT:
-            ms = T.basis[s].mdeg
-            pi_map.set_image(s, F.element({
-                t: F.ring.monomial(mono_div(ms, F.basis[t].mdeg), q)
-                for t, q in pi[s].items()}))
+            pi_map.set_image(s, F.from_constants(pi[s], T.basis[s].mdeg))
     for (a, b), value in pins.items():
         got = pi_map.apply(mult.product(a, b))
         assert (got - value).is_zero(), \
@@ -159,7 +167,7 @@ def assert_assoc_square_triples(alg):
 # ---------------------------------------------------------------------------
 # fixture 1: the resolution of (x^2, w^2, zw, xy, y^2z^2)
 
-def build_fk():
+def gen_fk():
     R = Ring(["x", "y", "z", "w"])
     mons = [R.var("x") ** 2, R.var("w") ** 2, R.var("z") * R.var("w"),
             R.var("x") * R.var("y"), (R.var("y") * R.var("z")) ** 2]
@@ -204,15 +212,9 @@ def build_fk():
 
     # the projection is not multiplicative: its multiplicator at (e1, e25)
     # is minus the associator above
-    from mdgkit.mdg import multiplicator
     T = T_alg.complex
     mw = multiplicator(pi, T_alg, alg, T.elem("e1"), T.elem("e25"))
     assert (mw.polynomialize() + want).is_zero(), f"[e1,e25]_pi = {mw}"
-    return R, T_alg, F, iota, pi, alg
-
-
-def gen_fk():
-    R, T_alg, F, iota, pi, alg = build_fk()
     emit("fk.mdg", make_document(R, [F], mults=[("mu", alg.mult)]))
     emit("fk_split.mdg", make_document(
         R, [T_alg.complex, F],
@@ -234,7 +236,7 @@ FM_FACES = (["e1", "e2", "e3", "e4", "e5", "e6"]
             + ["e1234", "e3456"])
 
 
-def build_fm(fk, alg_k):
+def gen_fm(fk, alg_k):
     R = fk.ring
     v = {n: R.var(n) for n in "xyzw"}
     mons = [v["x"] ** 2, v["w"] ** 2, v["z"] * v["w"], v["x"] * v["y"],
@@ -253,7 +255,6 @@ def build_fm(fk, alg_k):
     assert embed.check_chain_map() == []
 
     # extension pins: z^(sa+sb) * (a*b in FM) = embed(a*b in FK)
-    from mdgkit.ring import RationalFunction
     pins = {}
     fk_names = [n for n in fk.order if n != UNIT]
     for i, a in enumerate(fk_names):
@@ -296,17 +297,10 @@ def build_fm(fk, alg_k):
         want = d1234.scale(-coeff)
         assert (got - want).is_zero(), f"[e1,{mid},e2] = {got}"
 
-    from mdgkit.mdg import is_multiplicative
     assert is_multiplicative(embed, alg_k, alg) is None
     assert_assoc_square_triples(alg)
-    return T_alg, FM, embed, alg
-
-
-def gen_fm(fk, alg_k):
-    _, FM, _, alg = build_fm(fk, alg_k)
     emit("fm.mdg", make_document(fk.ring, [FM],
                                  mults=[("mu", alg.mult)]))
-    return FM, alg
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +308,8 @@ def gen_fm(fk, alg_k):
 # simplicial, complex.  Its multiplication is transported from FK through an
 # explicit splitting over the localization at yz.
 
-def build_fa(fk, alg_k):
+def gen_fa(fk, alg_k):
     R = fk.ring
-    from mdgkit.ring import RationalFunction
     v = {n: R.var(n) for n in "xyzw"}
     mons = [v["x"] ** 2, v["w"] ** 2, v["z"] * v["w"], v["x"] * v["y"],
             v["y"] * v["z"]]
@@ -324,25 +317,12 @@ def build_fa(fk, alg_k):
     simplicial = (["e1", "e2", "e3", "e4", "e5"]
                   + ["e12", "e13", "e14", "e23", "e24", "e35", "e45"]
                   + ["e123", "e124"])
-    FA = FreeComplex(R, "FA")
-    T = T5a.complex
-    for n in simplicial:
-        FA.add_basis(n, T.basis[n].degree, T.basis[n].mdeg)
-    mdeg = {"e1345": (2, 1, 1, 1), "e2345": (1, 1, 1, 2),
-            "e12345": (2, 1, 1, 2)}
-    FA.add_basis("e1345", 3, mdeg["e1345"])
-    FA.add_basis("e2345", 3, mdeg["e2345"])
-    FA.add_basis("e12345", 4, mdeg["e12345"])
-    for n in simplicial:
-        FA.set_diff(n, FA.element(dict(T.d(T.elem(n)).coeffs)))
-    FA.set_diff("e1345", parse_element(
-        "x^2*e35 - x*w*e45 - z*w*e14 + y*e13", FA))
-    FA.set_diff("e2345", parse_element(
-        "x*w*e35 - w^2*e45 - z*e24 + x*y*e23", FA))
-    # sign note: this orientation is the one forced by d^2 = 0 together with
-    # the splitting below (d(e12345) must be the image of d(e1234))
-    FA.set_diff("e12345", parse_element(
-        "x*e2345 + z*e124 - w*e1345 - y*e123", FA))
+    FA = sub_resolution(T5a.complex, simplicial, "FA", [
+        ("e1345", 3, "x^2*e35 - x*w*e45 - z*w*e14 + y*e13"),
+        ("e2345", 3, "x*w*e35 - w^2*e45 - z*e24 + x*y*e23"),
+        # sign note: this orientation is the one forced by d^2 = 0 together
+        # with the splitting below (d(e12345) must be the image of d(e1234))
+        ("e12345", 4, "x*e2345 + z*e124 - w*e1345 - y*e123")])
     assert FA.check() == []
 
     yz = v["y"] * v["z"]
@@ -389,14 +369,8 @@ def build_fa(fk, alg_k):
     got = alg.associator_names("e1", "e5", "e2")
     want = FA.d(FA.elem("e12345")).scale(-R.one)
     assert (got - want).is_zero(), f"[e1,e5,e2] = {got}"
-    return FA, iota, pi, alg
-
-
-def gen_fa(fk, alg_k):
-    FA, _, _, alg = build_fa(fk, alg_k)
     emit("fa.mdg", make_document(fk.ring, [FA],
                                  mults=[("mu", alg.mult)]))
-    return FA, alg
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +431,6 @@ def complete_table_by_nf(cx, mult):
     """Extend a partial table to a total one: the product of a pair is the
     Groebner normal form of its word; pairs whose normal form keeps a
     quadratic monomial must have no multigraded landing spot, and become 0."""
-    from mdgkit.gcalg import GCPoly
-    from mdgkit.groebner import buchberger, gc_to_element, mult_ideal
-    from mdgkit.ring import RationalFunction, mono_divides as mdiv
     alg = MDGAlgebra(cx, mult)
     ctx, gens = mult_ideal(alg)
     gb = buchberger(ctx, gens)
@@ -481,7 +452,7 @@ def complete_table_by_nf(cx, mult):
             mdeg = tuple(p + q for p, q in zip(cx.basis[a].mdeg,
                                               cx.basis[b].mdeg))
             spots = [t for t in names if cx.basis[t].degree == degree
-                     and mdiv(cx.basis[t].mdeg, mdeg)]
+                     and mono_divides(cx.basis[t].mdeg, mdeg)]
             assert not spots, f"{a}*{b} is underdetermined (spots {spots})"
             forced_zero.append((a, b))
             full.set_product(a, b, cx.zero)
@@ -491,7 +462,7 @@ def complete_table_by_nf(cx, mult):
     return full
 
 
-def build_fo(R):
+def gen_fo(R):
     v = {n: R.var(n) for n in "xyzw"}
     mons = [v["x"] ** 2, v["w"] ** 2, v["z"] * v["w"], v["x"] * v["y"],
             v["y"] ** 2, v["z"] ** 2]
@@ -518,15 +489,9 @@ def build_fo(R):
                         + FO.basis[c].degree) > maxdeg:
                     continue
                 assert alg.associator_names(a, b, c).is_zero(), (a, b, c)
-    return FO, partial, alg
-
-
-def gen_fo(R):
-    FO, partial, alg = build_fo(R)
     emit("fo_presentation.mdg",
          make_document(R, [FO], mults=[("mu", partial)]))
     emit("fo_full.mdg", make_document(R, [FO], mults=[("mu", alg.mult)]))
-    return FO, alg
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +510,7 @@ EX6_TABLE = {
 }
 
 
-def build_ex6(R):
+def gen_ex6(R):
     v = {n: R.var(n) for n in "xyzw"}
     m = v["x"] * v["y"] * v["z"] * v["w"]
     T_alg = taylor_algebra(R, [m * v["x"], m * v["y"], m * v["z"],
@@ -558,13 +523,7 @@ def build_ex6(R):
     want = cx.d(cx.elem("e1234")).scale(
         v["x"] ** 2 * v["y"] ** 2 * v["z"] ** 2 * v["w"])
     assert (got - want).is_zero(), f"[e2,e1,e3] = {got}"
-    return cx, alg
-
-
-def gen_ex6(R):
-    cx, alg = build_ex6(R)
     emit("ex6.mdg", make_document(R, [cx], mults=[("mu", alg.mult)]))
-    return cx, alg
 
 
 # ---------------------------------------------------------------------------
@@ -599,55 +558,27 @@ EX55_TABLE = {
 }
 
 
-def build_ex55():
+def gen_ex55():
     R = Ring(["x", "y", "z", "u", "v"])
     v = {n: R.var(n) for n in "xyzuv"}
     mons = [v["z"] * v["v"], v["y"] * v["v"], v["u"] * v["v"],
             v["x"] * v["v"], v["x"] * v["u"],
             v["y"] * v["z"] * v["u"]]
     T_alg = taylor_algebra(R, mons, name="T55")
-    T = T_alg.complex
     simplicial = (["e1", "e2", "e3", "e4", "e5", "e6"]
                   + ["e12", "e13", "e14", "e23", "e24", "e26",
                      "e35", "e45", "e56"]
                   + ["e123", "e124"])
-    cx = FreeComplex(R, "EX55")
-    for n in simplicial:
-        cx.add_basis(n, T.basis[n].degree, T.basis[n].mdeg)
-
-    def lcm_mdeg(*names):
-        acc = T.basis[names[0]].mdeg
-        from mdgkit.ring import mono_lcm
-        for n in names[1:]:
-            acc = mono_lcm(acc, T.basis[n].mdeg)
-        return acc
-
-    cx.add_basis("e1345", 3, lcm_mdeg("e1", "e3", "e4", "e5"))
-    cx.add_basis("e2345", 3, lcm_mdeg("e2", "e3", "e4", "e5"))
-    cx.add_basis("e2456", 3, lcm_mdeg("e2", "e4", "e5", "e6"))
-    cx.add_basis("e12345", 4, lcm_mdeg("e1", "e2", "e3", "e4", "e5"))
-    for n in simplicial:
-        cx.set_diff(n, cx.element(dict(T.d(T.elem(n)).coeffs)))
-    cx.set_diff("e1345", parse_element(
-        "u*e14 - x*e13 - z*e35 + z*e45", cx))
-    cx.set_diff("e2345", parse_element(
-        "-x*e23 + u*e24 - y*e35 + y*e45", cx))
-    cx.set_diff("e2456", parse_element(
-        "z*u*e24 - x*e26 + y*z*e45 + v*e56", cx))
-    cx.set_diff("e12345", parse_element(
-        "x*e123 - u*e124 - y*e1345 + z*e2345", cx))
+    cx = sub_resolution(T_alg.complex, simplicial, "EX55", [
+        ("e1345", 3, "u*e14 - x*e13 - z*e35 + z*e45"),
+        ("e2345", 3, "-x*e23 + u*e24 - y*e35 + y*e45"),
+        ("e2456", 3, "z*u*e24 - x*e26 + y*z*e45 + v*e56"),
+        ("e12345", 4, "x*e123 - u*e124 - y*e1345 + z*e2345")])
     assert cx.check() == []
     mult = partial_multiplication(cx, EX55_TABLE)
     alg = MDGAlgebra(cx, mult)
     assert alg.check().ok()
-    return cx, alg
-
-
-def gen_ex55():
-    cx, alg = build_ex55()
-    emit("ex55.mdg", make_document(cx.ring, [cx],
-                                   mults=[("mu", alg.mult)]))
-    return cx, alg
+    emit("ex55.mdg", make_document(R, [cx], mults=[("mu", alg.mult)]))
 
 
 # ---------------------------------------------------------------------------

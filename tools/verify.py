@@ -8,7 +8,7 @@ The checks are the existing commands, run from the root of the checkout:
     tier-1     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
     fixtures   python3 tools/check_fixtures.py
     criteria   python3 tools/check_criteria.py
-    perfbench  python3 perfbench/run.py --workload all --seed 7
+    perfbench  python3 perfbench/run.py --workload all --seed 7 --seconds 2
     engine     python3 tools/time_engine.py
 
 perfbench passes when it exits 0 and its report marks every workload
@@ -20,8 +20,9 @@ them.  A failing check's last lines of output are
 printed under its line.  Exits 0 when every check passes, 1 otherwise.
 Last come the totals of `tools/code_lines.py` on the library and on
 `tools/`, which are information only and do not change the exit status.
-perfbench runs each workload three times for 30 s, and the engine timings
-take about 20 s, so the whole run takes about ten minutes.
+perfbench runs each workload three times for 2 s, still at least one whole
+pass each, since its report's correctness and counts need no timing; with
+the engine timings at about 20 s the whole run takes about three minutes.
 """
 
 import json
@@ -72,7 +73,7 @@ CHECKS = [
     ("fixtures", [sys.executable, "tools/check_fixtures.py"], None),
     ("criteria", [sys.executable, "tools/check_criteria.py"], None),
     ("perfbench", [sys.executable, "perfbench/run.py", "--workload", "all",
-                   "--seed", "7"], perfbench_problems),
+                   "--seed", "7", "--seconds", "2"], perfbench_problems),
     ("engine", [sys.executable, "tools/time_engine.py"], None),
 ]
 
