@@ -246,6 +246,10 @@ class FreeComplex:
                 out.append((name, mono_div(mdeg, b.mdeg)))
         return out
 
+    def piece_names(self, degree: int, mdeg: tuple):
+        """The basis names of `piece_basis(degree, mdeg)`, in its order."""
+        return [name for name, _ in self.piece_basis(degree, mdeg)]
+
     def element_vector(self, x: Element, degree: int, mdeg: tuple, piece=None):
         """Coordinates of the (degree, mdeg) part of x in the piece basis.
 
@@ -315,18 +319,27 @@ class FreeComplex:
         """Images under d of coordinate rows of the (degree, mdeg) piece, as
         coordinate rows of the (degree-1, mdeg) piece, read from the
         `diff_constants()` consts: a piece holds each basis element once."""
-        piece = self.piece_basis(degree, mdeg)
-        target = {name: i for i, (name, _) in
-                  enumerate(self.piece_basis(degree - 1, mdeg))}
-        out = []
-        for r in rows:
-            vec = [0] * len(target)
-            for (name, _), c in zip(piece, r):
-                if c:
-                    for k, q in consts[name].items():
-                        vec[target[k]] += c * q
-            out.append(vec)
-        return out
+        return _map_rows(consts, rows, self.piece_names(degree, mdeg),
+                         self.piece_names(degree - 1, mdeg))
+
+    def piece_rows(self, vecs, names, mdeg: tuple):
+        """The rational vectors vecs, each {k: q} read at multidegree mdeg,
+        as rows on the columns `names` of a piece at mdeg.  A generator of
+        multidegree m is sum_k q_k x^(m - m_k) e_k, so its shift by
+        x^(mdeg - m) has row (q_k) when every m_k divides mdeg.  Otherwise
+        the coefficient q_k x^(mdeg - m_k) of the first e_k outside the
+        piece has a denominator, and ComplexError names it."""
+        index = {name: i for i, name in enumerate(names)}
+        rows = []
+        for vec in vecs:
+            row = [0] * len(index)
+            for k, q in vec.items():
+                if k not in index:
+                    coeff = self.from_constants({k: q}, mdeg).coeffs[k]
+                    raise ComplexError(f"{coeff} on {k} is not a polynomial")
+                row[index[k]] = q
+            rows.append(row)
+        return rows
 
     def diff_matrix(self, degree: int, mdeg: tuple):
         """Rows = images under d of the piece basis vectors, as coordinate
@@ -423,22 +436,26 @@ def subquotient_homology(cx: FreeComplex, degrees, a=None, b=None) -> dict:
     """dict i -> dim H_i(A/B) for each i in `degrees`, summed over the
     multidegrees of `cx.mdeg_support()`, for subcomplexes B of A of cx.
 
-    A and B are `mdg.Submodule`s, read through their generators'
-    multidegrees and `span_rows`; A defaults to all of cx and B to 0.  Per
-    multidegree the count is dim A_i - dim B_i - r_i - r_{i+1}, where
+    A and B are `mdg.Submodule`s, read through their generators' degrees,
+    multidegrees and rational vectors; A defaults to all of cx and B to 0.
+    Per multidegree the count is dim A_i - dim B_i - r_i - r_{i+1}, where
     r_i = rank(d(A_i) + B_{i-1}) - rank(B_{i-1}) is the rank of the induced
     map A_i/B_i -> A_{i-1}/B_{i-1}.  Raises ComplexError when `cx.check()`
     finds a problem: the ranks of a map that is not a differential of
     multidegree 0 are not homology.
 
-    Every matrix at multidegree m is read from rational constants: `d_rows`
-    from those of the basis elements whose multidegree divides m, and
-    `span_rows` from those of the generators whose multidegree divides m.
-    So the count at m is a function of that set of basis elements and
-    generators, its key, and it is computed once per key: at the key's
-    first multidegree in support order, and added for every multidegree
-    that shares it.  The first ComplexError is raised where a loop over
-    every multidegree would raise it."""
+    Every matrix at multidegree m is read from rational constants: the
+    images under d from those of the basis elements whose multidegree
+    divides m, and the generator rows (`FreeComplex.piece_rows`) from those
+    of the generators whose multidegree divides m.  So the count at m is a
+    function of that set of basis elements and generators, its key, and it
+    is computed once per key: at the key's first multidegree in support
+    order, and added for every multidegree that shares it.  The key is the
+    bitmask of `_divisor_keys`, and the pieces are read from it: bit k
+    stands for entry k of the basis in `cx.order`, then of A's generators,
+    then of B's, so no piece is found by testing divisibility again.  The
+    first ComplexError is raised where a loop over every multidegree would
+    raise it."""
     cx.require_complex()
     dims = dict.fromkeys(degrees, 0)
     if not dims:
@@ -446,33 +463,69 @@ def subquotient_homology(cx: FreeComplex, degrees, a=None, b=None) -> dict:
     consts = cx.diff_constants()
     lo, hi = min(dims), max(dims)
     mdegs = [cx.basis[name].mdeg for name in cx.order]
+    basis = _by_degree(enumerate((cx.basis[n].degree, n) for n in cx.order))
+    parts = []
     for sub in (a, b):
         if sub is not None:
+            parts.append(_by_degree(enumerate(
+                ((d, vec) for (_, _, d, _), vec in zip(sub.gens, sub._consts)),
+                len(mdegs))))
             mdegs += [m for _, _, _, m in sub.gens]
+        else:
+            parts.append(None)
     counts = {}
     for md, key in _divisor_keys(cx, mdegs):
         count = counts.get(key)
         if count is None:
-            count = counts[key] = _piece_homology(cx, consts, lo, hi, a, b,
-                                                  md)
+            count = counts[key] = _piece_homology(cx, consts, lo, hi, basis,
+                                                  *parts, md, key)
         for i, n in count.items():
             dims[i] += n
     return dims
 
 
-def _piece_homology(cx, consts, lo, hi, a, b, md) -> dict:
-    """dict i -> dim H_i(A/B) at multidegree md, for lo <= i <= hi."""
-    b_rows = {i: b.span_rows(i, md) if b is not None else []
-              for i in range(lo - 1, hi + 1)}
+def _piece_homology(cx, consts, lo, hi, basis, a, b, md, key) -> dict:
+    """dict i -> dim H_i(A/B) at multidegree md, for lo <= i <= hi.  basis,
+    a and b map each degree to the (bit, entry) pairs of the basis names and
+    of A's and B's generator vectors (None for all of cx and for 0); an
+    entry lies in the piece at md when its bit is set in key."""
+    def held(part, i):
+        return [x for bit, x in part.get(i, ()) if key >> bit & 1]
+
+    names = {i: held(basis, i) for i in range(lo - 1, hi + 2)}
+    b_rows = {i: cx.piece_rows(held(b, i), names[i], md) if b is not None
+              else [] for i in range(lo - 1, hi + 1)}
     b_dim = {i: _rank(rows) for i, rows in b_rows.items()}
-    a_rows = {i: a.span_rows(i, md) if a is not None else
-              _unit_rows(len(cx.piece_basis(i, md)))
-              for i in range(lo, hi + 2)}
-    r = {i: _rank(cx.d_rows(consts, rows, i, md) + b_rows[i - 1])
-         - b_dim[i - 1] if rows and i > 0 else 0
+    a_rows = {i: cx.piece_rows(held(a, i), names[i], md) if a is not None
+              else _unit_rows(len(names[i])) for i in range(lo, hi + 2)}
+    r = {i: _rank(_map_rows(consts, rows, names[i], names[i - 1])
+                  + b_rows[i - 1]) - b_dim[i - 1] if rows and i > 0 else 0
          for i, rows in a_rows.items()}
     return {i: (_rank(a_rows[i]) if a is not None else len(a_rows[i]))
             - b_dim[i] - r[i] - r[i + 1] for i in range(lo, hi + 1)}
+
+
+def _by_degree(entries) -> dict:
+    """{degree: [(bit, x)]} for the (bit, (degree, x)) of entries."""
+    out = {}
+    for bit, (degree, x) in entries:
+        out.setdefault(degree, []).append((bit, x))
+    return out
+
+
+def _map_rows(consts: dict, rows, names, target):
+    """The rows, coordinates on the basis names `names`, mapped through the
+    `diff_constants()` consts to coordinates on the names `target`."""
+    index = {name: i for i, name in enumerate(target)}
+    out = []
+    for r in rows:
+        vec = [0] * len(index)
+        for name, c in zip(names, r):
+            if c:
+                for k, q in consts[name].items():
+                    vec[index[k]] += c * q
+        out.append(vec)
+    return out
 
 
 def _divisor_keys(cx: FreeComplex, mdegs):

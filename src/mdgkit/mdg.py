@@ -499,7 +499,7 @@ class MDGAlgebra:
             for (a, b, c), v in sorted(found.items(),
                                        key=lambda t: [pos[n] for n in t[0]])
             if v])
-        sub.saturate()
+        sub.saturate(consts)
         return sub
 
 
@@ -537,21 +537,30 @@ class Submodule:
     """An MDG submodule given by homogeneous, multihomogeneous generators.
 
     Component at (degree, mdeg) is the Q-span of monomial shifts of the
-    generators; homology is computed per multidegree."""
+    generators; homology is computed per multidegree.  Each generator's
+    rational vector is read once, when it is added, and each piece that is
+    queried keeps its generators' rows in reduced echelon form, extended by
+    the generators added since its last query."""
 
     def __init__(self, alg: MDGAlgebra, gens):
         self.alg = alg
         self.complex = alg.complex
         self.gens = []          # (label, Element, degree, mdeg)
-        self._consts = []       # {k: q} of each generator, as in span_rows
+        self._consts = []       # {k: q} of each generator, read at its mdeg
+        self._in_degree = {}    # degree -> [(mdeg, {k: q})], in order
+        self._pieces = {}       # (degree, mdeg) -> [names, rref rows, read]
         for label, v in gens:
             self.add_generator(label, v)
 
     def add_generator(self, label: str, v: Element):
-        if v.is_zero():
-            return
-        self.gens.append((label, v, v.degree(), v.multidegree()))
-        self._consts.append({k: c.lead_coeff() for k, c in v.coeffs.items()})
+        if not v.is_zero():
+            self._add(label, v, v.degree(), v.multidegree(),
+                      {k: c.lead_coeff() for k, c in v.coeffs.items()})
+
+    def _add(self, label, v, degree, mdeg, vec):
+        self.gens.append((label, v, degree, mdeg))
+        self._consts.append(vec)
+        self._in_degree.setdefault(degree, []).append((mdeg, vec))
 
     def degrees(self) -> set:
         return {d for _, _, d, _ in self.gens}
@@ -571,61 +580,80 @@ class Submodule:
 
     def span_rows(self, degree: int, mdeg: tuple):
         """Coordinate rows of the generators' monomial shifts in the
-        (degree, mdeg) piece.  A generator of multidegree m is
-        sum_k q_k x^(m - m_k) e_k, so its shift by x^(mdeg - m) has row
-        (q_k) when every m_k divides mdeg.  Otherwise the coefficient
-        q_k x^(mdeg - m_k) of the first e_k outside the piece has a
-        denominator, and ComplexError names it."""
+        (degree, mdeg) piece, by `FreeComplex.piece_rows`: ComplexError
+        names a coefficient with a denominator."""
         cx = self.complex
-        piece = cx.piece_basis(degree, mdeg)
-        index = {name: i for i, (name, _) in enumerate(piece)}
-        rows = []
-        for (_, _, d, m), consts in zip(self.gens, self._consts):
-            if d != degree or not mono_divides(m, mdeg):
-                continue
-            row = [0] * len(piece)
-            for k, q in consts.items():
-                if k not in index:
-                    coeff = cx.from_constants({k: q}, mdeg).coeffs[k]
-                    raise ComplexError(f"{coeff} on {k} is not a polynomial")
-                row[index[k]] = q
-            rows.append(row)
-        return rows
+        return cx.piece_rows(
+            [vec for m, vec in self._in_degree.get(degree, ())
+             if mono_divides(m, mdeg)],
+            cx.piece_names(degree, mdeg), mdeg)
+
+    def _in_span(self, degree: int, mdeg: tuple, vec: dict) -> bool:
+        """Is the rational vector vec, {k: q} read at mdeg, in the (degree,
+        mdeg) piece?  The piece's echelon form is first extended by the
+        generators of the degree added since its last query.  They count
+        as read only once their rows are built, so a generator with a
+        denominator raises at every query, as `span_rows` does, after vec's
+        own denominator."""
+        cx = self.complex
+        entry = self._pieces.get((degree, mdeg))
+        if entry is None:
+            entry = self._pieces[degree, mdeg] = [
+                cx.piece_names(degree, mdeg), [], 0]
+        names, rows, read = entry
+        row, = cx.piece_rows([vec], names, mdeg)
+        gens = self._in_degree.get(degree, [])
+        new = [v for m, v in gens[read:] if mono_divides(m, mdeg)]
+        if new:
+            rows = entry[1] = linalg.rref(
+                rows + cx.piece_rows(new, names, mdeg))[0]
+        entry[2] = len(gens)
+        return linalg.in_span(rows, row)
 
     def contains(self, x: Element) -> bool:
         if x.is_zero():
             return True
-        d = x.degree()
-        m = x.multidegree()
-        vec = self.complex.element_vector(x, d, m)
-        return linalg.in_span(self.span_rows(d, m), vec)
+        return self._in_span(x.degree(), x.multidegree(),
+                             {k: c.lead_coeff() for k, c in x.coeffs.items()})
 
     # -- closure --
 
-    def saturate(self):
+    def saturate(self, consts=None):
         """Close under multiplication by basis elements (the differential
         closure is automatic and verified by `verify_closed`).  Raises
-        MDGError after SATURATION_ROUNDS rounds that each add generators."""
+        MDGError after SATURATION_ROUNDS rounds that each add generators.
+
+        A product a*v of a generator v of multidegree m is formed on
+        rational constants by `Multiplication.q_mul`, from the
+        `structure_constants()` consts (computed here when not given): it
+        lies at multidegree m_a + m, its pairs read in `multiply`'s order.
+        Only a product that is kept becomes an `Element`."""
         cx = self.complex
+        mult = self.alg.mult
+        if consts is None:
+            consts = mult.structure_constants()
         maxdeg = cx.max_degree()
-        names = self.alg.basis_names()
-        frontier = list(self.gens)
+        frontier = range(len(self.gens))
         for _ in range(SATURATION_ROUNDS):
-            new = []
-            for a in names:
-                da = cx.basis[a].degree
-                ea = cx.elem(a)
-                for label, v, d, m in frontier:
-                    if da + d > maxdeg:
+            start = len(self.gens)
+            for a in self.alg.basis_names():
+                ba = cx.basis[a]
+                for j in frontier:
+                    label, _, d, m = self.gens[j]
+                    degree = ba.degree + d
+                    if degree > maxdeg:
                         continue
-                    prod = self.alg.mul(ea, v)
-                    if prod.is_zero() or self.contains(prod):
+                    vec = {k: q for k, q in mult.q_mul(
+                        consts, {a: 1}, self._consts[j]).items() if q}
+                    if not vec:
                         continue
-                    self.add_generator(f"{a}*{label}", prod)
-                    new.append(self.gens[-1])
-            if not new:
+                    mdeg = mono_mul(ba.mdeg, m)
+                    if not self._in_span(degree, mdeg, vec):
+                        self._add(f"{a}*{label}", cx.from_constants(vec, mdeg),
+                                  degree, mdeg, vec)
+            if len(self.gens) == start:
                 return
-            frontier = new
+            frontier = range(start, len(self.gens))
         raise MDGError(
             f"submodule closure did not stabilize within the round limit of "
             f"{SATURATION_ROUNDS}: {len(self.gens)} generators reached")

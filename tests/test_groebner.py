@@ -465,9 +465,11 @@ TAYLOR4 = [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0)]
 # (y^2w, yzw, x^2y, xzw) with its variables permuted
 TAYLOR4_SEEDED = [tuple(m[p] for p in (2, 0, 3, 1)) for m in
                   [(0, 2, 0, 1), (0, 1, 1, 1), (2, 1, 0, 0), (1, 0, 1, 1)]]
-# the Taylor-5 ideal of tools/check_criteria.py
+# the Taylor-5 and -6 ideals of tools/check_criteria.py
 TAYLOR5 = [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0),
            (0, 1, 1, 0)]
+TAYLOR6 = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 2), (1, 1, 0, 0),
+           (0, 1, 1, 0), (0, 0, 1, 1)]
 
 
 def _terms(polys):
@@ -481,10 +483,11 @@ def _complete_table(name):
     if name.startswith("taylor4"):
         ideal = TAYLOR4 if name == "taylor4" else TAYLOR4_SEEDED
         return taylor_algebra(R4, [R4.monomial(m) for m in ideal])
-    if name.startswith("perturbed-taylor5-"):
+    if name.startswith("perturbed-taylor"):
         # `mdg perturb`'s homotopy at the seed, as tools/check_criteria.py
-        alg = taylor_algebra(R4, [R4.monomial(m) for m in TAYLOR5])
-        seed = int(name[len("perturbed-taylor5-"):])
+        k, seed = map(int, name[len("perturbed-taylor"):].split("-"))
+        ideal = TAYLOR5 if k == 5 else TAYLOR6
+        alg = taylor_algebra(R4, [R4.monomial(m) for m in ideal])
         return MDGAlgebra(alg.complex, perturb_multiplication(
             alg, random_homotopy(alg, seed)))
     return load_fixture(name).algebra()
@@ -580,7 +583,9 @@ def test_the_linear_route_matches_buchberger(name, monkeypatch):
                                         ("fk_split-nu", 0), ("fo_full", 0),
                                         ("taylor_x2_xy", 0),
                                         ("perturbed-taylor5-1", 4),
-                                        ("perturbed-taylor5-2", 6)])
+                                        ("perturbed-taylor5-2", 6),
+                                        ("perturbed-taylor6-1", 6),
+                                        ("perturbed-taylor6-2", 14)])
 def test_the_associator_submodule_has_rank_dim_s_prime(name, rank):
     # the paper's two perspectives agree.  The first saturates the basis
     # associators into a submodule; the second closes their span S' under

@@ -95,9 +95,9 @@ def test_each_key_is_computed_once(monkeypatch, name, support, keys):
     seen = []
     piece = complexes._piece_homology
 
-    def counted(cx, consts, lo, hi, a, b, md):
+    def counted(cx, consts, lo, hi, basis, a, b, md, key):
         seen.append(md)
-        return piece(cx, consts, lo, hi, a, b, md)
+        return piece(cx, consts, lo, hi, basis, a, b, md, key)
 
     monkeypatch.setattr(complexes, "_piece_homology", counted)
     dims = cx.homology_dims()

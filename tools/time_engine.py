@@ -33,7 +33,10 @@ their golden is the generator and stored-pair counts, and their counters
 are the process's resident set size (VmRSS, read from /proc on Linux)
 with the first run's table held, and what that build added to it.  The
 scan cases run `associative_on_basis` on the Taylor-7 table (associative,
-so every triple is read) and `associator_submodule` on fm.  The symmetric-algebra cases run
+so every triple is read) and `associator_submodule` on fm and on the
+perturbed Taylor-5 and Taylor-6 tables at seeds 1 and 2, each perturbed
+table built on its case's first run, outside the timing, as the certificate
+cases do.  The symmetric-algebra cases run
 `SymDGAlgebra.check()` on fk truncated at total degree 3, on fm at 2 and on
 fk_split's complex T5 at 3.
 The chain-layer cases run `MDGAlgebra.check()` on fk_split's table nu and
@@ -46,7 +49,8 @@ Two cases run on fm with every differential divided by 2, so that its
 constants are `Fraction`s rather than ints: `homology_dims()` and
 `SymDGAlgebra.check()` at 2.  Their goldens are fm's.
 Each run's basis size (for a certificate, also its witness count; for a
-scan, its verdict or generator count; for a symmetric-algebra check, its
+scan, its verdict or generator count, and for a perturbed table's
+submodule also that submodule's homology; for a symmetric-algebra check, its
 monomial and problem counts; for an axiom check, its problem and skipped
 counts; for a homology case, its dimensions; for the presentation check,
 its (ideal, span) dimensions per degree; for a parse case, its entry
@@ -63,7 +67,7 @@ golden count differs.
 Every case but the two build cases runs through one helper, `timed`: an
 untimed setup, then one timed call, whose result gives the golden count
 and the counters.
-The run takes about 20 s, and the Taylor-10 certificate case sets its peak
+The run takes about 27 s, and the Taylor-10 certificate case sets its peak
 resident set size, 248 MB, on a 2-vCPU Linux host with CPython 3.11.
 """
 
@@ -98,6 +102,13 @@ PARSED = [("fk", 199), ("fm", 391), ("fa", 161), ("ex6", 21),
 
 # the counters of a certificate's or a presentation check's basis
 BASIS_STATS = attrgetter("basis.stats")
+
+# the generator counts and homology of the associator submodules of the
+# perturbed tables of check_criteria.py
+SUBMODULES = {"taylor5 seed 1": "676 generators, H_3=0, H_4=0, H_5=0",
+              "taylor5 seed 2": "532 generators, H_3=2, H_4=0, H_5=0",
+              "taylor6 seed 1": "1580 generators, H_4=0, H_5=0, H_6=0",
+              "taylor6 seed 2": "1550 generators, H_3=0, H_4=0, H_5=0, H_6=0"}
 
 
 def timed(call, count, setup=tuple, stats=lambda out: {}):
@@ -154,6 +165,10 @@ def axiom_counts(report) -> str:
 
 def homology(dims) -> str:
     return ", ".join(f"H_{i}={n}" for i, n in dims.items())
+
+
+def submodule_counts(sub) -> str:
+    return f"{len(sub.gens)} generators, {homology(sub.homology_dims())}"
 
 
 def first_run(build, *args):
@@ -287,6 +302,10 @@ def cases():
         ("associator_submodule fm",
          timed(fm.associator_submodule,
                lambda sub: f"{len(sub.gens)} generators"), "76 generators"),
+    ] + [(f"associator_submodule perturbed {name}",
+          timed(MDGAlgebra.associator_submodule, submodule_counts,
+                first_run(perturbed, ideal, seed)), SUBMODULES[name])
+         for name, ideal, seed, _, _ in PERTURBED
     ] + [(f"sym check {name}",
           timed(partial(checked_sym, source, k), sym_counts), golden)
          for name, source, k, golden in sym_checks] + [

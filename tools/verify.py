@@ -15,14 +15,15 @@ perfbench passes when it exits 0 and its report marks every workload
 correct, with an empty `self_check` and traced counts that repeat.  The
 others pass when they exit 0; for the engine timings that means every
 case's golden count held: the Taylor-8, -9 and -10 certificate sizes, the
-parse entry counts and the symmetric-algebra monomial counts among
-them.  A failing check's last lines of output are
+parse entry counts, the symmetric-algebra monomial counts and the generator
+counts and homology of the perturbed Taylor tables' associator submodules
+among them.  A failing check's last lines of output are
 printed under its line.  Exits 0 when every check passes, 1 otherwise.
 Last come the totals of `tools/code_lines.py` on the library and on
 `tools/`, which are information only and do not change the exit status.
 perfbench runs each workload three times for 2 s, still at least one whole
 pass each, since its report's correctness and counts need no timing; with
-the engine timings at about 20 s the whole run takes about three minutes.
+the engine timings at about 27 s the whole run takes about three minutes.
 """
 
 import json
